@@ -22,6 +22,7 @@ import configparser
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -59,6 +60,8 @@ def parse_duration(text: str) -> int:
         value = float(raw) * _PS_PER_UNIT[unit]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad duration {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"bad duration {text!r}")
     if abs(value - round(value)) > 1e-6 or value < 0:
         raise argparse.ArgumentTypeError(f"duration {text!r} is not a whole number of picoseconds")
     return int(round(value))
@@ -133,7 +136,10 @@ def _utc_now() -> str:
 def _default_threads() -> int:
     env = os.environ.get("HERALDSIM_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ParameterError(f"HERALDSIM_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -282,7 +288,8 @@ def _cmd_simulate(args) -> int:
         raise ParameterError(f"missing required simulate parameters: {', '.join(missing)}")
     config = ExperimentConfig(**kwargs)
     out = _resolve_out(args.out)
-    stream, summary = run(config, threads=args.threads)
+    threads = args.threads if args.threads is not None else _default_threads()
+    stream, summary = run(config, threads=threads)
     if out.endswith(".csv"):
         write_csv(stream, out)
     else:
@@ -403,8 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pulses", type=_non_negative_int, help="number of pulses (overrides config)")
     p.add_argument("--seed", type=_non_negative_int, help="RNG seed (overrides config)")
     p.add_argument("--selection", help="herald selection (overrides config)")
-    p.add_argument("--threads", type=_positive_int, default=_default_threads(),
-                   help="worker threads; output is independent of this value")
+    p.add_argument("--threads", type=_positive_int, default=None,
+                   help="worker threads (default: HERALDSIM_THREADS, else the CPU count); "
+                        "output is independent of this value")
     p.add_argument("--out", required=True, help="tag file (.csv for text, binary otherwise)")
     p.set_defaults(func=_cmd_simulate)
 

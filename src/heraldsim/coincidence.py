@@ -195,31 +195,51 @@ def isolated_times(times: np.ndarray, min_separation: int) -> np.ndarray:
 
 
 def herald_conditioned_rates(stream: TagStream, config: ExperimentConfig):
-    """Partition HBT tags by reconstructed gate state.
+    """Partition HBT tags by the reconstructed gate state of their pulse slot.
 
-    Returns (open_rate, closed_rate, correlated_rate) in Hz.  Correlated
-    tags sit exactly at a heralded pulse's signal-arrival slot and are
-    excluded from the open region; their rate is referred to the full run
-    duration, while open/closed rates use the respective region durations.
+    Returns (open_rate, closed_rate, correlated_rate) in Hz.  The pulse slots
+    are the signal-arrival times ``phase + j * rep_period`` inside the run,
+    with ``phase`` the resolved signal delay modulo the period, and each tag
+    belongs to its nearest slot.  A slot is open when its time lies inside a
+    merged gate.  The slots of heralded pulses (herald time plus the signal
+    delay) hold the correlated tags and belong to neither region.  Open and
+    closed rates are tags per slot of their region times the repetition
+    rate; the correlated rate is referred to the full run duration.
     """
     heralds = stream.channels[Channel.HERALD_TRIGGER]
     if heralds.size == 0:
         raise EmptyEnsembleError("stream contains no herald tags")
-    starts, ends = merged_gate_intervals(heralds, config.latency, config.gate_length)
+    rep = config.rep_period
+    phase = config.resolved_signal_delay % rep
     duration = stream.duration
-    open_duration = int(np.sum(np.clip(np.minimum(ends, duration) - np.maximum(starts, 0), 0, None)))
-    closed_duration = duration - open_duration
-    slots = heralds + config.resolved_signal_delay
+    n_slots = max(0, -((phase - duration) // rep))
+
+    def slot_of(times):
+        return (times - phase + rep // 2) // rep
+
+    def slots_before(times):  # slots j in [0, n_slots) with phase + j * rep < times
+        return np.clip(-((phase - times) // rep), 0, n_slots)
+
+    starts, ends = merged_gate_intervals(heralds, config.latency, config.gate_length)
+    n_open_slots = int(np.sum(slots_before(ends) - slots_before(starts)))
+    heralded = np.unique(slot_of(heralds + config.resolved_signal_delay))
+    heralded = heralded[(heralded >= 0) & (heralded < n_slots)]
+    heralded_open = int(_open_mask(phase + heralded * rep, starts, ends).sum())
+    open_slots = n_open_slots - heralded_open
+    closed_slots = n_slots - n_open_slots - (heralded.size - heralded_open)
 
     tags = np.concatenate([stream.channels[Channel.HBT_A], stream.channels[Channel.HBT_B]])
-    correlated = _members(tags, slots)
-    open_mask = _open_mask(tags, starts, ends) & ~correlated
+    slot = slot_of(tags)
+    slot = slot[(slot >= 0) & (slot < n_slots)]
+    correlated = _members(slot, heralded)
+    open_mask = _open_mask(phase + slot * rep, starts, ends) & ~correlated
     n_corr = int(correlated.sum())
     n_open = int(open_mask.sum())
-    n_closed = int(tags.size - n_corr - n_open)
+    n_closed = int(slot.size - n_corr - n_open)
 
-    open_rate = n_open / (open_duration * 1e-12) if open_duration > 0 else math.nan
-    closed_rate = n_closed / (closed_duration * 1e-12) if closed_duration > 0 else math.nan
+    slot_seconds = rep * 1e-12
+    open_rate = n_open / (open_slots * slot_seconds) if open_slots > 0 else math.nan
+    closed_rate = n_closed / (closed_slots * slot_seconds) if closed_slots > 0 else math.nan
     correlated_rate = n_corr / (duration * 1e-12) if duration > 0 else math.nan
     return open_rate, closed_rate, correlated_rate
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import IntEnum
@@ -39,6 +40,12 @@ DEFAULT_BATCH_SIZE = 1 << 20
 #: Reserved sub-stream tag for the sequential gate-edge thinning pass; batch
 #: indices must stay below this value.
 _RAMP_STREAM_TAG = 1 << 48
+
+#: Heralds converted to Python ints at a time by the retrigger filter.
+_RETRIGGER_CHUNK = 1 << 14
+
+#: Config fields that must hold integers (picosecond times, counts, seed).
+_INTEGER_FIELDS = ("n_pulses", "seed", "rep_period", "latency", "gate_length", "gate_rise_time", "signal_delay")
 
 
 class Channel(IntEnum):
@@ -98,6 +105,13 @@ class ExperimentConfig:
     gate_rise_time: int = 0
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "signal_delay":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not (math.isfinite(self.mean_pairs_per_pulse) and self.mean_pairs_per_pulse >= 0):
             raise ParameterError("mean_pairs_per_pulse must be finite and >= 0")
         if self.n_pulses < 0:
@@ -272,21 +286,22 @@ def gate_state(t: int, herald_times, config: ExperimentConfig) -> str:
 
 
 def _retrigger_filter(herald_times: np.ndarray, latency: int, gate_length: int) -> np.ndarray:
-    """Drop heralds that arrive while a previously accepted gate is open."""
-    kept = np.empty(herald_times.size, dtype=bool)
-    starts: list = []
-    ends: list = []
-    p = 0
-    run_max_end = -1
-    for i, h in enumerate(herald_times):
-        while p < len(starts) and starts[p] <= h:
-            run_max_end = max(run_max_end, ends[p])
-            p += 1
-        accept = h >= run_max_end
-        kept[i] = accept
-        if accept:
-            starts.append(h + latency)
-            ends.append(h + latency + gate_length)
+    """Drop heralds that arrive while a previously accepted gate is open.
+
+    A herald is kept when no earlier kept herald's gate has opened and is
+    still open at its time; heralds before a pending gate opens are kept.
+    """
+    kept = np.zeros(herald_times.size, dtype=bool)
+    pending = deque()  # starts of kept gates that have not opened yet
+    open_end = -1
+    for lo in range(0, herald_times.size, _RETRIGGER_CHUNK):
+        chunk = herald_times[lo : lo + _RETRIGGER_CHUNK].tolist()
+        for i, h in enumerate(chunk, start=lo):
+            while pending and pending[0] <= h:
+                open_end = max(open_end, pending.popleft() + gate_length)
+            if h >= open_end:
+                kept[i] = True
+                pending.append(h + latency)
     return herald_times[kept]
 
 

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -33,6 +35,11 @@ class TestParseDuration:
     def test_fractional_ps_rejected(self):
         with pytest.raises(Exception):
             parse_duration("0.3ps")
+
+    @pytest.mark.parametrize("text", ["inf", "nan", "infns", "-inf", "NaNps", "1e400"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="bad duration"):
+            parse_duration(text)
 
 
 class TestMatrixCommand:
@@ -148,6 +155,18 @@ seed = 31415
         result = invoke_subprocess("simulate", "--out", tmp_path / "x.tags")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "setting, bad",
+        [("rep_period = 12.5ns", "rep_period = infns"), ("latency = 23ns", "latency = nan"),
+         ("gate_length = 80ns", "gate_length = inf")],
+    )
+    def test_non_finite_config_time_exit_code(self, tmp_path, capsys, setting, bad):
+        assert setting in self.CONFIG
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.CONFIG.replace(setting, bad))
+        assert invoke("simulate", "--config", cfg, "--out", tmp_path / "x.tags") == 2
+        assert "bad value for [" in capsys.readouterr().err
+
     def test_csv_output_extension(self, tmp_path):
         out = tmp_path / "run.csv"
         invoke("simulate", "--mu", 0.05, "--pulses", 10_000, "--seed", 2, "--out", out)
@@ -175,6 +194,15 @@ class TestAnalyzeCommand:
         result = invoke_subprocess("analyze", "--tags", tmp_path / "nope.bin", "--out", tmp_path / "x")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("option", ["--bin", "--range", "--duration"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_duration_exit_code(self, tmp_path, option, value):
+        result = invoke_subprocess("analyze", "--tags", tmp_path / "t.tags", option, value,
+                                   "--out", tmp_path / "x")
+        assert result.returncode == 2
+        assert "bad duration" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestThresholdsCommand:
     def test_surface_csv(self, tmp_path):
@@ -196,6 +224,19 @@ class TestEnvironmentOverrides:
         monkeypatch.setenv("HERALDSIM_OUTDIR", str(tmp_path / "results"))
         assert invoke("matrix", "--out", "m.csv") == 0
         assert (tmp_path / "results" / "m.csv").exists()
+
+    def test_threads_env_not_an_integer(self, tmp_path):
+        env = {**os.environ, "HERALDSIM_THREADS": "abc"}
+        result = invoke_subprocess("simulate", "--mu", 0.01, "--pulses", 1_000, "--seed", 3,
+                                   "--out", tmp_path / "t.tags", env=env)
+        assert result.returncode == 2
+        assert "HERALDSIM_THREADS must be an integer" in result.stderr
+        assert "Traceback" not in result.stderr
+        # an explicit --threads and commands that run no threads ignore it
+        result = invoke_subprocess("simulate", "--mu", 0.01, "--pulses", 1_000, "--seed", 3,
+                                   "--threads", 1, "--out", tmp_path / "t.tags", env=env)
+        assert result.returncode == 0
+        assert invoke_subprocess("matrix", "--out", tmp_path / "m.csv", env=env).returncode == 0
 
     def test_threads_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HERALDSIM_THREADS", "2")

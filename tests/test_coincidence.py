@@ -219,8 +219,10 @@ class TestHeraldConditionedRates:
             duration=200_000,
         )
         open_rate, closed_rate, correlated_rate = herald_conditioned_rates(stream, cfg)
-        open_dur = 80_000e-12
-        closed_dur = 120_000e-12
+        # 16 slots at 0, 12.5, ..., 187.5 ns: the gate holds the 7 slots from
+        # 25 to 100 ns, of which the heralded one at 25 ns leaves the region
+        open_dur = 6 * REP * 1e-12
+        closed_dur = 9 * REP * 1e-12
         assert correlated_rate == pytest.approx(1 / 200_000e-12)
         assert open_rate == pytest.approx(1 / open_dur)  # the 50 ns tag
         assert closed_rate == pytest.approx(2 / closed_dur)  # 12.5 and 110 ns tags
@@ -238,6 +240,32 @@ class TestHeraldConditionedRates:
         sigma = math.sqrt(total)
         # both region rates estimate the same uniform rate
         assert abs(open_rate - closed_rate) / (total / (duration * 1e-12)) <= 3 * sigma / total * 2
+
+    def test_one_tag_per_slot_gives_equal_rates(self):
+        # every pulse slot holds one tag; heralded slots sit inside open gates
+        # and gates cover a non-uniform share of the run
+        cfg = reference_config()
+        n = 4_000
+        herald_pulses = np.sort(np.random.default_rng(1).choice(n, 100, replace=False))
+        stream = make_stream(
+            herald=herald_pulses * REP, hbt_a=np.arange(n) * REP, duration=n * REP
+        )
+        open_rate, closed_rate, correlated_rate = herald_conditioned_rates(stream, cfg)
+        rep_rate = 1e12 / REP
+        assert open_rate == pytest.approx(rep_rate, rel=1e-12)
+        assert closed_rate == pytest.approx(rep_rate, rel=1e-12)
+        assert correlated_rate == pytest.approx(100 / (n * REP * 1e-12), rel=1e-12)
+
+    def test_slot_counts_with_signal_delay_off_grid(self):
+        # a 30 ns signal delay puts the slots at 5 ns + k * 12.5 ns
+        cfg = reference_config(signal_delay=30_000)
+        stream = make_stream(herald=[0], hbt_a=[30_000, 55_000, 5_000], duration=200_000)
+        open_rate, closed_rate, correlated_rate = herald_conditioned_rates(stream, cfg)
+        # 16 slots from 5 to 192.5 ns; the gate [23, 103) ns holds the 6 slots
+        # from 30 to 92.5 ns, one of them heralded
+        assert correlated_rate == pytest.approx(1 / 200_000e-12)
+        assert open_rate == pytest.approx(1 / (5 * REP * 1e-12))
+        assert closed_rate == pytest.approx(1 / (10 * REP * 1e-12))
 
     def test_no_heralds_raise(self):
         cfg = reference_config()

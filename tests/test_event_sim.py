@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heraldsim import (
     Channel,
@@ -17,7 +19,26 @@ from heraldsim import (
     required_n_max,
     run,
 )
-from heraldsim.event_sim import merged_gate_intervals
+from heraldsim.event_sim import _retrigger_filter, merged_gate_intervals
+
+
+def reference_retrigger_filter(herald_times, latency, gate_length):
+    """The per-herald loop over numpy scalars that _retrigger_filter replaces."""
+    kept = np.empty(herald_times.size, dtype=bool)
+    starts: list = []
+    ends: list = []
+    p = 0
+    run_max_end = -1
+    for i, h in enumerate(herald_times):
+        while p < len(starts) and starts[p] <= h:
+            run_max_end = max(run_max_end, ends[p])
+            p += 1
+        accept = h >= run_max_end
+        kept[i] = accept
+        if accept:
+            starts.append(h + latency)
+            ends.append(h + latency + gate_length)
+    return herald_times[kept]
 
 
 def make_config(**overrides):
@@ -252,6 +273,27 @@ class TestRetrigger:
         # so the next accepted herald is the pulse at 125 ns
         assert heralds[:4].tolist() == [0, 12_500, 125_000, 137_500]
 
+    def test_filter_spans_chunks(self):
+        heralds = np.sort(np.random.default_rng(3).integers(0, 10**9, 40_000)) // 12_500 * 12_500
+        kept = _retrigger_filter(heralds, 23_000, 80_000)
+        np.testing.assert_array_equal(kept, reference_retrigger_filter(heralds, 23_000, 80_000))
+        assert 0 < kept.size < heralds.size
+
+    @given(
+        st.lists(st.integers(0, 2_000), max_size=200).map(sorted),
+        st.integers(0, 300),
+        st.integers(0, 300),
+    )
+    @example([0, 0, 5, 5, 5, 10, 10, 90], 0, 10)  # shared times with no latency
+    @example([0, 0, 5, 5, 5, 10, 10, 90], 6, 0)  # zero-length gates
+    @settings(max_examples=300, deadline=None)
+    def test_filter_matches_reference(self, times, latency, gate_length):
+        # a small time range makes shared herald times and overlapping gates common
+        heralds = np.asarray(times, dtype=np.int64)
+        kept = _retrigger_filter(heralds, latency, gate_length)
+        assert kept.dtype == np.int64
+        np.testing.assert_array_equal(kept, reference_retrigger_filter(heralds, latency, gate_length))
+
     def test_extend_mode_keeps_all(self):
         cfg = make_config(
             mean_pairs_per_pulse=50.0,
@@ -289,6 +331,21 @@ class TestConfigValidation:
             make_config(retrigger="bounce")
         with pytest.raises(ParameterError):
             make_config(seed=-1)
+
+    @pytest.mark.parametrize(
+        "field", ["rep_period", "latency", "gate_length", "gate_rise_time", "signal_delay", "n_pulses", "seed"]
+    )
+    @pytest.mark.parametrize("value", [12_500.5, 12_500.0, "12500", True])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+            make_config(**{field: value})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        cfg = make_config(rep_period=np.int64(12_500), n_pulses=np.uint32(1_000), seed=np.uint64(2**63),
+                          latency=np.int32(23_000), signal_delay=np.int64(25_000))
+        assert type(cfg.rep_period) is int and type(cfg.seed) is int and type(cfg.duration) is int
+        assert cfg.duration == 12_500_000
+        assert make_config(signal_delay=None).resolved_signal_delay == 25_000
 
     def test_summary_text_roundtrip_fields(self):
         _, summary = run(make_config(n_pulses=1_000))

@@ -1,8 +1,63 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heraldsim import Channel, ExperimentConfig, FormatError, HeraldSelection, TagStream, run
 from heraldsim import tagio
+from heraldsim.event_sim import CHANNEL_NAMES, CHANNELS_BY_NAME
+
+
+# Reference implementations: the per-record CSV writer and reader that the
+# chunked writer and the np.loadtxt reader replace.
+
+
+def reference_write_csv(stream, path):
+    records = tagio._merged_records(stream)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("channel,timestamp_ps\n")
+        names = {int(ch): name for ch, name in CHANNEL_NAMES.items()}
+        for code, _, timestamp in records:
+            fh.write(f"{names[int(code)]},{int(timestamp)}\n")
+
+
+def reference_read_csv(path):
+    """Per-channel int64 arrays, in file order, or FormatError."""
+    codes = []
+    times = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "channel,timestamp_ps":
+            raise FormatError(f"{path}: bad CSV header {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                name, raw = line.split(",")
+                codes.append(int(CHANNELS_BY_NAME[name]))
+                times.append(int(raw))
+            except (ValueError, KeyError) as exc:
+                raise FormatError(f"{path}:{lineno}: bad record {line!r}") from exc
+    codes = np.asarray(codes, dtype=np.uint8)
+    times = np.asarray(times, dtype=np.int64)
+    return {ch: times[codes == int(ch)] for ch in Channel}
+
+
+def stream_of(channels, duration=1):
+    return TagStream(
+        channels={ch: np.asarray(channels.get(ch, ()), dtype=np.int64) for ch in Channel},
+        duration=duration,
+    )
+
+
+sorted_times = st.lists(st.integers(0, 2**62), max_size=60).map(sorted)
+tag_streams = st.builds(
+    lambda h, a, b: stream_of({Channel.HERALD_TRIGGER: h, Channel.HBT_A: a, Channel.HBT_B: b}),
+    sorted_times,
+    sorted_times,
+    sorted_times,
+)
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +147,64 @@ class TestCsvFormat:
         with pytest.raises(FormatError):
             tagio.read_csv(path)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "mystery,100",  # unknown channel
+            "HBT_A,100",  # names are case sensitive
+            " hbt_a,100",  # whitespace is allowed around the timestamp only
+            "hbt_a ,100",
+            "hbt_a\0,100",  # a NUL that numpy strings would drop
+            "herald_trigger_and_more,100",  # longer than the name field
+            "#hbt_a,100",  # no comment rows
+            "hbt_a",  # missing field
+            "hbt_a,",  # empty timestamp
+            "hbt_a,100,7",  # extra field
+            "hbt_a,100,",
+            "hbt_a,12.5",  # non-integer timestamps
+            "hbt_a,1e3",
+            "hbt_a,abc",
+            "hbt_a,1_000",
+            "hbt_a,9223372036854775808",  # past int64
+            "   ",  # whitespace is not an empty line
+        ],
+    )
+    def test_malformed_row_named(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"channel,timestamp_ps\nhbt_a,5\n\nhbt_b,6\n{row}\nhbt_b,9\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"{path.name}:5: bad record"):
+            tagio.read_csv(path)
+
+    def test_grammar_edges_accepted(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text(
+            "channel,timestamp_ps\r\n\r\nhbt_a, +5 \r\nhbt_a,\t007\r\nhbt_b,-3\r\n"
+            "herald_trigger,9223372036854775807"
+        )
+        loaded = tagio.read_csv(path)
+        assert loaded.channels[Channel.HBT_A].tolist() == [5, 7]
+        assert loaded.channels[Channel.HBT_B].tolist() == [-3]
+        assert loaded.channels[Channel.HERALD_TRIGGER].tolist() == [2**63 - 1]
+
+    def test_header_only_is_empty_stream(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("channel,timestamp_ps\n")
+        loaded = tagio.read_csv(path)
+        assert all(arr.size == 0 and arr.dtype == np.int64 for arr in loaded.channels.values())
+        assert loaded.duration == 0
+
+    def test_bad_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,channel\nhbt_a,5\n")
+        with pytest.raises(FormatError, match="bad CSV header"):
+            tagio.read_csv(path)
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "junk.csv"
+        path.write_bytes(b"channel,timestamp_ps\nhbt_a,5\n\xff\xfe,6\n")
+        with pytest.raises(FormatError):
+            tagio.read_tags(path)
+
 
 class TestDispatch:
     def test_read_tags_detects_format(self, sample_stream, tmp_path):
@@ -117,3 +230,115 @@ class TestDispatch:
         tagio.write_binary(stream, path)
         assert tagio.read_binary(path).duration == 251
         assert tagio.read_binary(path, duration=1_000).duration == 1_000
+
+
+class TestTimeOrder:
+    def test_csv_out_of_order_rejected(self, tmp_path):
+        path = tmp_path / "disorder.csv"
+        path.write_text("channel,timestamp_ps\nhbt_a,100\nhbt_b,50\nhbt_a,90\n")
+        with pytest.raises(FormatError, match="hbt_a timestamps are not in time order"):
+            tagio.read_csv(path)
+
+    def test_binary_out_of_order_rejected(self, tmp_path):
+        records = np.zeros(3, dtype=tagio.RECORD_DTYPE)
+        records["channel"] = [int(Channel.HERALD_TRIGGER), int(Channel.HERALD_TRIGGER), int(Channel.HBT_A)]
+        records["timestamp"] = [200, 100, 300]
+        path = tmp_path / "disorder.bin"
+        path.write_bytes(b"HSIMTAGS" + np.uint32(1).tobytes() + np.uint32(0).tobytes() + records.tobytes())
+        with pytest.raises(FormatError, match="herald_trigger timestamps are not in time order"):
+            tagio.read_binary(path)
+
+    def test_interleaved_channels_accepted(self, tmp_path):
+        # only each channel's own times must not decrease
+        path = tmp_path / "interleaved.csv"
+        path.write_text("channel,timestamp_ps\nhbt_a,100\nhbt_b,50\nhbt_a,100\nhbt_b,60\n")
+        loaded = tagio.read_csv(path)
+        assert loaded.channels[Channel.HBT_A].tolist() == [100, 100]
+        assert loaded.channels[Channel.HBT_B].tolist() == [50, 60]
+
+
+@given(tag_streams)
+@settings(max_examples=150, deadline=None)
+def test_csv_writer_matches_reference(tmp_path_factory, stream):
+    tmp = tmp_path_factory.mktemp("csvw")
+    tagio.write_csv(stream, tmp / "new.csv")
+    reference_write_csv(stream, tmp / "ref.csv")
+    assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+
+def test_csv_writer_chunk_edges_match_reference(tmp_path):
+    for n in (tagio._CSV_CHUNK - 1, tagio._CSV_CHUNK, 2 * tagio._CSV_CHUNK + 1):
+        stream = stream_of({Channel.HBT_A: np.arange(n) * 12_500, Channel.HBT_B: [7]})
+        tagio.write_csv(stream, tmp_path / "new.csv")
+        reference_write_csv(stream, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# one row: channel, increment over the channel's previous time, and the
+# spelling of the timestamp (padding, '+' sign, leading zeros)
+csv_rows = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(sorted(CHANNELS_BY_NAME)),
+            st.integers(0, 2**40),
+            st.sampled_from(["", " ", "\t"]),
+            st.sampled_from(["", "+"]),
+            st.integers(0, 3),
+            st.sampled_from(["", " ", "\t"]),
+        ),
+        st.just(None),  # empty line
+    ),
+    max_size=60,
+)
+
+
+@given(csv_rows, st.sampled_from(["\n", "\r\n"]))
+@settings(max_examples=150, deadline=None)
+def test_csv_reader_matches_reference(tmp_path_factory, rows, newline):
+    last = {}
+    lines = ["channel,timestamp_ps"]
+    for row in rows:
+        if row is None:
+            lines.append("")
+            continue
+        name, step, pad_l, sign, zeros, pad_r = row
+        last[name] = last.get(name, 0) + step
+        lines.append(f"{name},{pad_l}{sign}{'0' * zeros}{last[name]}{pad_r}")
+    path = tmp_path_factory.mktemp("csvr") / "tags.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    expected = reference_read_csv(path)
+    loaded = tagio.read_csv(path)
+    for ch in Channel:
+        assert loaded.channels[ch].dtype == np.int64
+        np.testing.assert_array_equal(loaded.channels[ch], expected[ch])
+
+
+near_valid_rows = st.builds(
+    "{},{}".format,
+    st.sampled_from([*sorted(CHANNELS_BY_NAME), "hbt_c", "", " hbt_a", "hbt_a\0"]),
+    st.text("0123456789+- \t\x0b\xa0._eE\0\u0665", max_size=22),
+)
+
+
+@given(st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=30), near_valid_rows))
+@settings(max_examples=400, deadline=None)
+def test_csv_reader_on_any_row(tmp_path_factory, row):
+    """A row the grammar takes reads as the reference reads it; any other
+    row raises FormatError naming its line, and so does every row the
+    reference reader refused."""
+    row = row.replace("\r", "").replace("\n", "")
+    floor = "".join(f"{name},{-(2**63)}\n" for name in sorted(CHANNELS_BY_NAME))
+    path = tmp_path_factory.mktemp("csvm") / "tags.csv"
+    path.write_text(f"channel,timestamp_ps\n{floor}{row}\n", encoding="utf-8")
+    try:
+        expected = reference_read_csv(path)
+    except (FormatError, OverflowError):
+        expected = None
+    if row == "" or tagio._csv_row_ok(row):
+        assert expected is not None
+        loaded = tagio.read_csv(path)
+        for ch in Channel:
+            np.testing.assert_array_equal(loaded.channels[ch], expected[ch])
+    else:
+        with pytest.raises(FormatError, match=":5: bad record"):
+            tagio.read_csv(path)
