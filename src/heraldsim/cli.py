@@ -62,6 +62,8 @@ def parse_duration(text: str) -> int:
         raise argparse.ArgumentTypeError(f"bad duration {text!r}") from exc
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"bad duration {text!r}")
+    if value >= 2**63:
+        raise argparse.ArgumentTypeError(f"bad duration {text!r}: 2**63 ps or more does not fit 64 bits")
     if abs(value - round(value)) > 1e-6 or value < 0:
         raise argparse.ArgumentTypeError(f"duration {text!r} is not a whole number of picoseconds")
     return int(round(value))

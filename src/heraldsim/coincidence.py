@@ -55,12 +55,7 @@ class CoincidenceHistogram:
     duration: int
 
     def __post_init__(self):
-        if self.bin_width <= 0 or self.range_ps <= 0:
-            raise ParameterError("bin_width and range_ps must be > 0")
-        if (2 * self.range_ps) % self.bin_width:
-            raise ParameterError(
-                f"bin_width {self.bin_width} must divide the histogram span {2 * self.range_ps}"
-            )
+        _check_binning(self.bin_width, self.range_ps)
         if self.counts.shape != (self.n_bins,):
             raise ParameterError("counts length must equal 2 * range_ps / bin_width")
         if np.any(self.counts < 0):
@@ -79,9 +74,22 @@ class CoincidenceHistogram:
         return self.duration * 1e-12
 
 
+def _check_binning(bin_width: int, range_ps: int) -> None:
+    if bin_width <= 0 or range_ps <= 0:
+        raise ParameterError("bin_width and range_ps must be > 0")
+    if 2 * range_ps >= 2**63:
+        raise ParameterError(f"range_ps {range_ps} must be below 2**62 so that time differences fit 64 bits")
+    if (2 * range_ps) % bin_width:
+        raise ParameterError(f"bin_width {bin_width} must divide the histogram span {2 * range_ps}")
+
+
 def _correlate_times(a: np.ndarray, b: np.ndarray, bin_width: int, range_ps: int) -> np.ndarray:
+    """Counts per bin of t_b - t_a; the binning must have passed _check_binning."""
     n_bins = (2 * range_ps) // bin_width
-    counts = np.zeros(n_bins, dtype=np.int64)
+    try:
+        counts = np.zeros(n_bins, dtype=np.int64)
+    except (ValueError, MemoryError):  # numpy refuses the size, or the allocation fails
+        raise ParameterError(f"a histogram of {n_bins} bins cannot be allocated") from None
     if a.size == 0 or b.size == 0:
         return counts
     for lo in range(0, a.size, _CHUNK):
@@ -110,6 +118,7 @@ def correlate(
     for ch in (ch_a, ch_b):
         if ch not in stream.channels:
             raise ParameterError(f"stream has no channel {ch!r}")
+    _check_binning(bin_width, range_ps)
     a = stream.channels[ch_a]
     b = stream.channels[ch_b]
     counts = _correlate_times(a, b, bin_width, range_ps)
@@ -267,6 +276,7 @@ def heralded_coincidence_counts(
     signal delay; tags on the two HBT channels are matched against those
     slots exactly (all tags are pulse-aligned).
     """
+    _check_binning(bin_width, range_ps)
     heralds = stream.channels[Channel.HERALD_TRIGGER]
     if heralds.size == 0:
         raise EmptyEnsembleError("stream contains no herald tags")

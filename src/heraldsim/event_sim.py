@@ -1,9 +1,12 @@
 """Seeded time-tag Monte Carlo of the full herald-and-gate chain.
 
-Per pulse p at t_p = p * rep_period the simulator draws a pair count from
-the source family, thins the idler by the source-to-detector transmission,
-assigns the survivors to uniform pixels, applies the per-event crosstalk
-upgrade, and evaluates the herald selection on the click count.  An accepted
+Pulse p sits at t_p = p * rep_period.  The simulator draws only the pulses
+that hold at least one pair: the gaps between them are geometric with
+p = 1 - p(0), and their pair numbers come from the source law conditioned
+on n >= 1.  Each photon then gets its own draws.  An idler photon survives
+the source-to-detector transmission T and lands on a uniform pixel; the
+pixels it fires give the click count, which the per-event crosstalk upgrade
+may raise by one, and the herald selection is evaluated on it.  An accepted
 pulse emits a HeraldTrigger tag at t_p and opens the modulator over
 [t_p + latency, t_p + latency + gate_length); overlapping gates merge.
 
@@ -11,9 +14,12 @@ Signal photons of pulse p reach the modulator after a fixed optical delay
 (by default the smallest whole number of pulse periods >= latency, so the
 heralded photons of a pulse meet their own gate just after it opens).  A
 photon passes an open gate with probability 1 and a closed gate with the
-extinction leakage 10**(-extinction_db / 10), then splits to the two HBT
-detectors.  Detectors register at most one click per pulse per channel, at
-the modulator-arrival time; dark counts are independent Poisson processes.
+extinction leakage 10**(-extinction_db / 10), then goes to HBT A with
+probability q_a, to HBT B with q_b, or is lost.  One uniform per photon
+decides both its detector and whether it passes a closed gate, so the
+counts for either gate outcome come from the same draw.  Detectors register
+at most one click per pulse per channel, at the modulator-arrival time; dark
+counts are independent Poisson processes.
 
 Determinism: every random draw happens in per-batch streams keyed by
 (seed, batch index), and batches are fixed-size contiguous pulse ranges, so
@@ -29,11 +35,13 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
 from .feedforward import HeraldSelection
+from .photon_stats import poissonian, required_n_max
 
 DEFAULT_BATCH_SIZE = 1 << 20
 
@@ -60,18 +68,6 @@ CHANNEL_NAMES = {
     Channel.HBT_B: "hbt_b",
 }
 CHANNELS_BY_NAME = {name: ch for ch, name in CHANNEL_NAMES.items()}
-
-
-try:
-    _popcount = np.bitwise_count
-except AttributeError:  # numpy < 2.0
-    def _popcount(x):
-        x = np.asarray(x, dtype=np.uint64)
-        out = np.zeros_like(x)
-        while np.any(x):
-            out += x & 1
-            x >>= 1
-        return out
 
 
 @dataclass(frozen=True)
@@ -305,35 +301,109 @@ def _retrigger_filter(herald_times: np.ndarray, latency: int, gate_length: int) 
     return herald_times[kept]
 
 
-def _sample_pair_counts(rng: np.random.Generator, config: ExperimentConfig, size: int) -> np.ndarray:
+class _Batch(NamedTuple):
+    """Draws for one pulse batch; ``run`` concatenates batches field by field."""
+
+    herald_pulse: np.ndarray  # int64 pulses whose click outcome is accepted
+    cand_pulse: np.ndarray  # int64 pulses with a signal photon at HBT A or B through an open gate
+    a_open: np.ndarray  # int32 photons of each candidate at HBT A through an open gate
+    a_closed: np.ndarray  # int32 the same through a closed gate
+    b_open: np.ndarray  # int32
+    b_closed: np.ndarray  # int32
+    click_hist: np.ndarray  # int64 pulses per idler click outcome 0..n_pixels
+    dark_a: np.ndarray  # int64 dark-count times
+    dark_b: np.ndarray  # int64
+
+
+def _geometric(rng: np.random.Generator, p: float, count: int, cap: int) -> np.ndarray:
+    """Geometric variates on {1, 2, ...} with success probability p, clipped at cap.
+
+    Inversion, G = 1 + floor(log(1 - U) / log(1 - p)), costs one uniform and
+    one logarithm per variate; ``rng.geometric`` searches instead for
+    p >= 1/3 and takes about three times as long at p = 0.4.  At p = 1 every
+    quotient is 0.  The clip comes before the integer cast, because for p
+    near 0 the quotient exceeds int64.
+    """
+    y = np.log1p(-rng.random(count))
+    y /= math.log1p(-p) if p < 1.0 else -math.inf
+    np.minimum(y, cap - 1, out=y)
+    return 1 + y.astype(np.int64)
+
+
+def _occupied_pulses(rng: np.random.Generator, p_occ: float, size: int) -> np.ndarray:
+    """Sorted offsets in [0, size) of the pulses that hold at least one pair.
+
+    Each pulse is occupied independently with probability p_occ, so the gaps
+    between occupied pulses are geometric and only occupied pulses cost a
+    draw (Devroye, Non-Uniform Random Variate Generation, ch. X).
+    """
+    found = []
+    last = -1  # offset of the last occupied pulse found so far
+    while p_occ > 0.0 and last < size - 1:
+        left = size - 1 - last
+        expected = left * p_occ
+        n = int(min(left, expected + 5.0 * math.sqrt(expected) + 16.0))
+        # a gap of left + 1 already passes the batch end, so the clip keeps the sum exact
+        pos = last + np.cumsum(_geometric(rng, p_occ, n, left + 1))
+        found.append(pos[: np.searchsorted(pos, size)])
+        last = int(pos[-1])
+    return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+
+
+def _photon_numbers(rng: np.random.Generator, config: ExperimentConfig, count: int) -> np.ndarray:
+    """Pair numbers of occupied pulses: the source law conditioned on n >= 1."""
     mu = config.mean_pairs_per_pulse
-    if mu == 0.0:
-        return np.zeros(size, dtype=np.int64)
-    if config.source_family == "poissonian":
-        return rng.poisson(mu, size)
-    return rng.geometric(1.0 / (1.0 + mu), size) - 1
+    if config.source_family == "thermal":
+        # no memory holds 2**62 photons, so the clip changes no run that can finish
+        return _geometric(rng, 1.0 / (1.0 + mu), count, 2**62)
+    # inversion by sequential search on the table cut where the tail mass
+    # falls below photon_stats.TAIL_MASS_TOL
+    cdf = np.cumsum(poissonian(mu, max(1, required_n_max(mu))).probs[1:])
+    x = rng.random(count) * cdf[-1]
+    n = np.ones(count, dtype=np.int64)
+    for edge in cdf[:-1]:
+        n += x >= edge
+    return n
 
 
-def _simulate_batch(config: ExperimentConfig, batch_index: int, start: int, size: int):
-    """All random draws for pulses [start, start + size); no gate logic here."""
+def _segment_counts(flags: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Number of set flags in each segment; segment i ends at index last[i]."""
+    totals = np.cumsum(flags, dtype=np.int32)[last]
+    return np.diff(totals, prepend=np.int32(0))
+
+
+def _simulate_batch(config: ExperimentConfig, batch_index: int, start: int, size: int) -> _Batch:
+    """All random draws for pulses [start, start + size); no gate logic here.
+
+    Photons are laid out contiguously per occupied pulse, and every occupied
+    pulse holds at least one, so no segment is empty.
+    """
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, batch_index)))
     n_pix = config.n_pixels
-    n = _sample_pair_counts(rng, config, size)
-    occ = np.nonzero(n)[0]
-    nn = n[occ]
+    mu = config.mean_pairs_per_pulse
+    p_occ = mu / (1.0 + mu) if config.source_family == "thermal" else -math.expm1(-mu)
+    occ = _occupied_pulses(rng, p_occ, size)
+    photons = _photon_numbers(rng, config, occ.size)
+    ends = np.cumsum(photons)
+    first = ends - photons
+    n_photons = int(ends[-1]) if ends.size else 0
 
-    # idler arm: loss, pixel assignment, crosstalk upgrade
-    surviving = rng.binomial(nn, config.idler_transmission)
-    clicks = np.zeros(nn.size, dtype=np.int64)
-    for count in np.unique(surviving):
-        if count == 0:
-            continue
-        rows = np.nonzero(surviving == count)[0]
-        pixels = rng.integers(0, n_pix, size=(rows.size, int(count)))
-        masks = np.bitwise_or.reduce(1 << pixels, axis=1)
-        clicks[rows] = _popcount(masks)
-    upgrade = rng.random(nn.size)
-    clicks += ((clicks >= 1) & (clicks <= n_pix - 1) & (upgrade < config.crosstalk)).astype(np.int64)
+    # idler arm: a photon survives iff u < T, and then u / T is uniform on
+    # [0, 1) and picks its pixel; index n_pix marks a lost photon
+    t_idler = config.idler_transmission
+    u = rng.random(n_photons)
+    if t_idler > 0.0:
+        u /= t_idler
+        np.minimum(u, 1.0, out=u)
+    else:
+        u.fill(1.0)
+    u *= n_pix
+    pixel_bit = np.zeros(n_pix + 1, dtype=np.uint16)
+    pixel_bit[:n_pix] = 1 << np.arange(n_pix)
+    fired = np.bitwise_or.reduceat(pixel_bit[u.astype(np.uint8)], first)
+    del u
+    clicks = np.bitwise_count(fired)
+    clicks += (clicks >= 1) & (clicks <= n_pix - 1) & (rng.random(clicks.size) < config.crosstalk)
 
     click_hist = np.bincount(clicks, minlength=n_pix + 1)
     click_hist[0] += size - occ.size
@@ -346,19 +416,22 @@ def _simulate_batch(config: ExperimentConfig, batch_index: int, start: int, size
         herald_occ = np.sort(np.concatenate([herald_occ, empty]))
     herald_pulse = start + herald_occ.astype(np.int64)
 
-    # signal arm, drawn for both gate outcomes; the stitch pass picks one
+    # signal arm, counted for both gate outcomes; the stitch pass picks one.
+    # v < q_a reaches A, and given that v / q_a is uniform, so v < q_a * leak
+    # also passes a closed gate; B takes [q_a, q_a + q_b) the same way.
     q_a = config.signal_transmission * config.hbt_efficiency * config.hbt_splitting
     q_b = config.signal_transmission * config.hbt_efficiency * (1.0 - config.hbt_splitting)
-    a_open = rng.binomial(nn, q_a)
-    remaining = nn - a_open
-    # sequential multinomial split; the min() guards float round-up past 1
-    ratio = 0.0 if q_a >= 1.0 else min(1.0, q_b / (1.0 - q_a))
-    b_open = rng.binomial(remaining, ratio)
     leak = config.leakage
-    a_closed = rng.binomial(a_open, leak)
-    b_closed = rng.binomial(b_open, leak)
-    keep = (a_open + b_open) > 0
-    cand_pulse = (start + occ[keep]).astype(np.int64)
+    v = rng.random(n_photons)
+    last = ends - 1
+    a_closed, a_open, below_b_closed, below_b_open = (
+        _segment_counts(v < threshold, last)
+        for threshold in (q_a * leak, q_a, q_a + q_b * leak, q_a + q_b)
+    )
+    del v
+    keep = below_b_open > 0
+    a_open = a_open[keep]
+    cand_pulse = start + occ[keep]
 
     # dark counts over this batch's time span
     span = size * config.rep_period
@@ -367,16 +440,16 @@ def _simulate_batch(config: ExperimentConfig, batch_index: int, start: int, size
     dark_a = t0 + rng.integers(0, span, rng.poisson(lam), dtype=np.int64)
     dark_b = t0 + rng.integers(0, span, rng.poisson(lam), dtype=np.int64)
 
-    return (
-        herald_pulse,
-        cand_pulse,
-        a_open[keep],
-        a_closed[keep],
-        b_open[keep],
-        b_closed[keep],
-        click_hist,
-        dark_a,
-        dark_b,
+    return _Batch(
+        herald_pulse=herald_pulse,
+        cand_pulse=cand_pulse,
+        a_open=a_open,
+        a_closed=a_closed[keep],
+        b_open=below_b_open[keep] - a_open,
+        b_closed=below_b_closed[keep] - a_open,
+        click_hist=click_hist,
+        dark_a=dark_a,
+        dark_b=dark_b,
     )
 
 
@@ -395,7 +468,9 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
     horizon = config.duration + delay + config.latency + config.gate_length
     if horizon >= 2**63:
         raise ParameterError("timestamp range overflows 64-bit picoseconds; reduce n_pulses")
-    n_batches = (config.n_pulses + batch_size - 1) // batch_size
+    # a run of zero pulses still makes one empty batch, which gives every
+    # merged field its dtype
+    n_batches = max(1, (config.n_pulses + batch_size - 1) // batch_size)
     if n_batches >= _RAMP_STREAM_TAG:
         raise ParameterError("too many batches")
 
@@ -408,32 +483,19 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda job: _simulate_batch(config, *job), jobs))
+    merged = _Batch(*map(np.concatenate, zip(*results)))
+    del results
+    click_counts = merged.click_hist.reshape(n_batches, config.n_pixels + 1).sum(axis=0)
 
-    empty = np.empty(0, dtype=np.int64)
-    herald_pulse = np.concatenate([r[0] for r in results]) if results else empty
-    cand_pulse = np.concatenate([r[1] for r in results]) if results else empty
-    a_open = np.concatenate([r[2] for r in results]) if results else empty
-    a_closed = np.concatenate([r[3] for r in results]) if results else empty
-    b_open = np.concatenate([r[4] for r in results]) if results else empty
-    b_closed = np.concatenate([r[5] for r in results]) if results else empty
-    click_counts = (
-        np.sum([r[6] for r in results], axis=0)
-        if results
-        else np.zeros(config.n_pixels + 1, dtype=np.int64)
-    )
-    dark_a = np.concatenate([r[7] for r in results]) if results else empty
-    dark_b = np.concatenate([r[8] for r in results]) if results else empty
-
-    heralds_accepted = herald_pulse.size
-    herald_times = herald_pulse * config.rep_period
+    herald_times = merged.herald_pulse * config.rep_period
     if config.retrigger == "ignore":
         herald_times = _retrigger_filter(herald_times, config.latency, config.gate_length)
 
     starts, ends = merged_gate_intervals(herald_times, config.latency, config.gate_length)
-    arrivals = cand_pulse * config.rep_period + delay
+    arrivals = merged.cand_pulse * config.rep_period + delay
     open_gate = _open_mask(arrivals, starts, ends)
-    a = np.where(open_gate, a_open, a_closed)
-    b = np.where(open_gate, b_open, b_closed)
+    a = np.where(open_gate, merged.a_open, merged.a_closed)
+    b = np.where(open_gate, merged.b_open, merged.b_closed)
 
     if config.gate_rise_time > 0 and starts.size:
         # linear voltage ramp at the first opening edge of each merged gate
@@ -449,8 +511,8 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
             a[partial] = rng_ramp.binomial(a[partial], factor[partial])
             b[partial] = rng_ramp.binomial(b[partial], factor[partial])
 
-    hbt_a = np.sort(np.concatenate([arrivals[a > 0], dark_a]))
-    hbt_b = np.sort(np.concatenate([arrivals[b > 0], dark_b]))
+    hbt_a = np.sort(np.concatenate([arrivals[a > 0], merged.dark_a]))
+    hbt_b = np.sort(np.concatenate([arrivals[b > 0], merged.dark_b]))
 
     stream = TagStream(
         channels={
@@ -466,7 +528,7 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
         duration=config.duration,
         channel_counts=stream.counts(),
         click_counts=click_counts,
-        heralds_accepted=int(heralds_accepted),
+        heralds_accepted=int(merged.herald_pulse.size),
         heralds_emitted=int(herald_times.size),
         config=config,
     )

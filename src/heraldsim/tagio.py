@@ -5,6 +5,9 @@ Binary format (versioned, little-endian):
     header  : 16 bytes = magic ``b"HSIMTAGS"`` + uint32 version (1) + uint32 zero
     records : 12 bytes each = uint8 channel, 3 zero bytes, uint64 timestamp_ps
 
+The reader rejects non-zero reserved bytes and timestamps of 2**63 ps or
+more, which do not fit the signed 64-bit times of a TagStream.
+
 Records are stored in global time order (ties broken by channel id).  The
 CSV alternative is lossless: a ``channel,timestamp_ps`` header followed by
 one ``<name>,<timestamp_ps>`` row per record with the channel spelled by
@@ -16,6 +19,7 @@ Readers reject a file in which a channel's timestamps decrease.
 
 from __future__ import annotations
 
+import io
 import re
 import warnings
 
@@ -96,11 +100,20 @@ def read_binary(path, duration: int | None = None) -> TagStream:
         version = int(np.frombuffer(header[8:12], dtype="<u4")[0])
         if version != VERSION:
             raise FormatError(f"{path}: unsupported format version {version}")
+        if any(header[12:]):
+            raise FormatError(f"{path}: reserved header word is not zero")
         payload = fh.read()
     if len(payload) % RECORD_DTYPE.itemsize:
         raise FormatError(f"{path}: truncated record payload")
     records = np.frombuffer(payload, dtype=RECORD_DTYPE)
-    return _stream_from(path, records["channel"], records["timestamp"].astype(np.int64), duration)
+    # the first little-endian word of a record is channel | reserved << 8
+    first_words = np.frombuffer(payload, dtype="<u4")[::3]
+    if first_words.size and first_words.max() > 0xFF:
+        raise FormatError(f"{path}: record {int(np.argmax(first_words > 0xFF))} has non-zero reserved bytes")
+    times = records["timestamp"].astype(np.int64)  # 2**63 and above wrap to negative
+    if times.size and times.min() < 0:
+        raise FormatError(f"{path}: record {int(np.argmax(times < 0))} has a timestamp of 2**63 ps or more")
+    return _stream_from(path, records["channel"], times, duration)
 
 
 def write_csv(stream: TagStream, path) -> None:
@@ -119,11 +132,6 @@ def _csv_row_ok(line: str) -> bool:
     return -(2**63) <= int(line.split(",")[1]) < 2**63
 
 
-def _contains_nul(path) -> bool:
-    with open(path, "rb") as fh:
-        return any(b"\0" in block for block in iter(lambda: fh.read(1 << 20), b""))
-
-
 def _bad_row_error(path, cause) -> FormatError:
     """FormatError naming the first row of the file that breaks the CSV grammar."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -135,16 +143,37 @@ def _bad_row_error(path, cause) -> FormatError:
     return FormatError(f"{path}: bad record ({cause})")
 
 
+def _unicode_spaces() -> dict:
+    """str.translate table mapping each non-ASCII whitespace character to a space.
+
+    U+3000 is the last code point that str.isspace accepts.
+    """
+    return {c: " " for c in range(0x80, 0x3001) if chr(c).isspace()}
+
+
 def read_csv(path, duration: int | None = None) -> TagStream:
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != CSV_HEADER:
                 raise FormatError(f"{path}: bad CSV header {header!r}")
+            source = fh
+            # numpy strings drop trailing NULs, which would read "hbt_a\0"
+            # as "hbt_a", and np.loadtxt hands characters above U+00FF to C
+            # isdigit, which reads out of bounds and can crash.  A row the
+            # grammar takes holds no NUL, and non-ASCII characters only as
+            # whitespace, so other files are parsed from a cleaned copy.
+            if b"\0" in raw or not raw.isascii():
+                body = fh.read().translate(_unicode_spaces())
+                if "\0" in body or not body.isascii():
+                    raise _bad_row_error(path, "a NUL, or a character that is neither ASCII nor whitespace")
+                source = io.StringIO(body)
             with warnings.catch_warnings():
                 # a file with the header alone holds an empty stream
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
+                rows = np.loadtxt(source, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
     except FormatError:
         raise
     except UnicodeDecodeError as exc:
@@ -154,8 +183,7 @@ def read_csv(path, duration: int | None = None) -> TagStream:
     codes = np.full(rows.size, len(_CSV_NAMES), dtype=np.uint8)
     for code, name in enumerate(_CSV_NAMES):
         codes[rows["name"] == name] = code
-    # numpy strings drop trailing NULs, which would read "hbt_a\0" as "hbt_a"
-    if np.any(codes == len(_CSV_NAMES)) or _contains_nul(path):
+    if np.any(codes == len(_CSV_NAMES)):
         raise _bad_row_error(path, "unknown channel name")
     return _stream_from(path, codes, rows["timestamp"], duration)
 

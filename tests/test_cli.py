@@ -41,6 +41,12 @@ class TestParseDuration:
         with pytest.raises(argparse.ArgumentTypeError, match="bad duration"):
             parse_duration(text)
 
+    def test_past_int64_rejected(self):
+        assert parse_duration("9223372036854774784") == 2**63 - 1024  # the largest float below 2**63
+        for text in ("9223372036854775808", "9223372036854775807", "1e30", "9300000000000000ns"):
+            with pytest.raises(argparse.ArgumentTypeError, match="2\\*\\*63 ps or more"):
+                parse_duration(text)
+
 
 class TestMatrixCommand:
     def test_reference_table(self, tmp_path):
@@ -193,6 +199,33 @@ class TestAnalyzeCommand:
     def test_missing_file_exit_code(self, tmp_path):
         result = invoke_subprocess("analyze", "--tags", tmp_path / "nope.bin", "--out", tmp_path / "x")
         assert result.returncode == 2
+
+    @pytest.fixture(scope="class")
+    def small_tags(self, tmp_path_factory):
+        tags = tmp_path_factory.mktemp("analyze") / "run.tags"
+        assert invoke("simulate", "--mu", 0.05, "--pulses", 20_000, "--seed", 5, "--threads", 1,
+                      "--out", tags) == 0
+        return tags
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--bin", "0"), "bin_width and range_ps must be > 0"),
+            (("--bin", "300"), "must divide the histogram span"),
+            (("--bin", "1e30"), "bad duration '1e30'"),
+            (("--range", "1e30"), "bad duration '1e30'"),
+            (("--bin", "1", "--range", str(2**62)), "must be below 2**62"),
+            # 2**47 and 2**60 bins: numpy fails the allocation or refuses the size
+            (("--bin", "1", "--range", str(2**46)), "bins cannot be allocated"),
+            (("--bin", "1", "--range", str(2**59)), "bins cannot be allocated"),
+        ],
+    )
+    def test_bad_binning_exit_code(self, small_tags, tmp_path, args, message):
+        result = invoke_subprocess("analyze", "--tags", small_tags, "--pair", "herald_trigger,hbt_a",
+                                   *args, "--out", tmp_path / "x")
+        assert result.returncode == 2
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("option", ["--bin", "--range", "--duration"])
     @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -35,6 +35,20 @@ def make_stream(herald=(), hbt_a=(), hbt_b=(), duration=None):
     return TagStream(channels=channels, duration=int(duration))
 
 
+# Binnings that must raise ParameterError before any pair is counted.  The
+# last two ask for 2**47 and 2**60 bins, which numpy fails to allocate or
+# refuses outright, so neither touches memory.
+BAD_BINNINGS = [
+    (0, 100_000, "must be > 0"),
+    (-250, 100_000, "must be > 0"),
+    (250, 0, "must be > 0"),
+    (300, 100_000, "must divide the histogram span 200000"),
+    (2**62, 2**62, "must be below 2\\*\\*62"),
+    (1, 2**46, "histogram of 140737488355328 bins cannot be allocated"),
+    (1, 2**59, "cannot be allocated"),
+]
+
+
 class TestCorrelate:
     def test_single_pair_lands_in_zero_bin(self):
         stream = make_stream(hbt_a=[5_000], hbt_b=[5_000])
@@ -108,6 +122,12 @@ class TestCorrelate:
         stream = make_stream(hbt_a=[0], hbt_b=[0])
         with pytest.raises(ParameterError):
             correlate(stream, (Channel.HBT_A, Channel.HBT_B), bin_width=300, range_ps=100_000)
+
+    @pytest.mark.parametrize("bin_width, range_ps, message", BAD_BINNINGS)
+    def test_binning_checked_before_correlating(self, bin_width, range_ps, message):
+        stream = make_stream(hbt_a=[0, 50_000], hbt_b=np.arange(0, 200_000, 12_500))
+        with pytest.raises(ParameterError, match=message):
+            correlate(stream, (Channel.HBT_A, Channel.HBT_B), bin_width=bin_width, range_ps=range_ps)
 
 
 class TestIntegratePeaks:
@@ -363,6 +383,13 @@ class TestHeraldedG2:
         cfg = reference_config()
         with pytest.raises(EmptyEnsembleError):
             heralded_g2(make_stream(hbt_a=[0]), cfg)
+
+    @pytest.mark.parametrize("bin_width, range_ps, message", BAD_BINNINGS)
+    def test_binning_checked_before_correlating(self, bin_width, range_ps, message):
+        slots = np.arange(0, 400_000, 12_500) + 25_000
+        stream = make_stream(herald=slots - 25_000, hbt_a=slots, hbt_b=slots)
+        with pytest.raises(ParameterError, match=message):
+            heralded_g2(stream, reference_config(), bin_width=bin_width, range_ps=range_ps)
 
     def test_event_stream_dip_at_zero_unity_inside_gate(self):
         # single-click heralding on a simulated run: g2(0) dips near zero

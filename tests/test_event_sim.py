@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +19,16 @@ from heraldsim import (
     reference_detection_matrix,
     required_n_max,
     run,
+    thermal,
 )
-from heraldsim.event_sim import _retrigger_filter, merged_gate_intervals
+from heraldsim.event_sim import (
+    _Batch,
+    _occupied_pulses,
+    _photon_numbers,
+    _retrigger_filter,
+    _simulate_batch,
+    merged_gate_intervals,
+)
 
 
 def reference_retrigger_filter(herald_times, latency, gate_length):
@@ -39,6 +48,70 @@ def reference_retrigger_filter(herald_times, latency, gate_length):
             starts.append(h + latency)
             ends.append(h + latency + gate_length)
     return herald_times[kept]
+
+
+def reference_simulate_batch(config, batch_index, start, size):
+    """The per-pulse kernel that _simulate_batch replaces.
+
+    It draws a pair count for every pulse, thins the idler and the signal
+    with per-pulse binomials, and assigns pixels in a loop over surviving
+    photon counts.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, batch_index)))
+    n_pix = config.n_pixels
+    mu = config.mean_pairs_per_pulse
+    if mu == 0.0:
+        n = np.zeros(size, dtype=np.int64)
+    elif config.source_family == "poissonian":
+        n = rng.poisson(mu, size)
+    else:
+        n = rng.geometric(1.0 / (1.0 + mu), size) - 1
+    occ = np.nonzero(n)[0]
+    nn = n[occ]
+
+    surviving = rng.binomial(nn, config.idler_transmission)
+    clicks = np.zeros(nn.size, dtype=np.int64)
+    for count in np.unique(surviving):
+        if count == 0:
+            continue
+        rows = np.nonzero(surviving == count)[0]
+        pixels = rng.integers(0, n_pix, size=(rows.size, int(count)))
+        masks = np.bitwise_or.reduce(1 << pixels, axis=1)
+        clicks[rows] = np.bitwise_count(masks)
+    upgrade = rng.random(nn.size)
+    clicks += ((clicks >= 1) & (clicks <= n_pix - 1) & (upgrade < config.crosstalk)).astype(np.int64)
+
+    click_hist = np.bincount(clicks, minlength=n_pix + 1)
+    click_hist[0] += size - occ.size
+
+    accept = np.zeros(n_pix + 1, dtype=bool)
+    accept[list(config.herald_selection.accepted_clicks)] = True
+    herald_occ = occ[accept[clicks]]
+    if accept[0]:
+        empty = np.setdiff1d(np.arange(size, dtype=np.int64), occ, assume_unique=True)
+        herald_occ = np.sort(np.concatenate([herald_occ, empty]))
+    herald_pulse = start + herald_occ.astype(np.int64)
+
+    q_a = config.signal_transmission * config.hbt_efficiency * config.hbt_splitting
+    q_b = config.signal_transmission * config.hbt_efficiency * (1.0 - config.hbt_splitting)
+    a_open = rng.binomial(nn, q_a)
+    remaining = nn - a_open
+    # sequential multinomial split; the min() guards float round-up past 1
+    ratio = 0.0 if q_a >= 1.0 else min(1.0, q_b / (1.0 - q_a))
+    b_open = rng.binomial(remaining, ratio)
+    leak = config.leakage
+    a_closed = rng.binomial(a_open, leak)
+    b_closed = rng.binomial(b_open, leak)
+    keep = (a_open + b_open) > 0
+    cand_pulse = (start + occ[keep]).astype(np.int64)
+
+    span = size * config.rep_period
+    t0 = start * config.rep_period
+    lam = config.dark_rate * span * 1e-12
+    dark_a = t0 + rng.integers(0, span, rng.poisson(lam), dtype=np.int64)
+    dark_b = t0 + rng.integers(0, span, rng.poisson(lam), dtype=np.int64)
+    return _Batch(herald_pulse, cand_pulse, a_open[keep], a_closed[keep], b_open[keep], b_closed[keep],
+                  click_hist, dark_a, dark_b)
 
 
 def make_config(**overrides):
@@ -385,3 +458,131 @@ class TestGateRiseTime:
         assert n_plain > 3_000
         # small upward bias from multi-photon slots is absorbed by the band
         assert abs(n_ramp / n_plain - 0.5) < 0.03
+
+
+def signal_patterns(batch, size):
+    """Pulses per joint outcome (a_open > 0, b_open > 0, a_closed > 0, b_closed > 0) as 16 bins."""
+    code = ((batch.a_open > 0) * 8 + (batch.b_open > 0) * 4
+            + (batch.a_closed > 0) * 2 + (batch.b_closed > 0))
+    hist = np.bincount(code, minlength=16)
+    hist[0] += size - code.size
+    return hist
+
+
+def homogeneity_pvalue(x, y):
+    """Two-sample chi-square p-value; bins with fewer than 20 counts in total are pooled."""
+    from scipy.stats import chi2_contingency
+
+    x, y = np.asarray(x), np.asarray(y)
+    small = (x + y) < 20
+    table = np.array([np.append(x[~small], x[small].sum()), np.append(y[~small], y[small].sum())])
+    table = table[:, table.sum(axis=0) > 0]
+    return chi2_contingency(table).pvalue
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize(
+        "mu, family, size", [(0.0075, "poissonian", 1 << 21), (0.5, "poissonian", 1 << 19), (1.0, "thermal", 1 << 18)]
+    )
+    def test_matches_reference_kernel(self, mu, family, size):
+        # a lossy signal arm, a leaky gate and strong crosstalk make every
+        # joint signal outcome and every click count occur
+        cfg = make_config(mean_pairs_per_pulse=mu, source_family=family, seed=4242, crosstalk=0.1,
+                          signal_transmission=0.8, hbt_splitting=0.4, extinction_db=6.0)
+        batches = 2
+        totals = {}
+        for name, kernel, first_index in (("new", _simulate_batch, 0), ("reference", reference_simulate_batch, 100)):
+            parts = [kernel(cfg, first_index + i, i * size, size) for i in range(batches)]
+            totals[name] = (
+                sum(part.click_hist for part in parts),
+                sum(signal_patterns(part, size) for part in parts),
+            )
+        (new_clicks, new_signal), (ref_clicks, ref_signal) = totals["new"], totals["reference"]
+        assert new_clicks.sum() == ref_clicks.sum() == batches * size
+        assert homogeneity_pvalue(new_clicks, ref_clicks) > 1e-3
+        assert homogeneity_pvalue(new_signal, ref_signal) > 1e-3
+
+    @pytest.mark.parametrize("mu, family", [(0.0075, "poissonian"), (0.5, "poissonian"), (1.0, "thermal")])
+    def test_occupancy_and_photon_numbers_follow_the_source_law(self, mu, family):
+        from scipy.stats import chisquare
+
+        size = 1 << 20
+        cfg = make_config(mean_pairs_per_pulse=mu, source_family=family)
+        rng = np.random.default_rng(7)
+        source = poissonian(mu, 60) if family == "poissonian" else thermal(mu, 60)
+        p_occ = 1.0 - source.probs[0]
+        occ = _occupied_pulses(rng, p_occ, size)
+        assert np.all(np.diff(occ) > 0) and occ[0] >= 0 and occ[-1] < size
+        assert abs(occ.size - size * p_occ) <= 5 * math.sqrt(size * p_occ * (1 - p_occ))
+        n = _photon_numbers(rng, cfg, 200_000)
+        expected = source.probs[1:] / p_occ * n.size
+        top = int(np.nonzero(expected >= 20)[0][-1]) + 1  # pool n > top into one bin
+        observed = np.bincount(n, minlength=62)[1:]
+        observed = np.append(observed[:top], observed[top:].sum())
+        expected = np.append(expected[:top], expected[top:].sum())
+        assert n.min() >= 1
+        assert chisquare(observed, expected * observed.sum() / expected.sum()).pvalue > 1e-3
+
+    @given(
+        mu=st.sampled_from([0.0, 1e-300, 0.3, 50.0]),
+        family=st.sampled_from(["poissonian", "thermal"]),
+        t_idler=st.sampled_from([0.0, 0.7, 1.0]),
+        extinction=st.sampled_from([0.0, 10.2, math.inf]),
+        splitting=st.sampled_from([0.0, 0.5, 1.0]),
+        n_pixels=st.sampled_from([1, 4, 16]),
+        herald_zero=st.booleans(),
+        size=st.sampled_from([1, 2, 37, 500]),
+        batch_index=st.integers(0, 2**20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exact_invariants(self, mu, family, t_idler, extinction, splitting, n_pixels, herald_zero, size,
+                              batch_index):
+        selection = HeraldSelection(frozenset({0, 1}) if herald_zero else frozenset({1}))
+        cfg = make_config(mean_pairs_per_pulse=mu, source_family=family, idler_transmission=t_idler,
+                          extinction_db=extinction, hbt_splitting=splitting, n_pixels=n_pixels,
+                          herald_selection=selection, signal_transmission=0.9, dark_rate=1e9)
+        start = batch_index * size
+        batch = _simulate_batch(cfg, batch_index, start, size)
+        # the signal thresholds change no draw, so the same stream with every
+        # photon sent to HBT A shows each occupied pulse and its photon number
+        every = _simulate_batch(replace(cfg, signal_transmission=1.0, hbt_efficiency=1.0, hbt_splitting=1.0),
+                                batch_index, start, size)
+        occupied, photons = every.cand_pulse, every.a_open
+
+        for name in ("herald_pulse", "cand_pulse", "dark_a", "dark_b"):
+            assert getattr(batch, name).dtype == np.int64
+        for name in ("a_open", "a_closed", "b_open", "b_closed"):
+            assert getattr(batch, name).dtype == np.int32
+        assert batch.click_hist.size == n_pixels + 1
+        assert batch.click_hist.sum() == size
+        assert np.all(batch.a_closed >= 0) and np.all(batch.b_closed >= 0)
+        assert np.all(batch.a_closed <= batch.a_open) and np.all(batch.b_closed <= batch.b_open)
+        assert np.all(batch.a_open + batch.b_open >= 1)
+        assert np.all(np.diff(occupied) > 0) and np.all(photons >= 1)
+        assert np.all((occupied >= start) & (occupied < start + size))
+        assert np.all(np.isin(batch.cand_pulse, occupied))
+        assert np.all(np.diff(batch.cand_pulse) > 0)
+        assert np.all(batch.a_open + batch.b_open <= photons[np.searchsorted(occupied, batch.cand_pulse)])
+        assert np.all(np.diff(batch.herald_pulse) > 0)
+        assert np.all((batch.herald_pulse >= start) & (batch.herald_pulse < start + size))
+        if herald_zero:  # every empty pulse is a herald
+            empty = np.setdiff1d(np.arange(start, start + size), occupied)
+            assert np.all(np.isin(empty, batch.herald_pulse))
+        for dark in (batch.dark_a, batch.dark_b):
+            assert np.all((dark >= start * cfg.rep_period) & (dark < (start + size) * cfg.rep_period))
+
+        if mu == 1e-300:  # a pair turns up with probability size * 1e-300
+            assert occupied.size == 0
+        if mu == 0.0 or t_idler == 0.0:
+            assert batch.click_hist[0] == size
+        if t_idler == 1.0 and n_pixels == 1:
+            assert batch.click_hist[1] == occupied.size
+        if extinction == math.inf:
+            assert not batch.a_closed.any() and not batch.b_closed.any()
+        if extinction == 0.0:
+            np.testing.assert_array_equal(batch.a_closed, batch.a_open)
+            np.testing.assert_array_equal(batch.b_closed, batch.b_open)
+        if splitting == 0.0:
+            assert not batch.a_open.any()
+        if splitting == 1.0:
+            assert not batch.b_open.any()

@@ -119,6 +119,41 @@ class TestBinaryFormat:
         with pytest.raises(FormatError):
             tagio.read_binary(path)
 
+    @staticmethod
+    def write_raw(path, records, reserved_word=0):
+        path.write_bytes(b"HSIMTAGS" + np.uint32(1).tobytes() + np.uint32(reserved_word).tobytes()
+                         + records.tobytes())
+
+    def test_timestamp_past_int64_rejected(self, tmp_path):
+        records = np.zeros(2, dtype=tagio.RECORD_DTYPE)
+        records["channel"] = [int(Channel.HBT_A), int(Channel.HBT_B)]
+        records["timestamp"] = [5, 2**63 + 7]
+        path = tmp_path / "huge.bin"
+        self.write_raw(path, records)
+        with pytest.raises(FormatError, match=r"record 1 has a timestamp of 2\*\*63 ps or more"):
+            tagio.read_binary(path)
+        records["timestamp"][1] = 2**63 - 1  # the largest time a stream holds
+        self.write_raw(path, records)
+        assert tagio.read_binary(path).channels[Channel.HBT_B].tolist() == [2**63 - 1]
+
+    @pytest.mark.parametrize("word", [1, 1 << 31])
+    def test_reserved_header_word_rejected(self, tmp_path, word):
+        path = tmp_path / "header.bin"
+        self.write_raw(path, np.zeros(1, dtype=tagio.RECORD_DTYPE), reserved_word=word)
+        with pytest.raises(FormatError, match="reserved header word"):
+            tagio.read_binary(path)
+
+    @pytest.mark.parametrize("byte", [0, 1, 2])
+    def test_reserved_record_bytes_rejected(self, tmp_path, byte):
+        records = np.zeros(3, dtype=tagio.RECORD_DTYPE)
+        records["channel"] = int(Channel.HBT_B)
+        records["timestamp"] = [10, 20, 30]
+        records["reserved"][2, byte] = 0x80
+        path = tmp_path / "reserved.bin"
+        self.write_raw(path, records)
+        with pytest.raises(FormatError, match="record 2 has non-zero reserved bytes"):
+            tagio.read_binary(path)
+
     def test_write_is_deterministic(self, sample_stream, tmp_path):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         tagio.write_binary(sample_stream, p1)
@@ -167,6 +202,11 @@ class TestCsvFormat:
             "hbt_a,1_000",
             "hbt_a,9223372036854775808",  # past int64
             "   ",  # whitespace is not an empty line
+            "hbt_a,\U00100000",  # characters above U+00FF that are not whitespace
+            "hbt_a,\U000a2fa9\x0b",
+            "hbt_a,\u0100",
+            "hbt_a,7\u0663",
+            "hbt_a,\u30007\u3000x",
         ],
     )
     def test_malformed_row_named(self, tmp_path, row):
