@@ -269,10 +269,10 @@ def merged_gate_intervals(herald_times, latency: int, gate_length: int):
 def _open_mask(times: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     if starts.size == 0:
         return np.zeros(times.shape, dtype=bool)
-    pos = np.searchsorted(starts, times, side="right") - 1
-    inside = pos >= 0
-    inside[inside] = times[inside] < ends[pos[inside]]
-    return inside
+    # a time is open iff it lies before the end of the last gate that opened
+    # at or before it; the sentinel closes times before the first gate
+    last_end = np.concatenate(([np.iinfo(np.int64).min], ends))
+    return times < last_end[np.searchsorted(starts, times, side="right")]
 
 
 def gate_state(t: int, herald_times, config: ExperimentConfig) -> str:
@@ -486,13 +486,16 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
     merged = _Batch(*map(np.concatenate, zip(*results)))
     del results
     click_counts = merged.click_hist.reshape(n_batches, config.n_pixels + 1).sum(axis=0)
+    heralds_accepted = merged.herald_pulse.size
 
-    herald_times = merged.herald_pulse * config.rep_period
+    # pulse numbers turn into times in place, so run holds one copy of each
+    herald_times = np.multiply(merged.herald_pulse, config.rep_period, out=merged.herald_pulse)
+    arrivals = np.multiply(merged.cand_pulse, config.rep_period, out=merged.cand_pulse)
+    arrivals += delay
     if config.retrigger == "ignore":
         herald_times = _retrigger_filter(herald_times, config.latency, config.gate_length)
 
     starts, ends = merged_gate_intervals(herald_times, config.latency, config.gate_length)
-    arrivals = merged.cand_pulse * config.rep_period + delay
     open_gate = _open_mask(arrivals, starts, ends)
     a = np.where(open_gate, merged.a_open, merged.a_closed)
     b = np.where(open_gate, merged.b_open, merged.b_closed)
@@ -511,8 +514,10 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
             a[partial] = rng_ramp.binomial(a[partial], factor[partial])
             b[partial] = rng_ramp.binomial(b[partial], factor[partial])
 
-    hbt_a = np.sort(np.concatenate([arrivals[a > 0], merged.dark_a]))
-    hbt_b = np.sort(np.concatenate([arrivals[b > 0], merged.dark_b]))
+    hbt_a = np.concatenate([arrivals[a > 0], merged.dark_a])
+    hbt_a.sort()
+    hbt_b = np.concatenate([arrivals[b > 0], merged.dark_b])
+    hbt_b.sort()
 
     stream = TagStream(
         channels={
@@ -528,7 +533,7 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
         duration=config.duration,
         channel_counts=stream.counts(),
         click_counts=click_counts,
-        heralds_accepted=int(merged.herald_pulse.size),
+        heralds_accepted=int(heralds_accepted),
         heralds_emitted=int(herald_times.size),
         config=config,
     )

@@ -36,8 +36,12 @@ RECORD_DTYPE = np.dtype(
     [("channel", "<u1"), ("reserved", "<u1", (3,)), ("timestamp", "<u8")]
 )
 assert RECORD_DTYPE.itemsize == 12
+# the readers index per-channel counts by channel id
+assert [int(ch) for ch in Channel] == list(range(len(Channel)))
 
 CSV_HEADER = "channel,timestamp_ps"
+#: Records per channel that the writers merge in one piece.
+_WRITE_CHUNK = 1 << 16
 #: Records formatted per ``write`` call by the CSV writer.
 _CSV_CHUNK = 1 << 14
 _CSV_NAMES = [CHANNEL_NAMES[ch] for ch in sorted(Channel)]  # indexed by channel id
@@ -48,33 +52,50 @@ _CSV_ROW = np.dtype([("name", "U16"), ("timestamp", "<i8")])
 _CSV_RECORD = rf"(?:{'|'.join(map(re.escape, _CSV_NAMES))}),\s*[+-]?[0-9]+\s*"
 
 
-def _merged_records(stream: TagStream) -> np.ndarray:
-    times = []
-    codes = []
+def _record_chunks(stream: TagStream):
+    """The stream's records in file order, one piece at a time.
+
+    Every channel is cut at the same times, which are every
+    ``_WRITE_CHUNK``-th time of each channel, so the pieces follow one
+    another in the file and each is merged on its own.  A piece holds at
+    most ``_WRITE_CHUNK`` records per channel, more only where a channel
+    repeats one time, and the writers never hold the whole file in memory.
+    """
+    codes, times = [], []
     for ch in Channel:
         arr = stream.channels.get(ch)
         if arr is None or arr.size == 0:
             continue
-        times.append(np.asarray(arr, dtype=np.int64))
-        codes.append(np.full(arr.size, int(ch), dtype=np.uint8))
-    if not times:
-        return np.empty(0, dtype=RECORD_DTYPE)
-    t = np.concatenate(times)
-    c = np.concatenate(codes)
-    order = np.lexsort((c, t))
-    records = np.zeros(t.size, dtype=RECORD_DTYPE)
-    records["channel"] = c[order]
-    records["timestamp"] = t[order].astype(np.uint64)
-    return records
+        t = np.asarray(arr, dtype=np.int64)
+        if np.any(t[1:] < t[:-1]):
+            t = np.sort(t)
+        codes.append(int(ch))
+        times.append(t)
+    empty = np.empty(0, dtype=np.int64)
+    cuts = np.unique(np.concatenate([t[_WRITE_CHUNK::_WRITE_CHUNK] for t in times] + [empty]))
+    edges = [np.concatenate(([0], np.searchsorted(t, cuts), [t.size])) for t in times]
+    for i in range(cuts.size + 1):
+        piece = np.concatenate([t[e[i] : e[i + 1]] for t, e in zip(times, edges)] + [empty])
+        piece_codes = np.repeat(np.array(codes, dtype=np.uint8), [e[i + 1] - e[i] for e in edges])
+        # the piece lists channels by ascending id, so a stable sort on time
+        # breaks ties by channel
+        order = np.argsort(piece, kind="stable")
+        records = np.zeros(piece.size, dtype=RECORD_DTYPE)
+        records["channel"] = piece_codes[order]
+        records["timestamp"] = piece[order]
+        yield records
 
 
 def _stream_from(path, codes: np.ndarray, times: np.ndarray, duration: int | None) -> TagStream:
-    unknown = set(np.unique(codes).tolist()) - {int(ch) for ch in Channel}
-    if unknown:
-        raise FormatError(f"{path}: unknown channel ids {sorted(unknown)}")
+    counts = np.bincount(codes, minlength=len(Channel))
+    unknown = np.nonzero(counts[len(Channel) :])[0] + len(Channel)
+    if unknown.size:
+        raise FormatError(f"{path}: unknown channel ids {unknown.tolist()}")
+    # a stable sort on the channel id keeps each channel's records in file
+    # order and lays the channels out one after another
+    by_channel = times[np.argsort(codes, kind="stable")]
     channels = {}
-    for ch in Channel:
-        sel = times[codes == int(ch)]
+    for ch, sel in zip(Channel, np.split(by_channel, np.cumsum(counts)[:-1])):
         if np.any(sel[1:] < sel[:-1]):
             raise FormatError(f"{path}: {CHANNEL_NAMES[ch]} timestamps are not in time order")
         channels[ch] = sel
@@ -84,12 +105,12 @@ def _stream_from(path, codes: np.ndarray, times: np.ndarray, duration: int | Non
 
 
 def write_binary(stream: TagStream, path) -> None:
-    records = _merged_records(stream)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.uint32(VERSION).tobytes())
         fh.write(np.uint32(0).tobytes())
-        fh.write(records.tobytes())
+        for records in _record_chunks(stream):
+            fh.write(records.tobytes())
 
 
 def read_binary(path, duration: int | None = None) -> TagStream:
@@ -110,20 +131,20 @@ def read_binary(path, duration: int | None = None) -> TagStream:
     first_words = np.frombuffer(payload, dtype="<u4")[::3]
     if first_words.size and first_words.max() > 0xFF:
         raise FormatError(f"{path}: record {int(np.argmax(first_words > 0xFF))} has non-zero reserved bytes")
-    times = records["timestamp"].astype(np.int64)  # 2**63 and above wrap to negative
+    times = records["timestamp"].view(np.int64)  # 2**63 and above read as negative
     if times.size and times.min() < 0:
         raise FormatError(f"{path}: record {int(np.argmax(times < 0))} has a timestamp of 2**63 ps or more")
     return _stream_from(path, records["channel"], times, duration)
 
 
 def write_csv(stream: TagStream, path) -> None:
-    records = _merged_records(stream)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
-        for lo in range(0, records.size, _CSV_CHUNK):
-            chunk = records[lo : lo + _CSV_CHUNK]
-            names = map(_CSV_NAMES.__getitem__, chunk["channel"].tolist())
-            fh.write("".join(map("{},{}\n".format, names, chunk["timestamp"].tolist())))
+        for records in _record_chunks(stream):
+            for lo in range(0, records.size, _CSV_CHUNK):
+                chunk = records[lo : lo + _CSV_CHUNK]
+                names = map(_CSV_NAMES.__getitem__, chunk["channel"].tolist())
+                fh.write("".join(map("{},{}\n".format, names, chunk["timestamp"].tolist())))
 
 
 def _csv_row_ok(line: str) -> bool:

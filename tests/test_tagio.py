@@ -8,12 +8,25 @@ from heraldsim import tagio
 from heraldsim.event_sim import CHANNEL_NAMES, CHANNELS_BY_NAME
 
 
-# Reference implementations: the per-record CSV writer and reader that the
+# Reference implementations: the whole-file record merge that the writers'
+# piecewise merge replaces, and the per-record CSV writer and reader that the
 # chunked writer and the np.loadtxt reader replace.
 
 
+def reference_records(stream):
+    """Every record of the stream, ordered by time and then channel id."""
+    times = [np.asarray(stream.channels.get(ch, ()), dtype=np.int64) for ch in Channel]
+    t = np.concatenate(times)
+    c = np.concatenate([np.full(arr.size, int(ch), dtype=np.uint8) for ch, arr in zip(Channel, times)])
+    order = np.lexsort((c, t))
+    records = np.zeros(t.size, dtype=tagio.RECORD_DTYPE)
+    records["channel"] = c[order]
+    records["timestamp"] = t[order].astype(np.uint64)
+    return records
+
+
 def reference_write_csv(stream, path):
-    records = tagio._merged_records(stream)
+    records = reference_records(stream)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("channel,timestamp_ps\n")
         names = {int(ch): name for ch, name in CHANNEL_NAMES.items()}
@@ -152,6 +165,15 @@ class TestBinaryFormat:
         path = tmp_path / "reserved.bin"
         self.write_raw(path, records)
         with pytest.raises(FormatError, match="record 2 has non-zero reserved bytes"):
+            tagio.read_binary(path)
+
+    def test_unknown_channel_ids_named(self, tmp_path):
+        records = np.zeros(4, dtype=tagio.RECORD_DTYPE)
+        records["channel"] = [200, int(Channel.HBT_A), 3, 200]
+        records["timestamp"] = [1, 2, 3, 4]
+        path = tmp_path / "unknown.bin"
+        self.write_raw(path, records)
+        with pytest.raises(FormatError, match=r"unknown channel ids \[3, 200\]"):
             tagio.read_binary(path)
 
     def test_write_is_deterministic(self, sample_stream, tmp_path):
@@ -312,6 +334,39 @@ def test_csv_writer_chunk_edges_match_reference(tmp_path):
         tagio.write_csv(stream, tmp_path / "new.csv")
         reference_write_csv(stream, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# few distinct times, so that channels share times at and around the cuts
+tied_times = st.lists(st.integers(0, 12), max_size=40)
+tied_streams = st.builds(
+    lambda h, a, b: stream_of({Channel.HERALD_TRIGGER: h, Channel.HBT_A: a, Channel.HBT_B: b}),
+    tied_times.map(sorted),
+    tied_times.map(sorted),
+    # one channel out of order: the writers sort a channel they are handed unsorted
+    tied_times,
+)
+
+
+@given(st.one_of(tag_streams, tied_streams), st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+def test_binary_writer_matches_reference(tmp_path_factory, stream, chunk):
+    tmp = tmp_path_factory.mktemp("binw")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tagio, "_WRITE_CHUNK", chunk)
+        tagio.write_binary(stream, tmp / "new.tags")
+        tagio.write_csv(stream, tmp / "new.csv")
+    records = np.frombuffer((tmp / "new.tags").read_bytes()[tagio.HEADER_SIZE :], dtype=tagio.RECORD_DTYPE)
+    assert records.tobytes() == reference_records(stream).tobytes()
+    reference_write_csv(stream, tmp / "ref.csv")
+    assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+
+def test_binary_writer_piece_edges_match_reference(tmp_path):
+    for n in (tagio._WRITE_CHUNK - 1, tagio._WRITE_CHUNK, 2 * tagio._WRITE_CHUNK + 1):
+        times = np.arange(n) * 12_500
+        stream = stream_of({Channel.HERALD_TRIGGER: times[::3], Channel.HBT_A: times, Channel.HBT_B: times[::2] + 1})
+        tagio.write_binary(stream, tmp_path / "new.tags")
+        assert (tmp_path / "new.tags").read_bytes()[tagio.HEADER_SIZE :] == reference_records(stream).tobytes()
 
 
 # one row: channel, increment over the channel's previous time, and the
