@@ -1,11 +1,21 @@
 """Offline analysis of time-tag streams.
 
-Cross-correlation histograms are built with a sorted two-pointer sweep: for
-each tag on the first channel only the second-channel tags inside the
-histogram window are touched, so the cost is O(pairs in range), never
-all-pairs.  Pulsed sources produce peaks at multiples of the repetition
-period; ``integrate_peaks`` sums each peak and ``g2_tau`` normalizes the
-peak rate by the singles rates,
+Cross-correlation histograms (``correlate``) count every pair of tags whose
+time difference t_b - t_a falls in [-range_ps, range_ps).  For each tag on
+the first channel a binary search finds the run of second-channel tags
+inside the window, so the cost is O(pairs in range), never all-pairs.  The
+pairs are gathered in windows of at most ``_PAIR_BUDGET``, cut along the
+cumulative pair count: a window may end inside one tag's run, so memory
+stays bounded however wide the range or however dense the stream.
+Histograms hold at most ``_MAX_BINS`` bins; a wider binning is rejected
+before any pair is counted.
+
+Pulsed sources produce peaks at multiples of the repetition period.  The
+peak window of pulse offset k holds the bins whose centres lie within
++-peak_halfwidth of k * rep_period; since rep_period is a multiple of the
+bin width, every window is the offset-0 window shifted by whole bins
+(``_peak_window``).  ``integrate_peaks`` sums each window and ``g2_tau``
+normalizes the peak rate by the singles rates,
 
     g2(tau) = (C_ab(tau) / T) * f_rep / ((C_a / T) * (C_b / T)),
 
@@ -20,6 +30,18 @@ and the trigger rate replaces ``f_rep``, so for each pulse offset d
 
 At d = 0 this is the heralded g2(0); at other offsets it tends to 1 for
 uncorrelated light.
+
+The counts behind it are taken on the pulse grid rather than from pair
+histograms.  Pulse slots sit at phase + j * rep_period, and a B tag lies in
+peak window k of slot j exactly when its slot index, counted from the start
+of the offset-0 window, is j + k and its residual falls inside that window.
+So the estimator counts in-window B tags per slot and reads those counts at
+j + k for every herald and every HBT-A tag at a heralded slot.  This holds
+only when all herald slots share one phase modulo rep_period (the
+alignment contract); a herald off that grid raises ``ParameterError``.
+The slots are taken ``_SLOT_SPAN`` at a time in reused per-slot buffers
+whose touched entries are reset after use, so neither memory nor time
+grows with the empty stretches of a run.
 """
 
 from __future__ import annotations
@@ -28,6 +50,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyEnsembleError, ParameterError, UndefinedStatisticError
 from .event_sim import Channel, ExperimentConfig, TagStream, _open_mask, merged_gate_intervals
@@ -36,7 +59,10 @@ DEFAULT_BIN_WIDTH = 250
 DEFAULT_RANGE = 100_000
 DEFAULT_PEAK_HALFWIDTH = 1_000
 
-_CHUNK = 1 << 18
+_MAX_BINS = 1 << 27  # 1 GiB of int64 counts
+_TAG_BLOCK = 1 << 16  # first-channel tags per binary search in correlate
+_PAIR_BUDGET = 1 << 17  # pairs gathered at once in correlate
+_SLOT_SPAN = 1 << 18  # pulse slots per chunk of the heralded estimator
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +107,9 @@ def _check_binning(bin_width: int, range_ps: int) -> None:
         raise ParameterError(f"range_ps {range_ps} must be below 2**62 so that time differences fit 64 bits")
     if (2 * range_ps) % bin_width:
         raise ParameterError(f"bin_width {bin_width} must divide the histogram span {2 * range_ps}")
+    n_bins = (2 * range_ps) // bin_width
+    if n_bins > _MAX_BINS:
+        raise ParameterError(f"a histogram of {n_bins} bins cannot be allocated (the limit is {_MAX_BINS})")
 
 
 def _correlate_times(a: np.ndarray, b: np.ndarray, bin_width: int, range_ps: int) -> np.ndarray:
@@ -88,22 +117,31 @@ def _correlate_times(a: np.ndarray, b: np.ndarray, bin_width: int, range_ps: int
     n_bins = (2 * range_ps) // bin_width
     try:
         counts = np.zeros(n_bins, dtype=np.int64)
-    except (ValueError, MemoryError):  # numpy refuses the size, or the allocation fails
+    except MemoryError:
         raise ParameterError(f"a histogram of {n_bins} bins cannot be allocated") from None
-    if a.size == 0 or b.size == 0:
-        return counts
-    for lo in range(0, a.size, _CHUNK):
-        chunk = a[lo : lo + _CHUNK]
-        left = np.searchsorted(b, chunk - range_ps, side="left")
-        right = np.searchsorted(b, chunk + range_ps, side="left")
-        lens = right - left
-        total = int(lens.sum())
-        if total == 0:
-            continue
-        starts = np.repeat(left, lens)
-        offsets = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-        tau = b[starts + offsets] - np.repeat(chunk, lens)
-        counts += np.bincount((tau + range_ps) // bin_width, minlength=n_bins)
+    ramp = np.arange(0)
+    for lo in range(0, a.size, _TAG_BLOCK):
+        tags = a[lo : lo + _TAG_BLOCK]
+        # pairs are numbered p = 0, 1, ... in tag order; pair p of tag i, with
+        # bounds[i] <= p < bounds[i + 1], is b[first[i] + p] once first is shifted
+        first = np.searchsorted(b, tags - range_ps, side="left")
+        bounds = np.zeros(tags.size + 1, dtype=np.int64)
+        np.cumsum(np.searchsorted(b, tags + range_ps, side="left") - first, out=bounds[1:])
+        first -= bounds[:-1]
+        total = int(bounds[-1])
+        for p0 in range(0, total, _PAIR_BUDGET):
+            p1 = min(p0 + _PAIR_BUDGET, total)
+            t0 = int(np.searchsorted(bounds, p0, side="right")) - 1
+            t1 = int(np.searchsorted(bounds, p1, side="left"))
+            lens = np.diff(np.clip(bounds[t0 : t1 + 1], p0, p1))
+            if ramp.size < p1 - p0:
+                ramp = np.arange(p1 - p0)
+            index = np.repeat(first[t0:t1] + p0, lens)
+            index += ramp[: p1 - p0]
+            tau = b[index]
+            tau -= np.repeat(tags[t0:t1] - range_ps, lens)
+            tau //= bin_width
+            counts += np.bincount(tau, minlength=n_bins)
     return counts
 
 
@@ -132,10 +170,32 @@ def correlate(
     )
 
 
-def _peak_offsets(range_ps: int, rep_period: int, peak_halfwidth: int) -> np.ndarray:
-    k_min = math.ceil((-range_ps + peak_halfwidth) / rep_period)
-    k_max = math.floor((range_ps - peak_halfwidth) / rep_period)
-    return np.arange(k_min, k_max + 1)
+def _peak_window(bin_width: int, range_ps: int, rep_period: int, peak_halfwidth: int):
+    """The pulse-peak windows of a binning, as exact unions of bins.
+
+    A bin belongs to the window of pulse offset k when its centre lies in
+    [k * rep_period - peak_halfwidth, k * rep_period + peak_halfwidth).
+    Returns ``(lo, hi, offsets)``: the window of offset k covers the time
+    differences [k * rep_period + lo, k * rep_period + hi), and ``offsets``
+    is the range of k whose window fits inside [-range_ps, range_ps).  The
+    binning must have passed _check_binning.
+    """
+    if rep_period <= 0 or rep_period % bin_width:
+        raise ParameterError("rep_period must be a positive multiple of the bin width")
+    if peak_halfwidth < bin_width // 2:
+        raise ParameterError("peak_halfwidth must cover at least one bin")
+    if 2 * peak_halfwidth > rep_period:
+        raise ParameterError("peak windows overlap: need 2 * peak_halfwidth <= rep_period")
+    # bins start at edge + m * bin_width; a bin starting at e is inside when
+    # -peak_halfwidth <= e + bin_width / 2 < peak_halfwidth, that is when
+    # first <= e <= last
+    edge = -range_ps % bin_width
+    first = -((2 * peak_halfwidth + bin_width) // 2)
+    last = (2 * peak_halfwidth - bin_width - 1) // 2
+    lo = first + (edge - first) % bin_width
+    hi = last - (last - edge) % bin_width + bin_width
+    k_max = (range_ps - peak_halfwidth) // rep_period
+    return lo, hi, range(-k_max, k_max + 1)
 
 
 def integrate_peaks(hist: CoincidenceHistogram, rep_period: int, peak_halfwidth: int = DEFAULT_PEAK_HALFWIDTH):
@@ -144,20 +204,11 @@ def integrate_peaks(hist: CoincidenceHistogram, rep_period: int, peak_halfwidth:
     Returns a list of (pulse_offset, integrated_counts), covering every
     offset whose window fits inside the histogram range.
     """
-    if rep_period <= 0 or rep_period % hist.bin_width:
-        raise ParameterError("rep_period must be a positive multiple of the bin width")
-    if peak_halfwidth < hist.bin_width // 2:
-        raise ParameterError("peak_halfwidth must cover at least one bin")
-    if 2 * peak_halfwidth > rep_period:
-        raise ParameterError("peak windows overlap: need 2 * peak_halfwidth <= rep_period")
-    centers = hist.bin_centers()
-    out = []
-    for k in _peak_offsets(hist.range_ps, rep_period, peak_halfwidth):
-        lo = k * rep_period - peak_halfwidth
-        hi = k * rep_period + peak_halfwidth
-        sel = (centers >= lo) & (centers < hi)
-        out.append((int(k), int(hist.counts[sel].sum())))
-    return out
+    lo, hi, offsets = _peak_window(hist.bin_width, hist.range_ps, rep_period, peak_halfwidth)
+    start = (hist.range_ps + lo) // hist.bin_width  # first bin of the offset-0 window
+    width = (hi - lo) // hist.bin_width
+    step = rep_period // hist.bin_width
+    return [(k, int(hist.counts[start + k * step : start + k * step + width].sum())) for k in offsets]
 
 
 def g2_tau(
@@ -263,6 +314,27 @@ class HeraldedCounts:
     b_counts: dict  # pulse offset -> B tags at (heralded slot + offset)
 
 
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted array and how often each occurs."""
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return values[new], np.diff(np.flatnonzero(new), append=values.size)
+
+
+def _summed_rows(rows: np.ndarray, index: np.ndarray, largest: int) -> np.ndarray:
+    """rows[index].sum(axis=0) in int64, for int32 rows with no entry above largest.
+
+    Rows are gathered at most _PAIR_BUDGET entries at a time, and few enough
+    at a time that their int32 sum cannot overflow.
+    """
+    step = max(1, min(_PAIR_BUDGET // max(1, rows.shape[1]), (2**31 - 1) // max(1, largest)))
+    total = np.zeros(rows.shape[1], dtype=np.int64)
+    for lo in range(0, index.size, step):
+        total += np.einsum("ij->j", rows[index[lo : lo + step]])
+    return total
+
+
 def heralded_coincidence_counts(
     stream: TagStream,
     config: ExperimentConfig,
@@ -273,35 +345,72 @@ def heralded_coincidence_counts(
     """Count triggers, slot-conditioned singles and slot pair coincidences.
 
     A pulse's signal-arrival slot is its herald time plus the resolved
-    signal delay; tags on the two HBT channels are matched against those
-    slots exactly (all tags are pulse-aligned).
+    signal delay.  HBT-A tags count at a slot only when they sit on it
+    exactly; HBT-B tags count at slot + d when they fall in the peak window
+    of offset d, the same window ``integrate_peaks`` sums on a histogram of
+    the two channels.  The heralds must share one phase modulo rep_period;
+    the first herald off that grid raises ParameterError.
     """
     _check_binning(bin_width, range_ps)
+    rep = config.rep_period
+    lo, hi, offsets = _peak_window(bin_width, range_ps, rep, peak_halfwidth)
     heralds = stream.channels[Channel.HERALD_TRIGGER]
     if heralds.size == 0:
         raise EmptyEnsembleError("stream contains no herald tags")
-    slots = heralds + config.resolved_signal_delay
     a = stream.channels[Channel.HBT_A]
     b = stream.channels[Channel.HBT_B]
-    a_slot = a[_members(a, slots)]
-    hist_kwargs = dict(bin_width=bin_width, range_ps=range_ps, duration=stream.duration)
-    num_hist = CoincidenceHistogram(
-        counts=_correlate_times(a_slot, b, bin_width, range_ps),
-        channel_pair=(Channel.HBT_A, Channel.HBT_B),
-        total_singles=(int(a_slot.size), int(b.size)),
-        **hist_kwargs,
-    )
-    den_hist = CoincidenceHistogram(
-        counts=_correlate_times(slots, b, bin_width, range_ps),
-        channel_pair=(Channel.HERALD_TRIGGER, Channel.HBT_B),
-        total_singles=(int(slots.size), int(b.size)),
-        **hist_kwargs,
-    )
+    delay = config.resolved_signal_delay
+    n_k = len(offsets)
+    # Slot j of a chunk is the signal-arrival time first + delay + j * rep.
+    # in_window[j + i] counts the B tags in the window of offset
+    # offsets[i] of slot j, so rows[j] holds slot j's counts for every offset.
+    in_window = np.zeros(_SLOT_SPAN + n_k, dtype=np.int32)
+    rows = sliding_window_view(in_window, n_k)
+    heralded = np.zeros(_SLOT_SPAN, dtype=bool)
+    pair_counts = np.zeros(n_k, dtype=np.int64)
+    b_counts = np.zeros(n_k, dtype=np.int64)
+    n_a_slot = 0
+    origin = int(heralds[0])
+    start = 0
+    while start < heralds.size:
+        first = int(heralds[start])
+        stop = int(np.searchsorted(heralds, first + _SLOT_SPAN * rep, side="left"))
+        chunk = heralds[start:stop]
+        off_grid = np.flatnonzero((chunk - origin) % rep)
+        if off_grid.size:
+            raise ParameterError(
+                f"herald at {int(chunk[off_grid[0]])} ps is off the pulse grid of the first herald at "
+                f"{origin} ps: heralds must share one phase modulo rep_period {rep}"
+            )
+        slot = (chunk - first) // rep
+        last = int(slot[-1])
+        arrival = first + delay
+        # B tags from the start of slot 0's first window to the end of slot
+        # `last`'s last window; b_slot counts whole periods from that start,
+        # and the remainder must fall inside the window
+        base = arrival + lo + offsets.start * rep
+        since = b[np.searchsorted(b, base) : np.searchsorted(b, base + (last + n_k) * rep)] - base
+        b_slot = since // rep
+        b_slot, per_slot = _runs(b_slot[since - b_slot * rep < hi - lo])
+        in_window[b_slot] = per_slot
+        largest = int(per_slot.max(initial=0))
+        b_counts += _summed_rows(rows, slot, largest)
+        # A tags exactly on a heralded slot of this chunk
+        heralded[slot] = True
+        since = a[np.searchsorted(a, arrival) : np.searchsorted(a, arrival + (last + 1) * rep)] - arrival
+        a_slot = since // rep
+        a_slot = a_slot[a_slot * rep == since]
+        a_slot = a_slot[heralded[a_slot]]
+        n_a_slot += a_slot.size
+        pair_counts += _summed_rows(rows, a_slot, largest)
+        heralded[slot] = False
+        in_window[b_slot] = 0
+        start = stop
     return HeraldedCounts(
         n_triggers=int(heralds.size),
-        n_a_slot=int(a_slot.size),
-        pair_counts=dict(integrate_peaks(num_hist, config.rep_period, peak_halfwidth)),
-        b_counts=dict(integrate_peaks(den_hist, config.rep_period, peak_halfwidth)),
+        n_a_slot=n_a_slot,
+        pair_counts=dict(zip(offsets, pair_counts.tolist())),
+        b_counts=dict(zip(offsets, b_counts.tolist())),
     )
 
 

@@ -14,6 +14,7 @@ Poissonian and 2 for thermal light.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,9 @@ TAIL_MASS_TOL = 1e-9
 
 #: Probability vectors must sum to one within this absolute tolerance.
 NORMALIZATION_TOL = 1e-12
+
+_LOG_TINY = math.log(sys.float_info.min)  # smallest normal float, about -708.4
+_MAX_POISSON_N = 100_000  # unreachable for any sane mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +94,24 @@ def renormalize(weights) -> PhotonNumberDistribution:
     return PhotonNumberDistribution(w / total)
 
 
+def _poisson_start(mean: float) -> tuple[int, float]:
+    """The first n whose term exp(-mean) * mean**n / n! is a normal float, and that term.
+
+    Up to a mean of about 708 this is n = 0 and exp(-mean).  For larger means
+    exp(-mean) underflows, so the terms are taken in log space with
+    math.lgamma until one reaches the normal range; the terms before it are
+    below 2.3e-308 and count as 0.
+    """
+    n = 0
+    log_term = -mean
+    while log_term < _LOG_TINY:
+        n += 1
+        if n > _MAX_POISSON_N:
+            raise ParameterError(f"no adequate truncation found for mean={mean!r}")
+        log_term = n * math.log(mean) - mean - math.lgamma(n + 1)
+    return n, math.exp(log_term)
+
+
 def required_n_max(mean: float, family: str = "poissonian", tail_mass_tol: float = TAIL_MASS_TOL) -> int:
     """Smallest cutoff whose truncated tail mass is below ``tail_mass_tol``."""
     if not math.isfinite(mean) or mean < 0:
@@ -97,14 +119,13 @@ def required_n_max(mean: float, family: str = "poissonian", tail_mass_tol: float
     if mean == 0.0:
         return 0
     if family == "poissonian":
-        n = 0
-        term = math.exp(-mean)
+        n, term = _poisson_start(mean)
         cum = term
         while 1.0 - cum >= tail_mass_tol:
             n += 1
             term *= mean / n
             cum += term
-            if n > 100_000:  # unreachable for any sane mean
+            if n > _MAX_POISSON_N:
                 raise ParameterError(f"no adequate truncation found for mean={mean!r}")
         return n
     if family == "thermal":
@@ -140,9 +161,11 @@ def poissonian(mean: float, n_max: int | None = None, tail_mass_tol: float = TAI
         n_max = required_n_max(mean, "poissonian", tail_mass_tol)
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
-    probs = np.empty(n_max + 1)
-    probs[0] = math.exp(-mean)
-    for n in range(1, n_max + 1):
+    probs = np.zeros(n_max + 1)
+    start, term = _poisson_start(mean)
+    if start <= n_max:
+        probs[start] = term
+    for n in range(start + 1, n_max + 1):
         probs[n] = probs[n - 1] * mean / n
     _check_tail(mean, n_max, 1.0 - probs.sum(), "poissonian", tail_mass_tol)
     return renormalize(probs)

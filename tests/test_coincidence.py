@@ -1,7 +1,11 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heraldsim import (
     Channel,
@@ -9,16 +13,21 @@ from heraldsim import (
     EmptyEnsembleError,
     ExperimentConfig,
     HeraldSelection,
+    HeraldedCounts,
     ParameterError,
     TagStream,
     UndefinedStatisticError,
     correlate,
     g2_tau,
     herald_conditioned_rates,
+    heralded_coincidence_counts,
     heralded_g2,
     integrate_peaks,
     isolated_times,
+    run,
 )
+from heraldsim import coincidence
+from heraldsim.coincidence import DEFAULT_BIN_WIDTH, DEFAULT_PEAK_HALFWIDTH, DEFAULT_RANGE
 
 REP = 12_500
 
@@ -407,3 +416,203 @@ class TestHeraldedG2:
         assert g2[0] < 0.2
         for offset in range(1, 7):
             assert g2[offset] == pytest.approx(1.0, abs=0.1), f"offset {offset}"
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the pair-histogram estimator and the tag-chunked
+# correlator that the pulse-grid estimator and the pair-budgeted correlator
+# replaced.  The fast paths must reproduce them exactly.
+
+
+def reference_correlate_times(a, b, bin_width, range_ps):
+    n_bins = (2 * range_ps) // bin_width
+    counts = np.zeros(n_bins, dtype=np.int64)
+    if a.size == 0 or b.size == 0:
+        return counts
+    for lo in range(0, a.size, 1 << 18):
+        chunk = a[lo : lo + (1 << 18)]
+        left = np.searchsorted(b, chunk - range_ps, side="left")
+        right = np.searchsorted(b, chunk + range_ps, side="left")
+        lens = right - left
+        total = int(lens.sum())
+        if total == 0:
+            continue
+        starts = np.repeat(left, lens)
+        offsets = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
+        tau = b[starts + offsets] - np.repeat(chunk, lens)
+        counts += np.bincount((tau + range_ps) // bin_width, minlength=n_bins)
+    return counts
+
+
+def reference_integrate_peaks(counts, bin_width, range_ps, rep_period, peak_halfwidth):
+    centers = -range_ps + (np.arange(counts.size) + 0.5) * bin_width
+    k_min = math.ceil((-range_ps + peak_halfwidth) / rep_period)
+    k_max = math.floor((range_ps - peak_halfwidth) / rep_period)
+    out = []
+    for k in range(k_min, k_max + 1):
+        sel = (centers >= k * rep_period - peak_halfwidth) & (centers < k * rep_period + peak_halfwidth)
+        out.append((k, int(counts[sel].sum())))
+    return out
+
+
+def reference_heralded_coincidence_counts(stream, config, bin_width, range_ps, peak_halfwidth):
+    slots = stream.channels[Channel.HERALD_TRIGGER] + config.resolved_signal_delay
+    a = stream.channels[Channel.HBT_A]
+    b = stream.channels[Channel.HBT_B]
+    idx = np.searchsorted(slots, a)
+    at_slot = idx < slots.size
+    at_slot[at_slot] = slots[idx[at_slot]] == a[at_slot]
+    a_slot = a[at_slot]
+
+    def peaks(times):
+        counts = reference_correlate_times(times, b, bin_width, range_ps)
+        return dict(reference_integrate_peaks(counts, bin_width, range_ps, config.rep_period, peak_halfwidth))
+
+    return HeraldedCounts(
+        n_triggers=int(slots.size),
+        n_a_slot=int(a_slot.size),
+        pair_counts=peaks(a_slot),
+        b_counts=peaks(slots),
+    )
+
+
+@st.composite
+def binnings(draw):
+    """(bin_width, range_ps, rep_period, peak_halfwidth) that integrate_peaks accepts."""
+    bin_width = draw(st.integers(1, 6))
+    rep_period = bin_width * draw(st.integers(1, 6))
+    half_bins = draw(st.integers(1, 12 * rep_period // bin_width).filter(lambda n: n * bin_width % 2 == 0))
+    range_ps = half_bins * bin_width // 2  # odd multiples of bin_width / 2 included
+    peak_halfwidth = draw(st.integers(bin_width // 2, rep_period // 2))  # up to 2 * halfwidth = period
+    return bin_width, range_ps, rep_period, peak_halfwidth
+
+
+@st.composite
+def grid_cases(draw):
+    """A stream whose heralds share one phase, with A and B tags on and off the grid."""
+    bin_width, range_ps, rep_period, peak_halfwidth = draw(binnings())
+    signal_delay = draw(st.integers(0, 4 * rep_period))  # off the grid when not a multiple
+    herald_phase = draw(st.integers(0, rep_period - 1))
+    n_slots = 40
+    slot_index = st.integers(0, n_slots)
+    herald_slots = draw(st.lists(slot_index, min_size=1, max_size=30))  # duplicates allowed
+    heralds = [herald_phase + j * rep_period for j in herald_slots]
+    grid_start = herald_phase + signal_delay
+    # slots reach from before the first herald's slot to past the run's end
+    on_grid = st.builds(lambda j: grid_start + j * rep_period, st.integers(-6, n_slots + 6))
+    anywhere = st.integers(max(0, grid_start - 6 * rep_period), grid_start + (n_slots + 6) * rep_period)
+    at_herald = st.sampled_from([h + signal_delay for h in heralds])
+    tag = st.one_of(at_herald, on_grid, anywhere)
+    hbt_a = draw(st.lists(tag, max_size=40))
+    hbt_b = draw(st.lists(tag, max_size=40))
+    config = reference_config(rep_period=rep_period, signal_delay=signal_delay)
+    stream = make_stream(herald=heralds, hbt_a=hbt_a, hbt_b=hbt_b)
+    return stream, config, (bin_width, range_ps, peak_halfwidth)
+
+
+class TestPulseGridEstimator:
+    @given(grid_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_pair_histograms(self, case):
+        stream, config, binning = case
+        assert heralded_coincidence_counts(stream, config, *binning) == reference_heralded_coincidence_counts(
+            stream, config, *binning
+        )
+
+    @pytest.mark.parametrize("span", [1, 2, 3, 7])
+    @given(case=grid_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_chunk_edges(self, span, case):
+        stream, config, binning = case
+        with mock.patch.object(coincidence, "_SLOT_SPAN", span):
+            counts = heralded_coincidence_counts(stream, config, *binning)
+        assert counts == reference_heralded_coincidence_counts(stream, config, *binning)
+
+    def test_default_binning_on_simulated_run(self):
+        cfg = reference_config(mean_pairs_per_pulse=0.5, n_pulses=200_000, seed=5,
+                               herald_selection=HeraldSelection.exactly(1), dark_rate=1e5)
+        stream, _ = run(cfg)
+        binning = (DEFAULT_BIN_WIDTH, DEFAULT_RANGE, DEFAULT_PEAK_HALFWIDTH)
+        with mock.patch.object(coincidence, "_SLOT_SPAN", 1_000):
+            counts = heralded_coincidence_counts(stream, cfg, *binning)
+        assert counts == reference_heralded_coincidence_counts(stream, cfg, *binning)
+        assert counts.n_a_slot > 0
+
+    def test_empty_hbt_channels(self):
+        stream = make_stream(herald=[0, REP, 5 * REP])
+        counts = heralded_coincidence_counts(stream, reference_config())
+        assert counts.n_triggers == 3
+        assert counts.n_a_slot == 0
+        assert set(counts.pair_counts.values()) == {0}
+        assert set(counts.b_counts.values()) == {0}
+        assert sorted(counts.b_counts) == list(range(-7, 8))
+
+    @pytest.mark.parametrize("span", [1, 3, 1 << 18])
+    def test_herald_off_the_grid_named(self, span):
+        heralds = [0, REP, 30 * REP, 30 * REP + 1, 31 * REP + 7, 40 * REP]
+        stream = make_stream(herald=heralds, hbt_a=[25_000], hbt_b=[25_000])
+        with mock.patch.object(coincidence, "_SLOT_SPAN", span), pytest.raises(
+            ParameterError, match=f"herald at {30 * REP + 1} ps is off the pulse grid"
+        ):
+            heralded_coincidence_counts(stream, reference_config())
+
+
+class TestPeakWindows:
+    @given(binnings(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_integrate_peaks_matches_bin_centre_masks(self, binning, data):
+        bin_width, range_ps, rep_period, peak_halfwidth = binning
+        n_bins = 2 * range_ps // bin_width
+        counts = np.asarray(data.draw(st.lists(st.integers(0, 50), min_size=n_bins, max_size=n_bins)), dtype=np.int64)
+        hist = CoincidenceHistogram(
+            bin_width=bin_width,
+            range_ps=range_ps,
+            counts=counts,
+            channel_pair=(Channel.HBT_A, Channel.HBT_B),
+            total_singles=(1, 1),
+            duration=1,
+        )
+        assert integrate_peaks(hist, rep_period, peak_halfwidth) == reference_integrate_peaks(
+            counts, bin_width, range_ps, rep_period, peak_halfwidth
+        )
+
+
+sorted_times = st.lists(st.integers(-200, 200), max_size=60).map(lambda v: np.asarray(sorted(v), dtype=np.int64))
+
+
+class TestPairBudget:
+    @given(sorted_times, sorted_times, st.integers(1, 8), st.integers(1, 80))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, a, b, bin_width, half_range):
+        range_ps = bin_width * half_range
+        np.testing.assert_array_equal(
+            coincidence._correlate_times(a, b, bin_width, range_ps),
+            reference_correlate_times(a, b, bin_width, range_ps),
+        )
+
+    @pytest.mark.parametrize("budget, block", [(1, 1), (2, 3), (3, 1), (5, 2), (7, 64)])
+    @given(a=sorted_times, b=sorted_times, bin_width=st.integers(1, 8), half_range=st.integers(1, 80))
+    @settings(max_examples=60, deadline=None)
+    def test_chunk_edges(self, budget, block, a, b, bin_width, half_range):
+        # windows end inside one tag's run of pairs, and tag blocks split runs of equal tags
+        range_ps = bin_width * half_range
+        with mock.patch.object(coincidence, "_PAIR_BUDGET", budget), mock.patch.object(
+            coincidence, "_TAG_BLOCK", block
+        ):
+            counts = coincidence._correlate_times(a, b, bin_width, range_ps)
+        np.testing.assert_array_equal(counts, reference_correlate_times(a, b, bin_width, range_ps))
+
+    def test_peak_memory_bounded_at_wide_range(self):
+        # at 10 us a mu = 0.5 stream has ~160 herald-A pairs per herald; the
+        # gather buffers must stay within the pair budget, whatever the pair count
+        cfg = reference_config(mean_pairs_per_pulse=0.5, n_pulses=40_000, seed=6,
+                               herald_selection=HeraldSelection.exactly(1))
+        stream, _ = run(cfg)
+        tracemalloc.start()
+        try:
+            hist = correlate(stream, (Channel.HERALD_TRIGGER, Channel.HBT_A), range_ps=10_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hist.counts.sum() > 10 * coincidence._PAIR_BUDGET
+        assert peak < 16 * 2**20

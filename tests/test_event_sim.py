@@ -280,6 +280,16 @@ class TestRunPhysics:
 
 
 class TestEdgeConfigurations:
+    def test_mean_past_exp_underflow(self):
+        # exp(-mu) underflows above mu ~ 745; every pulse then fires every
+        # pixel and both HBT detectors
+        cfg = make_config(mean_pairs_per_pulse=746.0, n_pulses=1_000, dark_rate=0.0,
+                          herald_selection=HeraldSelection.at_least(1, 4))
+        stream, summary = run(cfg)
+        assert summary.heralds_accepted == cfg.n_pulses
+        for ch in (Channel.HBT_A, Channel.HBT_B):
+            assert stream.channels[ch].size == cfg.n_pulses
+
     def test_single_pixel_device(self):
         cfg = make_config(n_pixels=1, crosstalk=0.0,
                           herald_selection=HeraldSelection.exactly(1), n_pulses=100_000)

@@ -59,6 +59,29 @@ class TestPoissonian:
         with pytest.raises(ParameterError):
             poissonian(-0.1, 10)
 
+    @pytest.mark.parametrize("mu", [746.0, 800.0, 5_000.0])
+    def test_mean_past_exp_underflow(self, mu):
+        # exp(-mu) underflows to 0 above about 745
+        n_max = required_n_max(mu)
+        assert 1.0 - stats.poisson.cdf(n_max, mu) < 1e-9
+        assert 1.0 - stats.poisson.cdf(n_max - 1, mu) >= 1e-9
+        dist = poissonian(mu)
+        assert dist.n_max == n_max
+        assert mean_photon_number(dist) == pytest.approx(mu, rel=1e-9)
+        mode = int(mu)
+        assert dist.probs[mode] == pytest.approx(stats.poisson.pmf(mode, mu), rel=1e-8)
+
+    @pytest.mark.parametrize("mu", [0.0075, 0.5, 1.0, 37.25, 412.5, 700.0])
+    def test_table_is_the_recurrence_from_exp_minus_mu(self, mu):
+        # the sampler's inversion table, and so the random stream, rests on
+        # these exact values
+        n_max = required_n_max(mu)
+        expected = np.empty(n_max + 1)
+        expected[0] = math.exp(-mu)
+        for n in range(1, n_max + 1):
+            expected[n] = expected[n - 1] * mu / n
+        np.testing.assert_array_equal(poissonian(mu).probs, expected / expected.sum())
+
 
 class TestThermal:
     def test_vacuum(self):
