@@ -179,6 +179,38 @@ seed = 31415
         assert out.read_text().startswith("channel,timestamp_ps")
 
 
+def test_tag_io_goes_through_cli_names(tmp_path, monkeypatch):
+    """`perfbench --trace 1` wraps these three names of heraldsim.cli, so
+    simulate and analyze must call the tag writers and reader through them."""
+    import heraldsim.cli as cli
+
+    calls = []
+
+    def recording(name):
+        real = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            # the stream by type, paths as given
+            calls.append((name, tuple(a if isinstance(a, str) else type(a).__name__ for a in args), kwargs))
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("write_binary", "write_csv", "read_tags"):
+        monkeypatch.setattr(cli, name, recording(name))
+    tags, csv = str(tmp_path / "run.tags"), str(tmp_path / "run.csv")
+    for out in (tags, csv):
+        assert invoke("simulate", "--mu", 0.05, "--pulses", 2_000, "--seed", 2, "--threads", 1, "--out", out) == 0
+        assert invoke("analyze", "--tags", out, "--pair", "herald_trigger,hbt_a", "--duration", 25_000_000,
+                      "--out", tmp_path / "analysis") == 0
+    assert calls == [
+        ("write_binary", ("TagStream", tags), {}),
+        ("read_tags", (tags,), {"duration": 25_000_000}),
+        ("write_csv", ("TagStream", csv), {}),
+        ("read_tags", (csv,), {"duration": 25_000_000}),
+    ]
+
+
 class TestAnalyzeCommand:
     def test_histogram_and_peaks(self, tmp_path):
         tags = tmp_path / "run.tags"

@@ -1,16 +1,20 @@
+import io
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heraldsim import Channel, ExperimentConfig, FormatError, HeraldSelection, TagStream, run
+from heraldsim import Channel, ExperimentConfig, FormatError, HeraldSelection, ParameterError, TagStream, run
 from heraldsim import tagio
 from heraldsim.event_sim import CHANNEL_NAMES, CHANNELS_BY_NAME
 
 
 # Reference implementations: the whole-file record merge that the writers'
-# piecewise merge replaces, and the per-record CSV writer and reader that the
-# chunked writer and the np.loadtxt reader replace.
+# piecewise merge replaces, the per-record CSV writer and reader, and the
+# per-row formatting writer and np.loadtxt reader that the bulk CSV codec
+# replaces.
 
 
 def reference_records(stream):
@@ -21,7 +25,7 @@ def reference_records(stream):
     order = np.lexsort((c, t))
     records = np.zeros(t.size, dtype=tagio.RECORD_DTYPE)
     records["channel"] = c[order]
-    records["timestamp"] = t[order].astype(np.uint64)
+    records["timestamp"] = t[order].view(np.uint64)  # the bits of the signed time
     return records
 
 
@@ -30,8 +34,68 @@ def reference_write_csv(stream, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("channel,timestamp_ps\n")
         names = {int(ch): name for ch, name in CHANNEL_NAMES.items()}
-        for code, _, timestamp in records:
-            fh.write(f"{names[int(code)]},{int(timestamp)}\n")
+        for code, timestamp in zip(records["channel"].tolist(), records["timestamp"].view(np.int64).tolist()):
+            fh.write(f"{names[code]},{timestamp}\n")
+
+
+def format_write_csv(stream, path, rows_per_write=1 << 14):
+    """The writer that formats each row with str.format, in text mode."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("channel,timestamp_ps\n")
+        for records in tagio._record_chunks(stream):
+            for lo in range(0, records.size, rows_per_write):
+                chunk = records[lo : lo + rows_per_write]
+                names = map(tagio._CSV_NAMES.__getitem__, chunk["channel"].tolist())
+                fh.write("".join(map("{},{}\n".format, names, chunk["timestamp"].view(np.int64).tolist())))
+
+
+# 16 characters hold every channel name, so a longer name stays unknown
+_LOADTXT_ROW = np.dtype([("name", "U16"), ("timestamp", "<i8")])
+
+
+def _loadtxt_bad_row_error(path, cause):
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if line and not tagio._csv_row_ok(line):
+                return FormatError(f"{path}:{lineno}: bad record {line!r}")
+    return FormatError(f"{path}: bad record ({cause})")
+
+
+def loadtxt_read_csv(path):
+    """The np.loadtxt reader: a TagStream, or FormatError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header != "channel,timestamp_ps":
+                raise FormatError(f"{path}: bad CSV header {header!r}")
+            source = fh
+            # numpy strings drop trailing NULs, and np.loadtxt hands
+            # characters above U+00FF to C isdigit, so other files are parsed
+            # from a copy with non-ASCII whitespace made spaces
+            if b"\0" in raw or not raw.isascii():
+                body = fh.read().translate({c: " " for c in range(0x80, 0x3001) if chr(c).isspace()})
+                if "\0" in body or not body.isascii():
+                    raise _loadtxt_bad_row_error(path, "a NUL, or a character that is neither ASCII nor whitespace")
+                source = io.StringIO(body)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(source, dtype=_LOADTXT_ROW, delimiter=",", comments=None, ndmin=1)
+    except FormatError:
+        raise
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a UTF-8 text file") from exc
+    except ValueError as exc:
+        raise _loadtxt_bad_row_error(path, exc) from exc
+    codes = np.full(rows.size, len(tagio._CSV_NAMES), dtype=np.uint8)
+    for code, name in enumerate(tagio._CSV_NAMES):
+        codes[rows["name"] == name] = code
+    if np.any(codes == len(tagio._CSV_NAMES)):
+        raise _loadtxt_bad_row_error(path, "unknown channel name")
+    return tagio._stream_from(path, codes, rows["timestamp"], None)
 
 
 def reference_read_csv(path):
@@ -176,6 +240,17 @@ class TestBinaryFormat:
         with pytest.raises(FormatError, match=r"unknown channel ids \[3, 200\]"):
             tagio.read_binary(path)
 
+    def test_negative_time_refused_before_open(self, tmp_path):
+        stream = stream_of({Channel.HBT_A: [3, 8], Channel.HERALD_TRIGGER: [-5, 10]})
+        kept = tmp_path / "kept.tags"
+        kept.write_bytes(b"earlier contents")
+        absent = tmp_path / "absent.tags"
+        for path in (kept, absent):
+            with pytest.raises(ParameterError, match="herald_trigger holds a negative timestamp"):
+                tagio.write_binary(stream, path)
+        assert kept.read_bytes() == b"earlier contents"
+        assert not absent.exists()
+
     def test_write_is_deterministic(self, sample_stream, tmp_path):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         tagio.write_binary(sample_stream, p1)
@@ -247,6 +322,50 @@ class TestCsvFormat:
         assert loaded.channels[Channel.HBT_A].tolist() == [5, 7]
         assert loaded.channels[Channel.HBT_B].tolist() == [-3]
         assert loaded.channels[Channel.HERALD_TRIGGER].tolist() == [2**63 - 1]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "channel,timestamp_ps\rhbt_a,5\r\rhbt_b,-3\rhbt_a,7\r",  # \r alone
+            "channel,timestamp_ps\r\nhbt_a,5\n\rhbt_b,-3\r\r\nhbt_a,7",  # mixed, no last line end
+        ],
+    )
+    def test_line_ends(self, tmp_path, body):
+        path = tmp_path / "ends.csv"
+        path.write_bytes(body.encode())
+        loaded = tagio.read_csv(path)
+        assert loaded.channels[Channel.HBT_A].tolist() == [5, 7]
+        assert loaded.channels[Channel.HBT_B].tolist() == [-3]
+        assert loaded.channels[Channel.HERALD_TRIGGER].tolist() == []
+
+    def test_bad_row_after_cr_line_ends_named(self, tmp_path):
+        path = tmp_path / "ends.csv"
+        path.write_bytes(b"channel,timestamp_ps\r\nhbt_a,5\r\rhbt_b,x\nhbt_b,6\n")
+        with pytest.raises(FormatError, match=r"ends.csv:4: bad record 'hbt_b,x'"):
+            tagio.read_csv(path)
+
+    def test_long_fields_with_leading_zeros(self, tmp_path):
+        path = tmp_path / "zeros.csv"
+        path.write_text(
+            "channel,timestamp_ps\n"
+            "hbt_a,-0009223372036854775808\n"
+            "hbt_a,0000000000000000012\n"  # 19 digits
+            "hbt_a,00000000000000000034\n"  # 20 digits
+            "hbt_b,+00000000000000000000000\n"
+            "hbt_b,0009223372036854775807\n"
+        )
+        loaded = tagio.read_csv(path)
+        assert loaded.channels[Channel.HBT_A].tolist() == [-(2**63), 12, 34]
+        assert loaded.channels[Channel.HBT_B].tolist() == [0, 2**63 - 1]
+
+    def test_int64_edges(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("channel,timestamp_ps\nhbt_a,-9223372036854775808\nhbt_a,9223372036854775807\n")
+        assert tagio.read_csv(path).channels[Channel.HBT_A].tolist() == [-(2**63), 2**63 - 1]
+        for value in ("9223372036854775808", "-9223372036854775809"):
+            path.write_text(f"channel,timestamp_ps\nhbt_a,5\nhbt_b,{value}\n")
+            with pytest.raises(FormatError, match=rf"edges.csv:3: bad record 'hbt_b,{value}'"):
+                tagio.read_csv(path)
 
     def test_header_only_is_empty_stream(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -325,15 +444,44 @@ def test_csv_writer_matches_reference(tmp_path_factory, stream):
     tmp = tmp_path_factory.mktemp("csvw")
     tagio.write_csv(stream, tmp / "new.csv")
     reference_write_csv(stream, tmp / "ref.csv")
-    assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+    format_write_csv(stream, tmp / "format.csv", rows_per_write=7)
+    assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes() == (tmp / "format.csv").read_bytes()
 
 
 def test_csv_writer_chunk_edges_match_reference(tmp_path):
-    for n in (tagio._CSV_CHUNK - 1, tagio._CSV_CHUNK, 2 * tagio._CSV_CHUNK + 1):
+    for n in (tagio._WRITE_CHUNK - 1, tagio._WRITE_CHUNK, 2 * tagio._WRITE_CHUNK + 1):
         stream = stream_of({Channel.HBT_A: np.arange(n) * 12_500, Channel.HBT_B: [7]})
         tagio.write_csv(stream, tmp_path / "new.csv")
         reference_write_csv(stream, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# any int64, with the extremes and the sign change weighted in; few distinct
+# values, so that channels share times
+int64_times = st.lists(
+    st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), -1, 0, 1, 2**63 - 1])), max_size=40
+)
+signed_streams = st.builds(
+    lambda h, a, b: stream_of({Channel.HERALD_TRIGGER: h, Channel.HBT_A: a, Channel.HBT_B: b}),
+    int64_times.map(sorted),
+    int64_times.map(sorted),
+    st.lists(st.sampled_from([-(2**63), -7, 0, 7, 2**63 - 1]), max_size=20).map(sorted),
+)
+
+
+@given(signed_streams, st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+def test_csv_round_trip_over_int64(tmp_path_factory, stream, chunk):
+    path = tmp_path_factory.mktemp("csvrt") / "tags.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tagio, "_WRITE_CHUNK", chunk)
+        tagio.write_csv(stream, path)
+    reference_write_csv(stream, path.with_suffix(".ref"))
+    assert path.read_bytes() == path.with_suffix(".ref").read_bytes()
+    loaded = tagio.read_csv(path)
+    for ch in Channel:
+        assert loaded.channels[ch].dtype == np.int64
+        np.testing.assert_array_equal(loaded.channels[ch], stream.channels[ch])
 
 
 # few distinct times, so that channels share times at and around the cuts
@@ -437,3 +585,32 @@ def test_csv_reader_on_any_row(tmp_path_factory, row):
     else:
         with pytest.raises(FormatError, match=":5: bad record"):
             tagio.read_csv(path)
+
+
+def read_or_error(reader, path):
+    try:
+        return {int(ch): arr.tolist() for ch, arr in reader(path).channels.items()}
+    except FormatError as exc:
+        return str(exc)
+
+
+# rows in the writer's form, with the longest fast field and the shortest
+# slow one, and rows outside it
+mixed_rows = st.one_of(
+    st.builds("{},{}".format, st.sampled_from(sorted(CHANNELS_BY_NAME)), st.integers(-(10**18), 10**19)),
+    near_valid_rows,
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.just(""),
+)
+
+
+@given(st.lists(mixed_rows, max_size=8), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_csv_reader_matches_loadtxt_reader(tmp_path_factory, rows, newline, last_newline):
+    """The bulk reader returns what the np.loadtxt reader returned, or raises
+    the same FormatError."""
+    rows = [row.replace("\r", "").replace("\n", "") for row in rows]
+    body = newline.join(["channel,timestamp_ps", *rows]) + (newline if last_newline else "")
+    path = tmp_path_factory.mktemp("csvl") / "tags.csv"
+    path.write_bytes(body.encode())
+    assert read_or_error(tagio.read_csv, path) == read_or_error(loadtxt_read_csv, path)
