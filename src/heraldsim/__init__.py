@@ -44,9 +44,6 @@ from .event_sim import (
     ExperimentConfig,
     RunSummary,
     TagStream,
-    extinction_to_visibility,
-    gate_state,
-    modulator_transmission,
     run,
 )
 from .feedforward import (
@@ -91,11 +88,9 @@ __all__ = [
     "correlate",
     "default_mean_grid",
     "detection_matrix",
-    "extinction_to_visibility",
     "g2_sweep",
     "g2_tau",
     "g2_zero",
-    "gate_state",
     "genuine_two_click_fraction",
     "herald_conditioned_rates",
     "heralded_coincidence_counts",
@@ -105,7 +100,6 @@ __all__ = [
     "isolated_times",
     "loss_matrix",
     "mean_photon_number",
-    "modulator_transmission",
     "poissonian",
     "reference_detection_matrix",
     "renormalize",

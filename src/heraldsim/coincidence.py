@@ -1,9 +1,10 @@
 """Offline analysis of time-tag streams.
 
 Cross-correlation histograms (``correlate``) count every pair of tags whose
-time difference t_b - t_a falls in [-range_ps, range_ps).  For each tag on
-the first channel a binary search finds the run of second-channel tags
-inside the window, so the cost is O(pairs in range), never all-pairs.  The
+time difference t_b - t_a falls in [-range_ps, range_ps).  For each block of
+first-channel tags, merges with the part of the second channel the block can
+reach give each tag's run of second-channel tags inside the window, so the
+cost is O(tags + pairs in range), never all-pairs.  The
 pairs are gathered in windows of at most ``_PAIR_BUDGET``, cut along the
 cumulative pair count: a window may end inside one tag's run, so memory
 stays bounded however wide the range or however dense the stream.
@@ -53,7 +54,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyEnsembleError, ParameterError, UndefinedStatisticError
-from .event_sim import Channel, ExperimentConfig, TagStream, _open_mask, merged_gate_intervals
+from .event_sim import Channel, ExperimentConfig, TagStream, _open_mask, _rank, merged_gate_intervals
 
 DEFAULT_BIN_WIDTH = 250
 DEFAULT_RANGE = 100_000
@@ -122,11 +123,16 @@ def _correlate_times(a: np.ndarray, b: np.ndarray, bin_width: int, range_ps: int
     ramp = np.arange(0)
     for lo in range(0, a.size, _TAG_BLOCK):
         tags = a[lo : lo + _TAG_BLOCK]
+        # both run bounds of every tag come from merges with the part of b
+        # the block can reach
+        offset = int(np.searchsorted(b, tags[0] - range_ps))
+        reach = b[offset : np.searchsorted(b, tags[-1] + range_ps)]
+        first = _rank(tags - range_ps, reach)
         # pairs are numbered p = 0, 1, ... in tag order; pair p of tag i, with
         # bounds[i] <= p < bounds[i + 1], is b[first[i] + p] once first is shifted
-        first = np.searchsorted(b, tags - range_ps, side="left")
         bounds = np.zeros(tags.size + 1, dtype=np.int64)
-        np.cumsum(np.searchsorted(b, tags + range_ps, side="left") - first, out=bounds[1:])
+        np.cumsum(_rank(tags + range_ps, reach) - first, out=bounds[1:])
+        first += offset
         first -= bounds[:-1]
         total = int(bounds[-1])
         for p0 in range(0, total, _PAIR_BUDGET):
@@ -254,6 +260,16 @@ def isolated_times(times: np.ndarray, min_separation: int) -> np.ndarray:
     return t[gap_prev & gap_next]
 
 
+def _check_on_grid(heralds: np.ndarray, origin: int, rep: int) -> None:
+    """Raise ParameterError naming the first herald off the pulse grid through origin."""
+    off_grid = np.flatnonzero((heralds - origin) % rep)
+    if off_grid.size:
+        raise ParameterError(
+            f"herald at {int(heralds[off_grid[0]])} ps is off the pulse grid of the first herald at "
+            f"{origin} ps: heralds must share one phase modulo rep_period {rep}"
+        )
+
+
 def herald_conditioned_rates(stream: TagStream, config: ExperimentConfig):
     """Partition HBT tags by the reconstructed gate state of their pulse slot.
 
@@ -264,12 +280,15 @@ def herald_conditioned_rates(stream: TagStream, config: ExperimentConfig):
     merged gate.  The slots of heralded pulses (herald time plus the signal
     delay) hold the correlated tags and belong to neither region.  Open and
     closed rates are tags per slot of their region times the repetition
-    rate; the correlated rate is referred to the full run duration.
+    rate; the correlated rate is referred to the full run duration.  The
+    heralds must share one phase modulo rep_period; the first herald off
+    that grid raises ParameterError.
     """
     heralds = stream.channels[Channel.HERALD_TRIGGER]
     if heralds.size == 0:
         raise EmptyEnsembleError("stream contains no herald tags")
     rep = config.rep_period
+    _check_on_grid(heralds, int(heralds[0]), rep)
     phase = config.resolved_signal_delay % rep
     duration = stream.duration
     n_slots = max(0, -((phase - duration) // rep))
@@ -288,7 +307,7 @@ def herald_conditioned_rates(stream: TagStream, config: ExperimentConfig):
     open_slots = n_open_slots - heralded_open
     closed_slots = n_slots - n_open_slots - (heralded.size - heralded_open)
 
-    tags = np.concatenate([stream.channels[Channel.HBT_A], stream.channels[Channel.HBT_B]])
+    tags = np.sort(np.concatenate([stream.channels[Channel.HBT_A], stream.channels[Channel.HBT_B]]))
     slot = slot_of(tags)
     slot = slot[(slot >= 0) & (slot < n_slots)]
     correlated = _members(slot, heralded)
@@ -376,12 +395,7 @@ def heralded_coincidence_counts(
         first = int(heralds[start])
         stop = int(np.searchsorted(heralds, first + _SLOT_SPAN * rep, side="left"))
         chunk = heralds[start:stop]
-        off_grid = np.flatnonzero((chunk - origin) % rep)
-        if off_grid.size:
-            raise ParameterError(
-                f"herald at {int(chunk[off_grid[0]])} ps is off the pulse grid of the first herald at "
-                f"{origin} ps: heralds must share one phase modulo rep_period {rep}"
-            )
+        _check_on_grid(chunk, origin, rep)
         slot = (chunk - first) // rep
         last = int(slot[-1])
         arrival = first + delay

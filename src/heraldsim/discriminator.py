@@ -24,10 +24,6 @@ from .detector_model import DetectionMatrix
 from .errors import ParameterError
 from .photon_stats import as_distribution
 
-#: Modeling default for the Gaussian pulse-height noise, as a fraction of
-#: the single-click amplitude.
-DEFAULT_NOISE_FRACTION = 0.05
-
 
 @dataclass(frozen=True)
 class AmplitudeModel:

@@ -9,6 +9,10 @@ pixels it fires give the click count, which the per-event crosstalk upgrade
 may raise by one, and the herald selection is evaluated on it.  An accepted
 pulse emits a HeraldTrigger tag at t_p and opens the modulator over
 [t_p + latency, t_p + latency + gate_length); overlapping gates merge.
+With ``retrigger = "ignore"`` a herald is dropped, with its tag and its
+gate, when the gate of an earlier kept herald has opened at or before its
+time and has not yet closed; a herald that comes before the pending gates
+open is kept.
 
 Signal photons of pulse p reach the modulator after a fixed optical delay
 (by default the smallest whole number of pulse periods >= latency, so the
@@ -49,8 +53,8 @@ DEFAULT_BATCH_SIZE = 1 << 20
 #: indices must stay below this value.
 _RAMP_STREAM_TAG = 1 << 48
 
-#: Heralds converted to Python ints at a time by the retrigger filter.
-_RETRIGGER_CHUNK = 1 << 14
+#: Heralds the retrigger filter takes at a time.
+_RETRIGGER_BLOCK = 1 << 16
 
 #: Config fields that must hold integers (picosecond times, counts, seed).
 _INTEGER_FIELDS = ("n_pulses", "seed", "rep_period", "latency", "gate_length", "gate_rise_time", "signal_delay")
@@ -226,26 +230,20 @@ class RunSummary:
         return "\n".join(lines) + "\n"
 
 
-def modulator_transmission(voltage, v_pi: float, visibility: float = 1.0, bias_phase: float = 0.0):
-    """Interferometric transfer T(V), rescaled so the matched maximum is 1.
+def _rank(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(values, keys, "left")`` for sorted keys, by one merge.
 
-    T(V) = (1 - visibility * cos(pi V / v_pi + bias_phase)) / (1 + visibility);
-    the min/max ratio is (1 - visibility) / (1 + visibility).
+    A stable sort of keys followed by values puts each key before the values
+    equal to it, and the keys stay in their own order, so key i lands at
+    position i plus the number of values below it.  The stable sort of two
+    sorted runs is a single merge.  Against more than twice as many values
+    as keys the binary search is the faster one, and it keeps the
+    temporaries to the size of the keys.
     """
-    if not 0.0 <= visibility <= 1.0:
-        raise ParameterError(f"visibility must lie in [0, 1], got {visibility!r}")
-    if v_pi <= 0:
-        raise ParameterError(f"v_pi must be > 0, got {v_pi!r}")
-    phase = np.pi * np.asarray(voltage, dtype=float) / v_pi + bias_phase
-    return (1.0 - visibility * np.cos(phase)) / (1.0 + visibility)
-
-
-def extinction_to_visibility(extinction_db: float) -> float:
-    """Interferometer visibility whose min/max ratio equals the given extinction."""
-    if extinction_db < 0:
-        raise ParameterError("extinction_db must be >= 0")
-    r = 10.0 ** (-extinction_db / 10.0)
-    return (1.0 - r) / (1.0 + r)
+    if values.size > 2 * keys.size:
+        return np.searchsorted(values, keys)
+    order = np.argsort(np.concatenate((keys, values)), kind="stable")
+    return np.flatnonzero(order < keys.size) - np.arange(keys.size)
 
 
 def merged_gate_intervals(herald_times, latency: int, gate_length: int):
@@ -253,45 +251,39 @@ def merged_gate_intervals(herald_times, latency: int, gate_length: int):
     h = np.asarray(herald_times, dtype=np.int64)
     if h.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if np.any(np.diff(h) < 0):
+    gaps = np.diff(h)
+    if np.any(gaps < 0):
         raise ParameterError("herald times must be sorted ascending")
-    starts = h + latency
-    ends = starts + gate_length
-    run_end = np.maximum.accumulate(ends)
-    new_interval = np.empty(h.size, dtype=bool)
-    new_interval[0] = True
-    new_interval[1:] = starts[1:] > run_end[:-1]
-    seg_first = np.nonzero(new_interval)[0]
-    seg_last = np.append(seg_first[1:], h.size) - 1
-    return starts[seg_first], run_end[seg_last]
+    # every gate has the same length, so the gate of the previous herald
+    # ends last, and a gap longer than a gate starts a new interval
+    cut = np.flatnonzero(gaps > gate_length)
+    starts = np.concatenate((h[:1], h[cut + 1]))
+    starts += latency
+    ends = np.append(h[cut], h[-1])
+    ends += latency + gate_length
+    return starts, ends
 
 
 def _open_mask(times: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    if starts.size == 0:
-        return np.zeros(times.shape, dtype=bool)
-    # a time is open iff it lies before the end of the last gate that opened
-    # at or before it; the sentinel closes times before the first gate
-    last_end = np.concatenate(([np.iinfo(np.int64).min], ends))
-    return times < last_end[np.searchsorted(starts, times, side="right")]
+    """Which of the sorted times lie inside one of the merged gates."""
+    # the gates are disjoint and ordered, so their edges, searched into the
+    # times, cut the times into runs that are closed and open in turn
+    edges = np.empty(2 * starts.size, dtype=np.int64)
+    edges[0::2] = starts
+    edges[1::2] = ends
+    runs = np.diff(np.searchsorted(times, edges), prepend=0, append=times.size)
+    state = np.zeros(runs.size, dtype=bool)
+    state[1::2] = True
+    return np.repeat(state, runs)
 
 
-def gate_state(t: int, herald_times, config: ExperimentConfig) -> str:
-    """'open' iff some herald h satisfies h + latency <= t < h + latency + gate_length."""
-    starts, ends = merged_gate_intervals(herald_times, config.latency, config.gate_length)
-    return "open" if bool(_open_mask(np.asarray([t], dtype=np.int64), starts, ends)[0]) else "closed"
-
-
-def _retrigger_filter(herald_times: np.ndarray, latency: int, gate_length: int) -> np.ndarray:
-    """Drop heralds that arrive while a previously accepted gate is open.
-
-    A herald is kept when no earlier kept herald's gate has opened and is
-    still open at its time; heralds before a pending gate opens are kept.
-    """
+def _retrigger_loop(herald_times: np.ndarray, latency: int, gate_length: int) -> np.ndarray:
+    """_retrigger_filter one herald at a time; it serves gates shorter than the latency."""
     kept = np.zeros(herald_times.size, dtype=bool)
     pending = deque()  # starts of kept gates that have not opened yet
     open_end = -1
-    for lo in range(0, herald_times.size, _RETRIGGER_CHUNK):
-        chunk = herald_times[lo : lo + _RETRIGGER_CHUNK].tolist()
+    for lo in range(0, herald_times.size, _RETRIGGER_BLOCK):
+        chunk = herald_times[lo : lo + _RETRIGGER_BLOCK].tolist()
         for i, h in enumerate(chunk, start=lo):
             while pending and pending[0] <= h:
                 open_end = max(open_end, pending.popleft() + gate_length)
@@ -299,6 +291,73 @@ def _retrigger_filter(herald_times: np.ndarray, latency: int, gate_length: int) 
                 kept[i] = True
                 pending.append(h + latency)
     return herald_times[kept]
+
+
+def _orbit(jump: np.ndarray) -> np.ndarray:
+    """Sorted orbit of 0 under i -> jump[i], where jump[i] > i and jump[-1] == jump.size - 1.
+
+    Pointer doubling (Wyllie 1979): after round k the marked set holds the
+    first 2**k members of the orbit and ``jump`` maps i to its 2**k-th
+    successor, so the whole orbit takes log2 of its length rounds.
+    """
+    sink = jump.size - 1
+    on = np.zeros(jump.size, dtype=bool)
+    on[0] = True
+    members = np.zeros(1, dtype=np.int64)
+    while True:
+        on[jump[members]] = True
+        if on[sink]:
+            return np.flatnonzero(on[:sink])
+        members = np.flatnonzero(on)
+        jump = jump[jump]
+
+
+def _retrigger_filter(herald_times: np.ndarray, latency: int, gate_length: int) -> np.ndarray:
+    """Drop heralds that arrive while a previously accepted gate is open.
+
+    A herald is kept when no earlier kept herald's gate has opened and is
+    still open at its time; heralds before a pending gate opens are kept.
+
+    When gate_length >= latency the kept heralds come in bursts.  A burst
+    starts at a head h that no earlier kept gate reaches and keeps every
+    herald in [h, h + latency); with h_last the last of them, the burst's
+    gates cover [h + latency, h_last + latency + gate_length) without a hole,
+    since the gaps inside the burst are below latency <= gate_length, so
+    every herald in that span is dropped and the next head is the first
+    herald at or after h_last + latency + gate_length.  The heads are the
+    orbit of the first herald under that map.  Shorter gates leave holes
+    between a burst's gates, and heralds in a hole are kept, so that case
+    runs the loop one herald at a time.
+    """
+    if gate_length < latency:
+        return _retrigger_loop(herald_times, latency, gate_length)
+    n = herald_times.size
+    steps = np.zeros(n + 1, dtype=np.int8)  # +1 at each burst's first herald, -1 past its last
+    head = 0
+    while head < n:
+        # each block starts at a head, so its heads are the orbit of its first herald
+        block = herald_times[head : head + _RETRIGGER_BLOCK]
+        last = np.maximum(np.arange(block.size), _rank(block + latency, block) - 1)
+        reach = block[last]
+        reach += latency + gate_length
+        jump = np.append(np.maximum(last + 1, _rank(reach, block)), block.size)
+        heads = _orbit(jump)
+        steps[head + heads[:-1]] += 1
+        steps[head + last[heads[:-1]] + 1] -= 1
+        # the last burst, and the span its gates block, may run past the block
+        head += int(heads[-1])
+        burst_end = max(head + 1, int(np.searchsorted(herald_times, herald_times[head] + latency)))
+        steps[head] += 1
+        steps[burst_end] -= 1
+        reach = int(herald_times[burst_end - 1]) + latency + gate_length
+        head = max(burst_end, int(np.searchsorted(herald_times, reach)))
+    return herald_times[np.cumsum(steps[:-1], dtype=np.int8).view(bool)]
+
+
+def _with_darks(signal: np.ndarray, dark: np.ndarray) -> np.ndarray:
+    """The sorted signal tags with the dark counts merged in."""
+    dark = np.sort(dark)
+    return np.insert(signal, np.searchsorted(signal, dark), dark)
 
 
 class _Batch(NamedTuple):
@@ -514,16 +573,11 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
             a[partial] = rng_ramp.binomial(a[partial], factor[partial])
             b[partial] = rng_ramp.binomial(b[partial], factor[partial])
 
-    hbt_a = np.concatenate([arrivals[a > 0], merged.dark_a])
-    hbt_a.sort()
-    hbt_b = np.concatenate([arrivals[b > 0], merged.dark_b])
-    hbt_b.sort()
-
     stream = TagStream(
         channels={
             Channel.HERALD_TRIGGER: herald_times,
-            Channel.HBT_A: hbt_a,
-            Channel.HBT_B: hbt_b,
+            Channel.HBT_A: _with_darks(arrivals[a > 0], merged.dark_a),
+            Channel.HBT_B: _with_darks(arrivals[b > 0], merged.dark_b),
         },
         duration=config.duration,
     )

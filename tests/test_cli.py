@@ -180,34 +180,51 @@ seed = 31415
 
 
 def test_tag_io_goes_through_cli_names(tmp_path, monkeypatch):
-    """`perfbench --trace 1` wraps these three names of heraldsim.cli, so
-    simulate and analyze must call the tag writers and reader through them."""
+    """`perfbench --trace 1` wraps these names of heraldsim.cli, so simulate
+    and analyze must call the simulator, the tag writers and reader and the
+    analysis steps through them."""
     import heraldsim.cli as cli
 
     calls = []
+
+    def shown(value):  # paths and numbers as given, anything else by type
+        return value if isinstance(value, (str, int, float)) else type(value).__name__
 
     def recording(name):
         real = getattr(cli, name)
 
         def call(*args, **kwargs):
-            # the stream by type, paths as given
-            calls.append((name, tuple(a if isinstance(a, str) else type(a).__name__ for a in args), kwargs))
+            calls.append((name, tuple(map(shown, args)), {k: shown(v) for k, v in kwargs.items()}))
             return real(*args, **kwargs)
 
         return call
 
-    for name in ("write_binary", "write_csv", "read_tags"):
+    names = ("run", "write_binary", "write_csv", "read_tags", "correlate", "integrate_peaks", "g2_tau",
+             "write_histogram_csv", "write_peaks_csv")
+    for name in names:
         monkeypatch.setattr(cli, name, recording(name))
     tags, csv = str(tmp_path / "run.tags"), str(tmp_path / "run.csv")
+    analysis = str(tmp_path / "analysis")
     for out in (tags, csv):
         assert invoke("simulate", "--mu", 0.05, "--pulses", 2_000, "--seed", 2, "--threads", 1, "--out", out) == 0
         assert invoke("analyze", "--tags", out, "--pair", "herald_trigger,hbt_a", "--duration", 25_000_000,
-                      "--out", tmp_path / "analysis") == 0
+                      "--out", analysis) == 0
+    analysis_calls = [
+        ("correlate", ("TagStream", "tuple"), {"bin_width": 250, "range_ps": 100_000}),
+        ("integrate_peaks", ("CoincidenceHistogram", 12_500, 1_000), {}),
+        ("g2_tau", ("CoincidenceHistogram", 12_500, 80_000_000.0, 1_000), {}),
+        ("write_histogram_csv", ("CoincidenceHistogram", analysis + ".hist.csv"), {}),
+        ("write_peaks_csv", ("list", "list", analysis + ".peaks.csv"), {}),
+    ]
     assert calls == [
+        ("run", ("ExperimentConfig",), {"threads": 1}),
         ("write_binary", ("TagStream", tags), {}),
         ("read_tags", (tags,), {"duration": 25_000_000}),
+        *analysis_calls,
+        ("run", ("ExperimentConfig",), {"threads": 1}),
         ("write_csv", ("TagStream", csv), {}),
         ("read_tags", (csv,), {"duration": 25_000_000}),
+        *analysis_calls,
     ]
 
 

@@ -302,6 +302,12 @@ class TestHeraldConditionedRates:
         with pytest.raises(EmptyEnsembleError):
             herald_conditioned_rates(stream, cfg)
 
+    def test_herald_off_the_grid_named(self):
+        # a 12.5 ns stream analysed with a 12 ns period
+        stream = make_stream(herald=[0, REP, 3 * REP], hbt_a=[25_000], duration=200_000)
+        with pytest.raises(ParameterError, match=f"herald at {REP} ps is off the pulse grid"):
+            herald_conditioned_rates(stream, reference_config(rep_period=12_000))
+
     def test_all_tags_inside_gates_zero_closed_rate(self):
         cfg = reference_config()
         stream = make_stream(

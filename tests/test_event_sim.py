@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,22 +13,23 @@ from heraldsim import (
     ExperimentConfig,
     HeraldSelection,
     ParameterError,
-    extinction_to_visibility,
-    gate_state,
     heralded_distribution,
-    modulator_transmission,
     poissonian,
     reference_detection_matrix,
     required_n_max,
     run,
     thermal,
 )
+from heraldsim import event_sim
 from heraldsim.event_sim import (
     _Batch,
     _occupied_pulses,
+    _open_mask,
     _photon_numbers,
+    _rank,
     _retrigger_filter,
     _simulate_batch,
+    _with_darks,
     merged_gate_intervals,
 )
 
@@ -48,6 +51,37 @@ def reference_retrigger_filter(herald_times, latency, gate_length):
             starts.append(h + latency)
             ends.append(h + latency + gate_length)
     return herald_times[kept]
+
+
+def reference_merged_gate_intervals(herald_times, latency, gate_length):
+    """The merge by running maximum of the gate ends that merged_gate_intervals replaces."""
+    h = np.asarray(herald_times, dtype=np.int64)
+    if h.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    starts = h + latency
+    ends = starts + gate_length
+    run_end = np.maximum.accumulate(ends)
+    new_interval = np.empty(h.size, dtype=bool)
+    new_interval[0] = True
+    new_interval[1:] = starts[1:] > run_end[:-1]
+    seg_first = np.nonzero(new_interval)[0]
+    seg_last = np.append(seg_first[1:], h.size) - 1
+    return starts[seg_first], run_end[seg_last]
+
+
+def reference_open_mask(times, starts, ends):
+    """The per-time search into the gate starts that _open_mask replaces; any time order."""
+    if starts.size == 0:
+        return np.zeros(times.shape, dtype=bool)
+    last_end = np.concatenate(([np.iinfo(np.int64).min], ends))
+    return times < last_end[np.searchsorted(starts, times, side="right")]
+
+
+def reference_with_darks(signal, dark):
+    """The concatenate-and-sort merge that _with_darks replaces."""
+    tags = np.concatenate([signal, dark])
+    tags.sort()
+    return tags
 
 
 def reference_simulate_batch(config, batch_index, start, size):
@@ -126,20 +160,23 @@ def make_config(**overrides):
     return ExperimentConfig(**base)
 
 
-class TestGateState:
-    CONFIG = make_config(n_pulses=10)
+def gate_open(t, heralds, latency=23_000, gate_length=80_000):
+    starts, ends = merged_gate_intervals(heralds, latency, gate_length)
+    return bool(_open_mask(np.asarray([t], dtype=np.int64), starts, ends)[0])
 
+
+class TestGateState:
     def test_just_after_latency_is_open(self):
-        assert gate_state(23_000 + 1, [0], self.CONFIG) == "open"
+        assert gate_open(23_000 + 1, [0])
 
     def test_gate_end_is_closed(self):
-        assert gate_state(23_000 + 80_000, [0], self.CONFIG) == "closed"
+        assert not gate_open(23_000 + 80_000, [0])
 
     def test_gate_start_is_open(self):
-        assert gate_state(23_000, [0], self.CONFIG) == "open"
+        assert gate_open(23_000, [0])
 
     def test_before_latency_is_closed(self):
-        assert gate_state(22_999, [0], self.CONFIG) == "closed"
+        assert not gate_open(22_999, [0])
 
     def test_overlapping_gates_merge(self):
         heralds = [0, 40_000]
@@ -147,34 +184,56 @@ class TestGateState:
         assert starts.tolist() == [23_000]
         assert ends.tolist() == [143_000]
         for t in (23_000, 100_000, 142_999):
-            assert gate_state(t, heralds, self.CONFIG) == "open"
-        assert gate_state(143_000, heralds, self.CONFIG) == "closed"
+            assert gate_open(t, heralds)
+        assert not gate_open(143_000, heralds)
 
     def test_unsorted_heralds_rejected(self):
         with pytest.raises(ParameterError):
-            gate_state(0, [100, 0], self.CONFIG)
+            merged_gate_intervals([100, 0], 23_000, 80_000)
 
 
-class TestModulatorTransmission:
-    def test_ideal_interferometer(self):
-        assert modulator_transmission(3.82, 3.82, visibility=1.0) == pytest.approx(1.0, abs=1e-12)
-        assert modulator_transmission(0.0, 3.82, visibility=1.0) == pytest.approx(0.0, abs=1e-12)
+herald_lists = st.lists(st.integers(0, 2_000), max_size=200).map(lambda v: np.asarray(sorted(v), dtype=np.int64))
 
-    def test_visibility_sets_extinction(self):
-        vis = extinction_to_visibility(10.2)
-        assert vis == pytest.approx((1 - 10**-1.02) / (1 + 10**-1.02), rel=1e-12)
-        t_min = modulator_transmission(0.0, 3.82, visibility=vis)
-        t_max = modulator_transmission(3.82, 3.82, visibility=vis)
-        assert t_max == pytest.approx(1.0, abs=1e-12)
-        assert t_min / t_max == pytest.approx(10**-1.02, rel=1e-9)
 
-    def test_periodic_in_two_v_pi(self):
-        v = np.linspace(-5, 5, 41)
-        np.testing.assert_allclose(
-            modulator_transmission(v + 2 * 3.82, 3.82, 0.9),
-            modulator_transmission(v, 3.82, 0.9),
-            atol=1e-12,
-        )
+class TestStitchMerges:
+    @given(
+        st.lists(st.integers(-50, 50), max_size=40).map(sorted),
+        st.lists(st.integers(-40, 40), max_size=40).map(sorted),
+    )
+    @example([], [])
+    @example([-99, 0, 0, 99], [0, 0, 0])  # keys below, at and above the values
+    @example([1, 2], list(range(10)))  # more than twice as many values as keys
+    @settings(max_examples=300, deadline=None)
+    def test_rank_matches_searchsorted(self, keys, values):
+        keys = np.asarray(keys, dtype=np.int64)
+        values = np.asarray(values, dtype=np.int64)
+        np.testing.assert_array_equal(_rank(keys, values), np.searchsorted(values, keys, side="left"))
+
+    @given(herald_lists, st.integers(0, 300), st.integers(0, 300))
+    @example(np.asarray([0, 0, 5, 5, 5, 10, 10, 90]), 6, 0)  # zero-length gates
+    @settings(max_examples=300, deadline=None)
+    def test_merged_gate_intervals_match_reference(self, heralds, latency, gate_length):
+        got = merged_gate_intervals(heralds, latency, gate_length)
+        want = reference_merged_gate_intervals(heralds, latency, gate_length)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+
+    @given(herald_lists, st.lists(st.integers(-100, 2_500), max_size=200).map(sorted),
+           st.integers(0, 300), st.integers(0, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_open_mask_matches_reference(self, heralds, times, latency, gate_length):
+        times = np.asarray(times, dtype=np.int64)
+        starts, ends = merged_gate_intervals(heralds, latency, gate_length)
+        got = _open_mask(times, starts, ends)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, reference_open_mask(times, starts, ends))
+
+    @given(herald_lists, st.lists(st.integers(-100, 2_500), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_dark_counts_merge_like_a_sort(self, signal, dark):
+        dark = np.asarray(dark, dtype=np.int64)
+        np.testing.assert_array_equal(_with_darks(signal, dark), reference_with_darks(signal, dark))
 
 
 class TestDeterminism:
@@ -376,6 +435,31 @@ class TestRetrigger:
         kept = _retrigger_filter(heralds, latency, gate_length)
         assert kept.dtype == np.int64
         np.testing.assert_array_equal(kept, reference_retrigger_filter(heralds, latency, gate_length))
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @given(herald_lists, st.integers(0, 300), st.integers(0, 300))
+    @example(np.asarray([0, 0, 5, 5, 5, 10, 10, 90]), 0, 10)
+    @example(np.asarray([0, 0, 5, 5, 5, 10, 10, 90]), 6, 0)
+    @example(np.asarray([0, 10, 20, 30, 31]), 0, 5)  # a block opens where the last one's burst ends
+    @settings(max_examples=150, deadline=None)
+    def test_filter_block_edges(self, block, heralds, latency, gate_length):
+        # blocks end inside bursts and inside the spans the bursts' gates block
+        with mock.patch.object(event_sim, "_RETRIGGER_BLOCK", block):
+            kept = _retrigger_filter(heralds, latency, gate_length)
+        np.testing.assert_array_equal(kept, reference_retrigger_filter(heralds, latency, gate_length))
+
+    def test_filter_peak_memory_bounded(self):
+        # 2**20 heralds on a 12.5 ns grid with 40 % of the pulses heralded
+        gaps = np.random.default_rng(8).geometric(0.4, 1 << 20)
+        heralds = np.cumsum(gaps) * 12_500
+        tracemalloc.start()
+        try:
+            kept = _retrigger_filter(heralds, 23_000, 80_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < kept.size < heralds.size
+        assert peak < 16 * 2**20
 
     def test_extend_mode_keeps_all(self):
         cfg = make_config(
