@@ -349,8 +349,8 @@ def _retrigger_filter(herald_times: np.ndarray, latency: int, gate_length: int) 
         burst_end = max(head + 1, int(np.searchsorted(herald_times, herald_times[head] + latency)))
         steps[head] += 1
         steps[burst_end] -= 1
-        reach = int(herald_times[burst_end - 1]) + latency + gate_length
-        head = max(burst_end, int(np.searchsorted(herald_times, reach)))
+        blocked_until = int(herald_times[burst_end - 1]) + latency + gate_length
+        head = max(burst_end, int(np.searchsorted(herald_times, blocked_until)))
     return herald_times[np.cumsum(steps[:-1], dtype=np.int8).view(bool)]
 
 
