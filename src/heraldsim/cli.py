@@ -8,7 +8,12 @@ tag file, and ``thresholds`` produces discriminator count-rate surfaces.
 Every invocation that writes outputs also writes ``<out>.manifest.json``
 recording the tool version, the resolved configuration, the seed and the
 SHA-256 digest of each emitted file; re-running the same configuration and
-seed reproduces the outputs byte for byte.
+seed reproduces the outputs byte for byte.  The ``simulate`` config file
+takes the sections and keys of ``event_sim.CONFIG_KEYS``, and its manifest
+records ``ExperimentConfig.resolved()``.
+
+Parameter ranges are checked by the library, whose ``ParameterError`` ends
+the command with exit code 2.
 
 Durations accept ``ps`` and ``ns`` suffixes (bare numbers are picoseconds).
 Environment overrides are limited to ``HERALDSIM_THREADS`` and
@@ -29,8 +34,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coincidence import correlate, g2_tau, integrate_peaks, write_histogram_csv, write_peaks_csv
-from .detector_model import detection_matrix, write_matrix_csv
+from .coincidence import (DEFAULT_BIN_WIDTH, DEFAULT_PEAK_HALFWIDTH, DEFAULT_RANGE, correlate, g2_tau,
+                          integrate_peaks, write_histogram_csv, write_peaks_csv)
+from .detector_model import (REFERENCE_CROSSTALK, REFERENCE_N_PIXELS, REFERENCE_TRANSMISSION, detection_matrix,
+                             write_matrix_csv)
 from .discriminator import AmplitudeModel, threshold_sweep, write_surface_csv
 from .errors import (
     EmptyEnsembleError,
@@ -39,7 +46,7 @@ from .errors import (
     ParameterError,
     UndefinedStatisticError,
 )
-from .event_sim import CHANNELS_BY_NAME, Channel, ExperimentConfig, run
+from .event_sim import CHANNELS_BY_NAME, CONFIG_KEYS, Channel, ExperimentConfig, run
 from .feedforward import HeraldSelection, g2_sweep, write_sweep_csv
 from .photon_stats import poissonian, required_n_max, thermal
 from .tagio import read_tags, write_binary, write_csv
@@ -67,20 +74,6 @@ def parse_duration(text: str) -> int:
     if abs(value - round(value)) > 1e-6 or value < 0:
         raise argparse.ArgumentTypeError(f"duration {text!r} is not a whole number of picoseconds")
     return int(round(value))
-
-
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{value!r} is outside [0, 1]")
-    return value
-
-
-def _crosstalk_arg(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"crosstalk {value!r} is outside [0, 1)")
-    return value
 
 
 def _positive_int(text: str) -> int:
@@ -149,26 +142,13 @@ def _default_threads() -> int:
 # simulate: config file handling
 
 
-_CONFIG_SCHEMA = {
-    ("source", "mean_pairs_per_pulse"): ("mean_pairs_per_pulse", float),
-    ("source", "family"): ("source_family", str),
-    ("source", "rep_period"): ("rep_period", parse_duration),
-    ("idler", "transmission"): ("idler_transmission", float),
-    ("idler", "pixels"): ("n_pixels", int),
-    ("idler", "crosstalk"): ("crosstalk", float),
-    ("modulator", "latency"): ("latency", parse_duration),
-    ("modulator", "gate_length"): ("gate_length", parse_duration),
-    ("modulator", "extinction_db"): ("extinction_db", float),
-    ("modulator", "retrigger"): ("retrigger", str),
-    ("modulator", "gate_rise_time"): ("gate_rise_time", parse_duration),
-    ("signal", "transmission"): ("signal_transmission", float),
-    ("signal", "hbt_splitting"): ("hbt_splitting", float),
-    ("signal", "hbt_efficiency"): ("hbt_efficiency", float),
-    ("signal", "dark_rate"): ("dark_rate", float),
-    ("signal", "signal_delay"): ("signal_delay", parse_duration),
-    ("run", "pulses"): ("n_pulses", int),
-    ("run", "seed"): ("seed", int),
-}
+_PARSERS = {"float": float, "int": int, "ps": parse_duration, "str": str}
+_ROW_BY_KEY = {(row.section, row.key): row for row in CONFIG_KEYS}
+
+
+def _selection(text: str, kwargs: dict) -> HeraldSelection:
+    """Parse a herald selection for the configured pixel count, else the dataclass default."""
+    return HeraldSelection.parse(text, kwargs.get("n_pixels", ExperimentConfig.n_pixels))
 
 
 def load_config_file(path: str) -> dict:
@@ -180,47 +160,19 @@ def load_config_file(path: str) -> dict:
     selection_text = None
     for section in parser.sections():
         for key, raw in parser.items(section):
-            if (section, key) == ("idler", "selection"):
-                selection_text = raw
+            row = _ROW_BY_KEY.get((section, key))
+            if row is None:
+                raise ParameterError(f"{path}: unknown config key [{section}] {key}")
+            if row.kind == "selection":
+                selection_text = raw  # its meaning depends on the pixel count
                 continue
             try:
-                field, convert = _CONFIG_SCHEMA[(section, key)]
-            except KeyError:
-                raise ParameterError(f"{path}: unknown config key [{section}] {key}") from None
-            try:
-                kwargs[field] = convert(raw)
+                kwargs[row.field] = _PARSERS[row.kind](raw)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ParameterError(f"{path}: bad value for [{section}] {key}: {raw!r}") from exc
     if selection_text is not None:
-        kwargs["herald_selection"] = HeraldSelection.parse(
-            selection_text, kwargs.get("n_pixels", 4)
-        )
+        kwargs["herald_selection"] = _selection(selection_text, kwargs)
     return kwargs
-
-
-def _config_echo(config: ExperimentConfig) -> dict:
-    echo = {
-        "mean_pairs_per_pulse": config.mean_pairs_per_pulse,
-        "n_pulses": config.n_pulses,
-        "seed": config.seed,
-        "rep_period": config.rep_period,
-        "source_family": config.source_family,
-        "idler_transmission": config.idler_transmission,
-        "n_pixels": config.n_pixels,
-        "crosstalk": config.crosstalk,
-        "herald_selection": config.herald_selection.label,
-        "latency": config.latency,
-        "gate_length": config.gate_length,
-        "extinction_db": config.extinction_db,
-        "signal_transmission": config.signal_transmission,
-        "hbt_splitting": config.hbt_splitting,
-        "hbt_efficiency": config.hbt_efficiency,
-        "dark_rate": config.dark_rate,
-        "signal_delay": config.resolved_signal_delay,
-        "retrigger": config.retrigger,
-        "gate_rise_time": config.gate_rise_time,
-    }
-    return echo
 
 
 # ----------------------------------------------------------------------
@@ -282,9 +234,7 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         kwargs["seed"] = args.seed
     if args.selection is not None:
-        kwargs["herald_selection"] = HeraldSelection.parse(
-            args.selection, kwargs.get("n_pixels", 4)
-        )
+        kwargs["herald_selection"] = _selection(args.selection, kwargs)
     missing = [k for k in ("mean_pairs_per_pulse", "n_pulses", "seed") if k not in kwargs]
     if missing:
         raise ParameterError(f"missing required simulate parameters: {', '.join(missing)}")
@@ -299,7 +249,7 @@ def _cmd_simulate(args) -> int:
     summary_path = out + ".summary.txt"
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(summary.as_text())
-    _write_manifest(out, "simulate", _config_echo(config), config.seed, [out, summary_path], started)
+    _write_manifest(out, "simulate", config.resolved(), config.seed, [out, summary_path], started)
     print(f"wrote {out} ({sum(stream.counts().values())} tags)")
     return 0
 
@@ -375,10 +325,10 @@ def _cmd_thresholds(args) -> int:
 
 
 def _add_detector_args(sub, nmax_default=None):
-    sub.add_argument("--transmission", type=_probability, default=0.7,
+    sub.add_argument("--transmission", type=float, default=REFERENCE_TRANSMISSION,
                      help="source-to-detector transmission in [0, 1]")
-    sub.add_argument("--pixels", type=_positive_int, default=4, help="number of detector pixels")
-    sub.add_argument("--crosstalk", type=_crosstalk_arg, default=0.025, help="crosstalk probability in [0, 1)")
+    sub.add_argument("--pixels", type=_positive_int, default=REFERENCE_N_PIXELS, help="number of detector pixels")
+    sub.add_argument("--crosstalk", type=float, default=REFERENCE_CROSSTALK, help="crosstalk probability in [0, 1)")
     sub.add_argument("--nmax", type=_non_negative_int, default=nmax_default,
                      help="incident photon-number cutoff")
 
@@ -422,10 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tags", required=True, help="tag file written by simulate")
     p.add_argument("--pair", type=_parse_pair, default=(Channel.HBT_A, Channel.HBT_B),
                    help="channel pair, e.g. 'herald_trigger,hbt_a' (default 'hbt_a,hbt_b')")
-    p.add_argument("--bin", type=parse_duration, default="250ps", help="histogram bin width")
-    p.add_argument("--range", type=parse_duration, default="100ns", help="histogram half range")
-    p.add_argument("--rep-period", type=parse_duration, default="12.5ns")
-    p.add_argument("--halfwidth", type=parse_duration, default="1ns", help="peak integration half width")
+    p.add_argument("--bin", type=parse_duration, default=DEFAULT_BIN_WIDTH, help="histogram bin width")
+    p.add_argument("--range", type=parse_duration, default=DEFAULT_RANGE, help="histogram half range")
+    p.add_argument("--rep-period", type=parse_duration, default=ExperimentConfig.rep_period)
+    p.add_argument("--halfwidth", type=parse_duration, default=DEFAULT_PEAK_HALFWIDTH,
+                   help="peak integration half width")
     p.add_argument("--rep-rate", type=float, default=None,
                    help="normalization rate in Hz (default 1/rep_period)")
     p.add_argument("--duration", type=parse_duration, default=None,

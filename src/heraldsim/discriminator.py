@@ -8,6 +8,10 @@ click-number-resolved source produces count-rate plateaus, one per occupied
 click level, which is how the photon-number outputs are identified on the
 real discriminator.
 
+One function gives P(height >= t) for a click level; the window
+probability is P(height >= low) - P(height >= high), for a single window and
+for the threshold-sweep surface alike.
+
 The per-click amplitudes and the noise floor of the physical device are not
 published; they are free parameters here.  The default noise of 5% of the
 unit amplitude is a modeling choice that yields clearly separated plateaus.
@@ -59,16 +63,20 @@ def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def _at_least(thresholds, level: float, sigma: float) -> np.ndarray:
+    """P(height >= t) for each threshold t, of a pulse at ``level`` with Gaussian noise ``sigma``."""
+    thresholds = np.asarray(thresholds, dtype=float)
+    if sigma == 0.0:
+        return (level >= thresholds).astype(float)
+    return np.array([1.0 - _norm_cdf((t - level) / sigma) for t in thresholds])
+
+
 def trigger_probability(clicks: int, window: TriggerWindow, model: AmplitudeModel) -> float:
     """Probability that a pulse with the given click count fires the window."""
     if clicks < 0:
         raise ParameterError(f"clicks must be >= 0, got {clicks}")
-    level = model.level(clicks)
-    if model.noise_sigma == 0.0:
-        return 1.0 if window.low_threshold <= level < window.high_threshold else 0.0
-    upper = 1.0 if math.isinf(window.high_threshold) else _norm_cdf((window.high_threshold - level) / model.noise_sigma)
-    lower = _norm_cdf((window.low_threshold - level) / model.noise_sigma)
-    return upper - lower
+    low, high = _at_least([window.low_threshold, window.high_threshold], model.level(clicks), model.noise_sigma)
+    return float(low - high)
 
 
 def click_number_rates(source, det: DetectionMatrix) -> np.ndarray:
@@ -101,16 +109,11 @@ def threshold_sweep(source, det: DetectionMatrix, model: AmplitudeModel, rep_rat
         if qk == 0.0:
             continue
         level = model.level(k)
-        if model.noise_sigma == 0.0:
-            below_high = (level < high_grid).astype(float)
-            above_low = (low_grid <= level).astype(float)
-        else:
-            below_high = np.array(
-                [1.0 if math.isinf(h) else _norm_cdf((h - level) / model.noise_sigma) for h in high_grid]
-            )
-            above_low = np.array([1.0 - _norm_cdf((lo - level) / model.noise_sigma) for lo in low_grid])
         # P(low <= height < high) = P(height >= low) - P(height >= high)
-        surface += rep_rate * qk * (above_low[:, None] - (1.0 - below_high)[None, :])
+        surface += rep_rate * qk * (
+            _at_least(low_grid, level, model.noise_sigma)[:, None]
+            - _at_least(high_grid, level, model.noise_sigma)[None, :]
+        )
     return np.clip(surface, 0.0, None)
 
 

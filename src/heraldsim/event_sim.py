@@ -56,8 +56,8 @@ _RAMP_STREAM_TAG = 1 << 48
 #: Heralds the retrigger filter takes at a time.
 _RETRIGGER_BLOCK = 1 << 16
 
-#: Config fields that must hold integers (picosecond times, counts, seed).
-_INTEGER_FIELDS = ("n_pulses", "seed", "rep_period", "latency", "gate_length", "gate_rise_time", "signal_delay")
+#: Largest mean ``Generator.poisson`` draws: the int64 range less a 10-sigma margin.
+_POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 class Channel(IntEnum):
@@ -72,6 +72,39 @@ CHANNEL_NAMES = {
     Channel.HBT_B: "hbt_b",
 }
 CHANNELS_BY_NAME = {name: ch for ch, name in CHANNEL_NAMES.items()}
+
+
+class ConfigKey(NamedTuple):
+    """One config field: where the config file keeps it and how its text reads."""
+
+    section: str
+    key: str
+    field: str
+    kind: str  # "float", "int", "ps" (a picosecond time), "str" or "selection"
+
+
+#: Every ExperimentConfig field, in the order the run summary prints them.
+CONFIG_KEYS = (
+    ConfigKey("source", "mean_pairs_per_pulse", "mean_pairs_per_pulse", "float"),
+    ConfigKey("source", "family", "source_family", "str"),
+    ConfigKey("source", "rep_period", "rep_period", "ps"),
+    ConfigKey("idler", "transmission", "idler_transmission", "float"),
+    ConfigKey("idler", "pixels", "n_pixels", "int"),
+    ConfigKey("idler", "crosstalk", "crosstalk", "float"),
+    ConfigKey("idler", "selection", "herald_selection", "selection"),
+    ConfigKey("modulator", "latency", "latency", "ps"),
+    ConfigKey("modulator", "gate_length", "gate_length", "ps"),
+    ConfigKey("modulator", "extinction_db", "extinction_db", "float"),
+    ConfigKey("signal", "transmission", "signal_transmission", "float"),
+    ConfigKey("signal", "hbt_splitting", "hbt_splitting", "float"),
+    ConfigKey("signal", "hbt_efficiency", "hbt_efficiency", "float"),
+    ConfigKey("signal", "dark_rate", "dark_rate", "float"),
+    ConfigKey("signal", "signal_delay", "signal_delay", "ps"),
+    ConfigKey("modulator", "retrigger", "retrigger", "str"),
+    ConfigKey("modulator", "gate_rise_time", "gate_rise_time", "ps"),
+    ConfigKey("run", "pulses", "n_pulses", "int"),
+    ConfigKey("run", "seed", "seed", "int"),
+)
 
 
 @dataclass(frozen=True)
@@ -105,13 +138,18 @@ class ExperimentConfig:
     gate_rise_time: int = 0
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if value is None and name == "signal_delay":
+        for row in CONFIG_KEYS:
+            value = getattr(self, row.field)
+            if value is None and row.field == "signal_delay":
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            if row.kind in ("int", "ps"):
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise ParameterError(f"{row.field} must be an integer, got {value!r}")
+                object.__setattr__(self, row.field, int(value))
+            elif row.kind == "float":
+                if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                    raise ParameterError(f"{row.field} must be a real number, got {value!r}")
+                object.__setattr__(self, row.field, float(value))
         if not (math.isfinite(self.mean_pairs_per_pulse) and self.mean_pairs_per_pulse >= 0):
             raise ParameterError("mean_pairs_per_pulse must be finite and >= 0")
         if self.n_pulses < 0:
@@ -134,10 +172,10 @@ class ExperimentConfig:
             raise ParameterError("herald selection exceeds the pixel count")
         if self.latency < 0 or self.gate_length < 0 or self.gate_rise_time < 0:
             raise ParameterError("latency, gate_length and gate_rise_time must be >= 0")
-        if self.extinction_db < 0:
-            raise ParameterError("extinction_db must be >= 0")
-        if self.dark_rate < 0:
-            raise ParameterError("dark_rate must be >= 0")
+        if not self.extinction_db >= 0:
+            raise ParameterError(f"extinction_db must be >= 0, got {self.extinction_db!r}")
+        if not (math.isfinite(self.dark_rate) and self.dark_rate >= 0):
+            raise ParameterError(f"dark_rate must be finite and >= 0, got {self.dark_rate!r}")
         if self.retrigger not in ("extend", "ignore"):
             raise ParameterError(f"retrigger must be 'extend' or 'ignore', got {self.retrigger!r}")
         if self.signal_delay is not None and self.signal_delay < 0:
@@ -159,6 +197,13 @@ class ExperimentConfig:
     @property
     def duration(self) -> int:
         return self.n_pulses * self.rep_period
+
+    def resolved(self) -> dict:
+        """Field values in CONFIG_KEYS order, with the selection's label and the resolved signal delay."""
+        values = {row.field: getattr(self, row.field) for row in CONFIG_KEYS}
+        values["herald_selection"] = self.herald_selection.label
+        values["signal_delay"] = self.resolved_signal_delay
+        return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,24 +254,9 @@ class RunSummary:
             lines.append(f"k{k} = {int(count)}")
         lines.append("")
         lines.append("[config]")
-        cfg = self.config
-        lines.append(f"mean_pairs_per_pulse = {cfg.mean_pairs_per_pulse!r}")
-        lines.append(f"source_family = {cfg.source_family}")
-        lines.append(f"rep_period = {cfg.rep_period}")
-        lines.append(f"idler_transmission = {cfg.idler_transmission!r}")
-        lines.append(f"n_pixels = {cfg.n_pixels}")
-        lines.append(f"crosstalk = {cfg.crosstalk!r}")
-        lines.append(f"herald_selection = {cfg.herald_selection.label}")
-        lines.append(f"latency = {cfg.latency}")
-        lines.append(f"gate_length = {cfg.gate_length}")
-        lines.append(f"extinction_db = {cfg.extinction_db!r}")
-        lines.append(f"signal_transmission = {cfg.signal_transmission!r}")
-        lines.append(f"hbt_splitting = {cfg.hbt_splitting!r}")
-        lines.append(f"hbt_efficiency = {cfg.hbt_efficiency!r}")
-        lines.append(f"dark_rate = {cfg.dark_rate!r}")
-        lines.append(f"signal_delay = {cfg.resolved_signal_delay}")
-        lines.append(f"retrigger = {cfg.retrigger}")
-        lines.append(f"gate_rise_time = {cfg.gate_rise_time}")
+        # str of a Python float is its repr, so the floats read back exactly
+        values = self.config.resolved()
+        lines += [f"{row.field} = {values[row.field]}" for row in CONFIG_KEYS if row.section != "run"]
         return "\n".join(lines) + "\n"
 
 
@@ -275,6 +305,21 @@ def _open_mask(times: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nd
     state = np.zeros(runs.size, dtype=bool)
     state[1::2] = True
     return np.repeat(state, runs)
+
+
+def _on_ramp(arrivals, open_gate, starts, ends, rise_time: int):
+    """Open arrivals on the linear voltage ramp at the opening edge of a merged gate.
+
+    Returns the indices of the open arrivals less than ``rise_time`` after
+    their gate's start, and the transmission the ramp gives each of them.
+    """
+    # the open arrivals come gate by gate, so each takes its gate's start
+    # from the count of arrivals inside each gate
+    counts = np.searchsorted(arrivals, ends) - np.searchsorted(arrivals, starts)
+    index = np.flatnonzero(open_gate)
+    factor = (arrivals[index] - np.repeat(starts, counts)) / rise_time
+    partial = factor < 1.0
+    return index[partial], factor[partial]
 
 
 def _retrigger_loop(herald_times: np.ndarray, latency: int, gate_length: int) -> np.ndarray:
@@ -527,6 +572,8 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
     horizon = config.duration + delay + config.latency + config.gate_length
     if horizon >= 2**63:
         raise ParameterError("timestamp range overflows 64-bit picoseconds; reduce n_pulses")
+    if config.dark_rate * (min(batch_size, config.n_pulses) * config.rep_period) * 1e-12 > _POISSON_MAX_MEAN:
+        raise ParameterError(f"dark_rate {config.dark_rate!r} gives more dark counts per batch than can be drawn")
     # a run of zero pulses still makes one empty batch, which gives every
     # merged field its dtype
     n_batches = max(1, (config.n_pulses + batch_size - 1) // batch_size)
@@ -559,19 +606,12 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
     a = np.where(open_gate, merged.a_open, merged.a_closed)
     b = np.where(open_gate, merged.b_open, merged.b_closed)
 
-    if config.gate_rise_time > 0 and starts.size:
-        # linear voltage ramp at the first opening edge of each merged gate
-        rng_ramp = np.random.default_rng(np.random.SeedSequence((config.seed, _RAMP_STREAM_TAG)))
-        pos = np.searchsorted(starts, arrivals, side="right") - 1
-        factor = np.ones(arrivals.size)
-        idx = np.nonzero(open_gate)[0]
-        factor[idx] = np.clip((arrivals[idx] - starts[pos[idx]]) / config.gate_rise_time, 0.0, 1.0)
-        partial = factor < 1.0
-        if np.any(partial):
-            a = a.copy()
-            b = b.copy()
-            a[partial] = rng_ramp.binomial(a[partial], factor[partial])
-            b[partial] = rng_ramp.binomial(b[partial], factor[partial])
+    if config.gate_rise_time > 0:
+        partial, factor = _on_ramp(arrivals, open_gate, starts, ends, config.gate_rise_time)
+        if partial.size:
+            rng_ramp = np.random.default_rng(np.random.SeedSequence((config.seed, _RAMP_STREAM_TAG)))
+            a[partial] = rng_ramp.binomial(a[partial], factor)
+            b[partial] = rng_ramp.binomial(b[partial], factor)
 
     stream = TagStream(
         channels={

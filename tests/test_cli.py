@@ -1,14 +1,18 @@
 import argparse
+import configparser
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from heraldsim import ExperimentConfig, HeraldSelection, cli
 from heraldsim.cli import main, parse_duration
+from heraldsim.event_sim import CONFIG_KEYS
 
 
 def invoke(*args, **kwargs):
@@ -59,10 +63,17 @@ class TestMatrixCommand:
         row1 = [float(v) for v in lines[2].split(",")[1:]]
         np.testing.assert_allclose(row1, [0.300, 0.682, 0.017, 0.0, 0.0], atol=5.001e-4)
 
-    def test_invalid_transmission_exit_code(self):
+    def test_invalid_transmission_exit_code(self, tmp_path, capsys):
         result = invoke_subprocess("matrix", "--transmission", 1.5, "--out", "x.csv")
         assert result.returncode == 2
         assert "transmission" in result.stderr or "[0, 1]" in result.stderr
+        # the library's range checks serve every command with detector arguments
+        required = {"matrix": (), "sweep": ("--selection", "1"), "thresholds": ()}
+        for command, extra in required.items():
+            for args, name in ((("--transmission", "1.5"), "transmission"), (("--transmission", "nan"), "transmission"),
+                               (("--crosstalk", "1.0"), "crosstalk")):
+                assert invoke(command, *extra, *args, "--out", tmp_path / "x.csv") == 2, (command, args)
+                assert f"heraldsim {command}: error: {name}" in capsys.readouterr().err
 
     def test_manifest_digests(self, tmp_path):
         out = tmp_path / "matrix.csv"
@@ -173,18 +184,85 @@ seed = 31415
         assert invoke("simulate", "--config", cfg, "--out", tmp_path / "x.tags") == 2
         assert "bad value for [" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "setting, bad, message",
+        [("dark_rate = 100", "dark_rate = nan", "dark_rate must be finite"),
+         ("dark_rate = 100", "dark_rate = inf", "dark_rate must be finite"),
+         ("dark_rate = 100", "dark_rate = 1e300", "dark_rate 1e+300 gives more dark counts per batch"),
+         ("extinction_db = 10.2", "extinction_db = nan", "extinction_db must be >= 0, got nan")],
+    )
+    def test_non_finite_setting_exit_code(self, tmp_path, setting, bad, message):
+        assert setting in self.CONFIG
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.CONFIG.replace(setting, bad))
+        result = invoke_subprocess("simulate", "--config", cfg, "--out", tmp_path / "x.tags")
+        assert result.returncode == 2
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_perfect_extinction(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.CONFIG.replace("extinction_db = 10.2", "extinction_db = inf"))
+        out = tmp_path / "x.tags"
+        assert invoke("simulate", "--config", cfg, "--pulses", 1_000, "--out", out) == 0
+        assert "extinction_db = inf\n" in (tmp_path / "x.tags.summary.txt").read_text()
+
+    @pytest.mark.parametrize("signal_delay", [None, np.int64(30_000)])
+    def test_summary_and_manifest_echo_resolved_config(self, tmp_path, monkeypatch, signal_delay):
+        kwargs = dict(
+            mean_pairs_per_pulse=np.float64(0.3), n_pulses=np.int64(5_000), seed=np.uint64(2**63 + 7),
+            rep_period=np.int32(10_000), source_family="thermal", idler_transmission=np.float64(0.6),
+            n_pixels=np.int64(3), crosstalk=0.01, herald_selection=HeraldSelection.parse("1,2", 3),
+            latency=np.int64(15_000), gate_length=40_000, extinction_db=20.0, signal_transmission=0.9,
+            hbt_splitting=0.4, hbt_efficiency=0.8, dark_rate=50.0, signal_delay=signal_delay,
+            retrigger="ignore", gate_rise_time=np.int16(2_000),
+        )
+        default = ExperimentConfig(mean_pairs_per_pulse=0.0075, n_pulses=10_000_000, seed=12345)
+        resolved = ExperimentConfig(**kwargs).resolved()
+        assert all(value != default.resolved()[field] for field, value in resolved.items())
+        assert list(resolved) == [row.field for row in CONFIG_KEYS]
+        assert resolved["herald_selection"] == "1,2"
+        assert resolved["signal_delay"] == (20_000 if signal_delay is None else 30_000)
+
+        monkeypatch.setattr(cli, "load_config_file", lambda path: dict(kwargs))
+        out = tmp_path / "run.tags"
+        assert invoke("simulate", "--config", "run.ini", "--threads", 1, "--out", out) == 0
+        summary = configparser.ConfigParser()
+        summary.read(tmp_path / "run.tags.summary.txt")
+        config_rows = [row for row in CONFIG_KEYS if row.section != "run"]
+        assert dict(summary["config"]) == {row.field: str(resolved[row.field]) for row in config_rows}
+        assert summary["run"]["pulses"] == str(resolved["n_pulses"])
+        assert summary["run"]["seed"] == str(resolved["seed"])
+        manifest = json.loads((tmp_path / "run.tags.manifest.json").read_text())
+        assert manifest["config"] == resolved
+
     def test_csv_output_extension(self, tmp_path):
         out = tmp_path / "run.csv"
         invoke("simulate", "--mu", 0.05, "--pulses", 10_000, "--seed", 2, "--out", out)
         assert out.read_text().startswith("channel,timestamp_ps")
 
 
+def test_readme_config_block_names_every_key(tmp_path):
+    """The README's example config holds every key of the table, each at its default."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.read(path)
+    keys = {(section, key) for section in parser.sections() for key in parser[section]}
+    assert keys == {(row.section, row.key) for row in CONFIG_KEYS}
+    kwargs = cli.load_config_file(str(path))
+    assert set(kwargs) == {row.field for row in CONFIG_KEYS}
+    config = ExperimentConfig(**kwargs)
+    default = ExperimentConfig(config.mean_pairs_per_pulse, config.n_pulses, config.seed)
+    assert config.resolved() == default.resolved()
+
+
 def test_tag_io_goes_through_cli_names(tmp_path, monkeypatch):
     """`perfbench --trace 1` wraps these names of heraldsim.cli, so simulate
     and analyze must call the simulator, the tag writers and reader and the
     analysis steps through them."""
-    import heraldsim.cli as cli
-
     calls = []
 
     def shown(value):  # paths and numbers as given, anything else by type

@@ -22,8 +22,10 @@ from heraldsim import (
 )
 from heraldsim import event_sim
 from heraldsim.event_sim import (
+    CONFIG_KEYS,
     _Batch,
     _occupied_pulses,
+    _on_ramp,
     _open_mask,
     _photon_numbers,
     _rank,
@@ -75,6 +77,15 @@ def reference_open_mask(times, starts, ends):
         return np.zeros(times.shape, dtype=bool)
     last_end = np.concatenate(([np.iinfo(np.int64).min], ends))
     return times < last_end[np.searchsorted(starts, times, side="right")]
+
+
+def reference_ramp_factor(arrivals, open_gate, starts, rise_time):
+    """The per-arrival search into the gate starts that _on_ramp replaces: 1 for closed arrivals."""
+    pos = np.searchsorted(starts, arrivals, side="right") - 1
+    factor = np.ones(arrivals.size)
+    idx = np.nonzero(open_gate)[0]
+    factor[idx] = np.clip((arrivals[idx] - starts[pos[idx]]) / rise_time, 0.0, 1.0)
+    return factor
 
 
 def reference_with_darks(signal, dark):
@@ -507,6 +518,34 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match=f"{field} must be an integer"):
             make_config(**{field: value})
 
+    @pytest.mark.parametrize("field", [row.field for row in CONFIG_KEYS if row.kind == "float"])
+    @pytest.mark.parametrize("value", ["0.5", True, None, 0.5j, np.bool_(True)])
+    def test_float_fields_reject_non_reals(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be a real number"):
+            make_config(**{field: value})
+
+    def test_float_fields_accept_numpy_floats(self):
+        cfg = make_config(mean_pairs_per_pulse=np.float64(0.5), crosstalk=np.float32(0.25), dark_rate=np.int64(7),
+                          extinction_db=20, n_pulses=0)
+        values = (cfg.mean_pairs_per_pulse, cfg.crosstalk, cfg.dark_rate, cfg.extinction_db)
+        assert all(type(v) is float for v in values)
+        assert values == (0.5, 0.25, 7.0, 20.0)
+        text = run(cfg)[1].as_text()
+        assert "mean_pairs_per_pulse = 0.5\n" in text and "crosstalk = 0.25\n" in text
+
+    @pytest.mark.parametrize("field, value", [("dark_rate", math.nan), ("dark_rate", math.inf),
+                                              ("dark_rate", -1.0), ("extinction_db", math.nan),
+                                              ("extinction_db", -math.inf)])
+    def test_non_finite_settings_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            make_config(**{field: value})
+
+    def test_dark_rate_beyond_the_sampler_rejected(self):
+        with pytest.raises(ParameterError, match="dark_rate 1e\\+300 gives more dark counts per batch"):
+            run(make_config(dark_rate=1e300, n_pulses=1_000))
+        # the bound is on the mean of one batch, and a run of no pulses draws nothing
+        run(make_config(dark_rate=1e300, n_pulses=0))
+
     def test_integer_fields_accept_numpy_integers(self):
         cfg = make_config(rep_period=np.int64(12_500), n_pulses=np.uint32(1_000), seed=np.uint64(2**63),
                           latency=np.int32(23_000), signal_delay=np.int64(25_000))
@@ -552,6 +591,20 @@ class TestGateRiseTime:
         assert n_plain > 3_000
         # small upward bias from multi-photon slots is absorbed by the band
         assert abs(n_ramp / n_plain - 0.5) < 0.03
+
+
+    @given(herald_lists, st.lists(st.integers(-100, 2_500), max_size=200).map(sorted),
+           st.integers(0, 300), st.integers(0, 300), st.integers(1, 600))
+    @example(np.asarray([0, 10, 20, 500]), [40, 45, 55, 60, 200, 523, 530], 30, 25, 1_000)  # merged, rise > gate
+    @settings(max_examples=300, deadline=None)
+    def test_ramp_factors_match_reference(self, heralds, arrivals, latency, gate_length, rise_time):
+        arrivals = np.asarray(arrivals, dtype=np.int64)
+        starts, ends = merged_gate_intervals(heralds, latency, gate_length)
+        open_gate = _open_mask(arrivals, starts, ends)
+        want = reference_ramp_factor(arrivals, open_gate, starts, rise_time)
+        index, factor = _on_ramp(arrivals, open_gate, starts, ends, rise_time)
+        np.testing.assert_array_equal(index, np.flatnonzero(want < 1.0))
+        np.testing.assert_array_equal(factor, want[want < 1.0])
 
 
 def signal_patterns(batch, size):
