@@ -5,12 +5,16 @@ matrices, ``sweep`` runs heralded-g2 brightness sweeps, ``simulate`` runs
 the event-level Monte Carlo and writes a tag file, ``analyze`` correlates a
 tag file, and ``thresholds`` produces discriminator count-rate surfaces.
 
-Every invocation that writes outputs also writes ``<out>.manifest.json``
-recording the tool version, the resolved configuration, the seed and the
-SHA-256 digest of each emitted file; re-running the same configuration and
-seed reproduces the outputs byte for byte.  The ``simulate`` config file
-takes the sections and keys of ``event_sim.CONFIG_KEYS``, and its manifest
-records ``ExperimentConfig.resolved()``.
+Every invocation also writes ``<out>.manifest.json`` recording the tool
+version, the configuration, the seed and the SHA-256 digest of each emitted
+file; re-running the same configuration and seed reproduces the outputs
+byte for byte.  A manifest's ``config`` holds every argument of the command
+but ``--out``, with the values the command resolved in place of the given
+ones: ``nmax`` and the ``selection`` label of ``sweep``, ``nmax`` of
+``thresholds``, and ``rep_rate`` and the ``duration`` that normalised
+``g2`` of ``analyze``.  The ``simulate`` config file takes the sections and
+keys of ``event_sim.CONFIG_KEYS``, and its manifest's ``config`` is
+``ExperimentConfig.resolved()``, whose ``seed`` is the manifest's ``seed``.
 
 Parameter ranges are checked by the library, whose ``ParameterError`` ends
 the command with exit code 2.
@@ -47,7 +51,8 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .event_sim import CHANNELS_BY_NAME, CONFIG_KEYS, Channel, ExperimentConfig, run
-from .feedforward import HeraldSelection, g2_sweep, write_sweep_csv
+from .feedforward import (DEFAULT_MEAN_GRID_POINTS, DEFAULT_MEAN_GRID_RANGE, HeraldSelection, default_mean_grid,
+                          g2_sweep, write_sweep_csv)
 from .photon_stats import poissonian, required_n_max, thermal
 from .tagio import read_tags, write_binary, write_csv
 
@@ -106,26 +111,24 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(primary_out: str, command: str, config: dict, seed, outputs, started: str) -> str:
+def _utc_now() -> str:
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
+def _write_manifest(primary_out: str, command: str, config: dict, outputs, started: str) -> None:
     manifest = {
         "tool": "heraldsim",
         "version": __version__,
         "command": command,
         "config": config,
-        "seed": seed,
+        "seed": config.get("seed"),
         "started_utc": started,
-        "finished_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "finished_utc": _utc_now(),
         "outputs": {path: f"sha256:{_sha256(path)}" for path in outputs},
     }
-    path = primary_out + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(primary_out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
-
-
-def _utc_now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def _default_threads() -> int:
@@ -176,56 +179,41 @@ def load_config_file(path: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed arguments and the resolved --out path,
+# writes its outputs and returns (manifest config, output paths)
 
 
-def _cmd_matrix(args) -> int:
-    started = _utc_now()
-    out = _resolve_out(args.out)
+def _inputs(args, **resolved) -> dict:
+    """A manifest's config: every parsed argument but dispatch and ``--out``, overlaid with resolved values."""
+    config = {key: value for key, value in vars(args).items() if key not in ("func", "command", "out")}
+    config.update(resolved)
+    return config
+
+
+def _nmax(args, mu: float) -> int:
+    """``--nmax``, else a cutoff that holds the source's tail at mean ``mu``."""
+    return args.nmax if args.nmax is not None else max(10, required_n_max(mu, args.family))
+
+
+def _cmd_matrix(args, out: str) -> tuple[dict, list]:
     matrix = detection_matrix(args.transmission, args.pixels, args.crosstalk, args.nmax)
     write_matrix_csv(matrix, out)
-    config = {
-        "transmission": args.transmission,
-        "pixels": args.pixels,
-        "crosstalk": args.crosstalk,
-        "nmax": args.nmax,
-    }
-    _write_manifest(out, "matrix", config, None, [out], started)
     print(f"wrote {out}")
-    return 0
+    return _inputs(args), [out]
 
 
-def _cmd_sweep(args) -> int:
-    started = _utc_now()
-    out = _resolve_out(args.out)
-    if args.mu_min <= 0 or args.mu_max <= args.mu_min:
-        raise ParameterError("need 0 < --mu-min < --mu-max")
-    n_max = args.nmax
-    if n_max is None:
-        n_max = max(10, required_n_max(args.mu_max, args.family))
+def _cmd_sweep(args, out: str) -> tuple[dict, list]:
+    means = default_mean_grid(args.points, args.mu_min, args.mu_max)
+    n_max = _nmax(args, args.mu_max)
     det = detection_matrix(args.transmission, args.pixels, args.crosstalk, n_max)
     selection = HeraldSelection.parse(args.selection, args.pixels)
-    means = np.geomspace(args.mu_min, args.mu_max, args.points)
     rows = g2_sweep(det, selection, means, args.family)
     write_sweep_csv(rows, selection, args.family, out)
-    config = {
-        "selection": selection.label,
-        "family": args.family,
-        "mu_min": args.mu_min,
-        "mu_max": args.mu_max,
-        "points": args.points,
-        "transmission": args.transmission,
-        "pixels": args.pixels,
-        "crosstalk": args.crosstalk,
-        "nmax": n_max,
-    }
-    _write_manifest(out, "sweep", config, None, [out], started)
     print(f"wrote {out}")
-    return 0
+    return _inputs(args, nmax=n_max, selection=selection.label), [out]
 
 
-def _cmd_simulate(args) -> int:
-    started = _utc_now()
+def _cmd_simulate(args, out: str) -> tuple[dict, list]:
     kwargs = load_config_file(args.config) if args.config else {}
     if args.mu is not None:
         kwargs["mean_pairs_per_pulse"] = args.mu
@@ -239,7 +227,6 @@ def _cmd_simulate(args) -> int:
     if missing:
         raise ParameterError(f"missing required simulate parameters: {', '.join(missing)}")
     config = ExperimentConfig(**kwargs)
-    out = _resolve_out(args.out)
     threads = args.threads if args.threads is not None else _default_threads()
     stream, summary = run(config, threads=threads)
     if out.endswith(".csv"):
@@ -249,9 +236,8 @@ def _cmd_simulate(args) -> int:
     summary_path = out + ".summary.txt"
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(summary.as_text())
-    _write_manifest(out, "simulate", config.resolved(), config.seed, [out, summary_path], started)
     print(f"wrote {out} ({sum(stream.counts().values())} tags)")
-    return 0
+    return config.resolved(), [out, summary_path]
 
 
 def _parse_pair(text: str) -> tuple:
@@ -263,36 +249,22 @@ def _parse_pair(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad channel pair {text!r}; channels: {names}") from exc
 
 
-def _cmd_analyze(args) -> int:
-    started = _utc_now()
+def _cmd_analyze(args, out: str) -> tuple[dict, list]:
     stream = read_tags(args.tags, duration=args.duration)
     hist = correlate(stream, args.pair, bin_width=args.bin, range_ps=args.range)
     peaks = integrate_peaks(hist, args.rep_period, args.halfwidth)
     rep_rate = args.rep_rate if args.rep_rate is not None else 1e12 / args.rep_period
     g2 = g2_tau(hist, args.rep_period, rep_rate, args.halfwidth)
-    out = _resolve_out(args.out)
     hist_path = out + ".hist.csv"
     peaks_path = out + ".peaks.csv"
     write_histogram_csv(hist, hist_path)
     write_peaks_csv(peaks, g2, peaks_path)
-    config = {
-        "tags": args.tags,
-        "pair": [int(c) for c in args.pair],
-        "bin": args.bin,
-        "range": args.range,
-        "rep_period": args.rep_period,
-        "halfwidth": args.halfwidth,
-        "rep_rate": rep_rate,
-    }
-    _write_manifest(out, "analyze", config, None, [hist_path, peaks_path], started)
     print(f"wrote {hist_path} and {peaks_path}")
-    return 0
+    return _inputs(args, rep_rate=rep_rate, duration=stream.duration), [hist_path, peaks_path]
 
 
-def _cmd_thresholds(args) -> int:
-    started = _utc_now()
-    out = _resolve_out(args.out)
-    n_max = args.nmax if args.nmax is not None else max(10, required_n_max(args.mu, args.family))
+def _cmd_thresholds(args, out: str) -> tuple[dict, list]:
+    n_max = _nmax(args, args.mu)
     det = detection_matrix(args.transmission, args.pixels, args.crosstalk, n_max)
     source = poissonian(args.mu, n_max) if args.family == "poissonian" else thermal(args.mu, n_max)
     model = AmplitudeModel(
@@ -307,21 +279,8 @@ def _cmd_thresholds(args) -> int:
         high_grid = np.linspace(args.high_min, args.high_max, args.high_steps)
     surface = threshold_sweep(source, det, model, args.rep_rate, low_grid, high_grid)
     write_surface_csv(low_grid, high_grid, surface, out)
-    config = {
-        "mu": args.mu,
-        "family": args.family,
-        "transmission": args.transmission,
-        "pixels": args.pixels,
-        "crosstalk": args.crosstalk,
-        "nmax": n_max,
-        "unit_amplitude": args.unit_amplitude,
-        "noise_sigma": args.noise_sigma,
-        "baseline": args.baseline,
-        "rep_rate": args.rep_rate,
-    }
-    _write_manifest(out, "thresholds", config, None, [out], started)
     print(f"wrote {out}")
-    return 0
+    return _inputs(args, nmax=n_max), [out]
 
 
 def _add_detector_args(sub, nmax_default=None):
@@ -350,9 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_detector_args(p)
     p.add_argument("--selection", required=True, help="accepted clicks, e.g. '1', '1,2', '2+', 'any'")
     p.add_argument("--family", choices=("poissonian", "thermal"), default="poissonian")
-    p.add_argument("--mu-min", type=float, default=1e-4)
-    p.add_argument("--mu-max", type=float, default=1.0)
-    p.add_argument("--points", type=_positive_int, default=30)
+    p.add_argument("--mu-min", type=float, default=DEFAULT_MEAN_GRID_RANGE[0])
+    p.add_argument("--mu-max", type=float, default=DEFAULT_MEAN_GRID_RANGE[1])
+    p.add_argument("--points", type=_positive_int, default=DEFAULT_MEAN_GRID_POINTS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
@@ -417,11 +376,15 @@ _CLI_ERRORS = (
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = _utc_now()
     try:
-        return args.func(args)
+        out = _resolve_out(args.out)
+        config, outputs = args.func(args, out)
+        _write_manifest(out, args.command, config, outputs, started)
     except _CLI_ERRORS as exc:
         print(f"heraldsim {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -229,8 +229,8 @@ def g2_tau(
         raise UndefinedStatisticError("g2 is undefined with zero singles on a channel")
     if hist.duration <= 0:
         raise ParameterError("histogram carries no acquisition duration")
-    if rep_rate <= 0:
-        raise ParameterError("rep_rate must be > 0")
+    if not (math.isfinite(rep_rate) and rep_rate > 0):
+        raise ParameterError(f"rep_rate must be finite and > 0, got {rep_rate!r}")
     duration_s = hist.duration_seconds
     norm = rep_rate * duration_s / (c_a * c_b)
     return [(k, counts * norm) for k, counts in integrate_peaks(hist, rep_period, peak_halfwidth)]

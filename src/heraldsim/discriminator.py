@@ -38,6 +38,9 @@ class AmplitudeModel:
     baseline: float = 0.0
 
     def __post_init__(self):
+        for name in ("unit_amplitude", "noise_sigma", "baseline"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.unit_amplitude > 0:
             raise ParameterError(f"unit_amplitude must be > 0, got {self.unit_amplitude!r}")
         if self.noise_sigma < 0:
@@ -59,16 +62,15 @@ class TriggerWindow:
             raise ParameterError("low_threshold must be below high_threshold")
 
 
-def _norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def _at_least(thresholds, level: float, sigma: float) -> np.ndarray:
-    """P(height >= t) for each threshold t, of a pulse at ``level`` with Gaussian noise ``sigma``."""
+    """P(height >= t) for each threshold t, of a pulse at ``level`` with Gaussian noise ``sigma``.
+
+    erfc gives the upper tail to full relative precision, where 1 - Phi(z) cancels past z of about 8.
+    """
     thresholds = np.asarray(thresholds, dtype=float)
     if sigma == 0.0:
         return (level >= thresholds).astype(float)
-    return np.array([1.0 - _norm_cdf((t - level) / sigma) for t in thresholds])
+    return np.array([0.5 * math.erfc((t - level) / (sigma * math.sqrt(2.0))) for t in thresholds])
 
 
 def trigger_probability(clicks: int, window: TriggerWindow, model: AmplitudeModel) -> float:
@@ -95,12 +97,14 @@ def threshold_sweep(source, det: DetectionMatrix, model: AmplitudeModel, rep_rat
     The surface is monotone non-increasing in the low threshold and
     non-decreasing in the high threshold.
     """
-    if rep_rate <= 0:
-        raise ParameterError(f"rep_rate must be > 0, got {rep_rate!r}")
+    if not (math.isfinite(rep_rate) and rep_rate > 0):
+        raise ParameterError(f"rep_rate must be finite and > 0, got {rep_rate!r}")
     low_grid = np.asarray(low_grid, dtype=float)
     high_grid = np.asarray(high_grid, dtype=float)
     if low_grid.ndim != 1 or high_grid.ndim != 1 or low_grid.size == 0 or high_grid.size == 0:
         raise ParameterError("threshold grids must be non-empty 1-D vectors")
+    if np.isnan(low_grid).any() or np.isnan(high_grid).any():
+        raise ParameterError("threshold grids must not hold NaN")
     if np.any(np.diff(low_grid) < 0) or np.any(np.diff(high_grid) < 0):
         raise ParameterError("threshold grids must be monotone ascending")
     q = click_number_rates(source, det)

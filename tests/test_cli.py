@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from heraldsim import ExperimentConfig, HeraldSelection, cli
-from heraldsim.cli import main, parse_duration
+from heraldsim.cli import build_parser, main, parse_duration
 from heraldsim.event_sim import CONFIG_KEYS
+from heraldsim.photon_stats import required_n_max
+from heraldsim.tagio import read_binary, read_tags
 
 
 def invoke(*args, **kwargs):
@@ -163,8 +165,6 @@ seed = 31415
         out = tmp_path / "empty.tags"
         code = invoke("simulate", "--mu", 0, "--pulses", 1_000, "--seed", 1, "--out", out)
         assert code == 0
-        from heraldsim.tagio import read_binary
-
         stream = read_binary(out)
         assert all(arr.size == 0 for arr in stream.channels.values())
 
@@ -306,6 +306,13 @@ def test_tag_io_goes_through_cli_names(tmp_path, monkeypatch):
     ]
 
 
+@pytest.fixture(scope="module")
+def small_tags(tmp_path_factory):
+    tags = tmp_path_factory.mktemp("analyze") / "run.tags"
+    assert invoke("simulate", "--mu", 0.05, "--pulses", 20_000, "--seed", 5, "--threads", 1, "--out", tags) == 0
+    return tags
+
+
 class TestAnalyzeCommand:
     def test_histogram_and_peaks(self, tmp_path):
         tags = tmp_path / "run.tags"
@@ -326,13 +333,6 @@ class TestAnalyzeCommand:
     def test_missing_file_exit_code(self, tmp_path):
         result = invoke_subprocess("analyze", "--tags", tmp_path / "nope.bin", "--out", tmp_path / "x")
         assert result.returncode == 2
-
-    @pytest.fixture(scope="class")
-    def small_tags(self, tmp_path_factory):
-        tags = tmp_path_factory.mktemp("analyze") / "run.tags"
-        assert invoke("simulate", "--mu", 0.05, "--pulses", 20_000, "--seed", 5, "--threads", 1,
-                      "--out", tags) == 0
-        return tags
 
     @pytest.mark.parametrize(
         "args, message",
@@ -403,3 +403,97 @@ class TestEnvironmentOverrides:
         out = tmp_path / "t.tags"
         assert invoke("simulate", "--mu", 0.01, "--pulses", 10_000, "--seed", 3, "--out", out) == 0
         assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("analyze", "--pair", "herald_trigger,hbt_a", "--rep-rate", "nan"), "rep_rate must be finite and > 0"),
+        (("thresholds", "--rep-rate", "nan"), "rep_rate must be finite and > 0"),
+        (("thresholds", "--noise-sigma", "nan"), "noise_sigma must be finite"),
+        (("thresholds", "--baseline", "inf"), "baseline must be finite"),
+        (("thresholds", "--low-min", "nan"), "threshold grids must not hold NaN"),
+        (("sweep", "--selection", "1", "--mu-min", "nan"), "grid bounds must satisfy 0 < low < high"),
+    ],
+)
+def test_non_finite_argument_exit_code(small_tags, tmp_path, capsys, args, message):
+    """The library refuses non-finite numbers, so the command exits 2 and writes nothing."""
+    command, *rest = args
+    if command == "analyze":
+        rest = ["--tags", small_tags, *rest]
+    assert invoke(command, *rest, "--out", tmp_path / "x") == 2
+    assert f"heraldsim {command}: error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _manifest(out) -> dict:
+    return json.loads(Path(f"{out}.manifest.json").read_text())
+
+
+def _resolved(args) -> dict:
+    """What each command works out beyond its arguments, from the library."""
+    if args.command == "sweep":
+        return {"nmax": max(10, required_n_max(args.mu_max, args.family)),
+                "selection": HeraldSelection.parse(args.selection, args.pixels).label}
+    if args.command == "thresholds":
+        return {"nmax": max(10, required_n_max(args.mu, args.family))}
+    if args.command == "analyze":
+        return {"rep_rate": 1e12 / args.rep_period, "duration": read_tags(args.tags).duration}
+    return {}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("matrix", "--nmax", "6"),
+        ("sweep", "--selection", "1,2", "--family", "thermal", "--points", "4"),
+        ("simulate", "--mu", "0.05", "--pulses", "2000", "--seed", "9", "--threads", "1"),
+        ("analyze", "--pair", "herald_trigger,hbt_a", "--bin", "500ps"),
+        ("thresholds", "--mu", "0.5", "--low-steps", "7", "--high-min", "0.15", "--high-max", "0.35"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_manifest_config_is_the_arguments_and_resolved_values(small_tags, tmp_path, args):
+    command, *rest = args
+    if command == "analyze":
+        rest = ["--tags", str(small_tags), *rest]
+    out = str(tmp_path / "out")
+    argv = [command, *rest, "--out", out]
+    assert invoke(*argv) == 0
+    manifest = _manifest(out)
+    parsed = build_parser().parse_args(argv)
+    if command == "simulate":
+        expected = ExperimentConfig(mean_pairs_per_pulse=0.05, n_pulses=2000, seed=9).resolved()
+        assert manifest["seed"] == 9
+    else:
+        given = {key: value for key, value in vars(parsed).items() if key not in ("func", "command", "out")}
+        expected = json.loads(json.dumps({**given, **_resolved(parsed)}))
+        assert manifest["seed"] is None
+    assert manifest["config"] == expected
+    assert manifest["command"] == command
+
+
+def test_thresholds_manifest_records_the_grid(tmp_path):
+    configs = []
+    for steps in (5, 6):
+        out = tmp_path / f"surface{steps}.csv"
+        assert invoke("thresholds", "--low-steps", steps, "--out", out) == 0
+        configs.append(_manifest(out)["config"])
+    assert configs[0] != configs[1]
+    assert (configs[0]["low_steps"], configs[1]["low_steps"]) == (5, 6)
+    grid = {"low_min": 0.04, "low_max": 0.46, "high_min": None, "high_max": None, "high_steps": 1}
+    assert {key: configs[0][key] for key in grid} == grid
+
+
+def test_analyze_manifest_records_the_duration(small_tags, tmp_path):
+    """The duration that normalised g2: as given, else the last tag plus one."""
+    stream = read_binary(small_tags)
+    last = max(int(times[-1]) for times in stream.channels.values() if times.size)
+    g2 = {}
+    for given, recorded in ((None, last + 1), (10**12, 10**12)):
+        extra = () if given is None else ("--duration", given)
+        out = tmp_path / f"analysis{given}"
+        assert invoke("analyze", "--tags", small_tags, "--pair", "herald_trigger,hbt_a", *extra, "--out", out) == 0
+        assert _manifest(out)["config"]["duration"] == recorded
+        g2[given] = (tmp_path / f"analysis{given}.peaks.csv").read_text()
+    assert g2[None] != g2[10**12]

@@ -215,6 +215,13 @@ class TestG2Tau:
         with pytest.raises(UndefinedStatisticError):
             g2_tau(hist, REP, 80e6)
 
+    @pytest.mark.parametrize("rep_rate", [0.0, -80e6, float("nan"), float("inf")])
+    def test_rep_rate_must_be_finite_and_positive(self, rep_rate):
+        stream = make_stream(hbt_a=[0, REP], hbt_b=[REP], duration=10 * REP)
+        hist = correlate(stream, (Channel.HBT_A, Channel.HBT_B))
+        with pytest.raises(ParameterError, match="rep_rate must be finite and > 0"):
+            g2_tau(hist, REP, rep_rate)
+
 
 class TestIsolatedTimes:
     def test_keeps_only_separated(self):

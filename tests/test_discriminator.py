@@ -43,6 +43,21 @@ class TestTriggerProbability:
             expected = stats.norm.cdf(0.6, level, 0.05) - stats.norm.cdf(0.3, level, 0.05)
             assert trigger_probability(clicks, window, model) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("z", [7.0, 8.0, 9.0, 20.0])
+    def test_upper_tail_matches_scipy_sf(self, z):
+        # where 1 - Phi(z) cancels: at z = 9 it rounds to 0, against 1.13e-19
+        model = AmplitudeModel(unit_amplitude=1.0, noise_sigma=0.1)
+        window = TriggerWindow(2.0 + z * 0.1)
+        expected = stats.norm.sf(window.low_threshold, 2.0, 0.1)
+        assert trigger_probability(2, window, model) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("field", ["unit_amplitude", "noise_sigma", "baseline"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_model_rejected(self, field, value):
+        kwargs = {"unit_amplitude": 0.1, "noise_sigma": 0.005, "baseline": 0.0, field: value}
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            AmplitudeModel(**kwargs)
+
     def test_invalid_window(self):
         with pytest.raises(ParameterError):
             TriggerWindow(0.5, 0.5)
@@ -104,6 +119,26 @@ class TestThresholdSweep:
         source, det, model = reference_setup
         with pytest.raises(ParameterError):
             threshold_sweep(source, det, model, 80e6, [0.3, 0.1], [math.inf])
+
+    @pytest.mark.parametrize("lows, highs", [([math.nan], [math.inf]), ([0.1, math.nan], [math.inf]),
+                                             ([0.1], [0.3, math.nan])])
+    def test_nan_threshold_rejected(self, reference_setup, lows, highs):
+        source, det, model = reference_setup
+        with pytest.raises(ParameterError, match="must not hold NaN"):
+            threshold_sweep(source, det, model, 80e6, lows, highs)
+
+    def test_infinite_thresholds_accepted(self, reference_setup):
+        source, det, model = reference_setup
+        surface = threshold_sweep(source, det, model, 80e6, [-math.inf, 0.05], [math.inf])
+        q = click_number_rates(source, det)
+        assert surface[0, 0] == pytest.approx(80e6, rel=1e-12)
+        assert surface[1, 0] == pytest.approx(80e6 * q[1:].sum(), rel=1e-9)
+
+    @pytest.mark.parametrize("rep_rate", [0.0, -1.0, math.nan, math.inf])
+    def test_rep_rate_must_be_finite_and_positive(self, reference_setup, rep_rate):
+        source, det, model = reference_setup
+        with pytest.raises(ParameterError, match="rep_rate must be finite and > 0"):
+            threshold_sweep(source, det, model, rep_rate, [0.05], [math.inf])
 
     def test_surface_csv(self, reference_setup, tmp_path):
         source, det, model = reference_setup
