@@ -14,7 +14,6 @@ from .coincidence import (
     HeraldedCounts,
     correlate,
     g2_tau,
-    herald_conditioned_rates,
     heralded_coincidence_counts,
     heralded_g2,
     integrate_peaks,
@@ -92,7 +91,6 @@ __all__ = [
     "g2_tau",
     "g2_zero",
     "genuine_two_click_fraction",
-    "herald_conditioned_rates",
     "heralded_coincidence_counts",
     "heralded_distribution",
     "heralded_g2",

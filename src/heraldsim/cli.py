@@ -263,6 +263,19 @@ def _cmd_analyze(args, out: str) -> tuple[dict, list]:
     return _inputs(args, rep_rate=rep_rate, duration=stream.duration), [hist_path, peaks_path]
 
 
+def _threshold_grid(args, name: str) -> np.ndarray:
+    """The ``--<name>-steps`` thresholds from ``--<name>-min`` to ``--<name>-max``; no bounds give ``[inf]``."""
+    lo, hi = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
+    if lo is None and hi is None:
+        return np.asarray([np.inf])
+    for end, value, other in (("min", lo, "max"), ("max", hi, "min")):
+        if value is None:
+            raise ParameterError(f"--{name}-{other} needs --{name}-{end}")
+        if math.isinf(value):
+            raise ParameterError(f"--{name}-{end} must be finite, got {value}")
+    return np.linspace(lo, hi, getattr(args, f"{name}_steps"))
+
+
 def _cmd_thresholds(args, out: str) -> tuple[dict, list]:
     n_max = _nmax(args, args.mu)
     det = detection_matrix(args.transmission, args.pixels, args.crosstalk, n_max)
@@ -272,11 +285,8 @@ def _cmd_thresholds(args, out: str) -> tuple[dict, list]:
         noise_sigma=args.noise_sigma,
         baseline=args.baseline,
     )
-    low_grid = np.linspace(args.low_min, args.low_max, args.low_steps)
-    if args.high_min is None:
-        high_grid = np.asarray([np.inf])
-    else:
-        high_grid = np.linspace(args.high_min, args.high_max, args.high_steps)
+    low_grid = _threshold_grid(args, "low")
+    high_grid = _threshold_grid(args, "high")
     surface = threshold_sweep(source, det, model, args.rep_rate, low_grid, high_grid)
     write_surface_csv(low_grid, high_grid, surface, out)
     print(f"wrote {out}")

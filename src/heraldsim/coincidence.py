@@ -54,7 +54,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyEnsembleError, ParameterError, UndefinedStatisticError
-from .event_sim import Channel, ExperimentConfig, TagStream, _open_mask, _rank, merged_gate_intervals
+from .event_sim import Channel, ExperimentConfig, TagStream, _rank
 
 DEFAULT_BIN_WIDTH = 250
 DEFAULT_RANGE = 100_000
@@ -236,16 +236,6 @@ def g2_tau(
     return [(k, counts * norm) for k, counts in integrate_peaks(hist, rep_period, peak_halfwidth)]
 
 
-def _members(times: np.ndarray, sorted_reference: np.ndarray) -> np.ndarray:
-    """Boolean mask of times that occur in the sorted reference array."""
-    if sorted_reference.size == 0:
-        return np.zeros(times.shape, dtype=bool)
-    idx = np.searchsorted(sorted_reference, times)
-    ok = idx < sorted_reference.size
-    ok[ok] = sorted_reference[idx[ok]] == times[ok]
-    return ok
-
-
 def isolated_times(times: np.ndarray, min_separation: int) -> np.ndarray:
     """Subset of a sorted tag array with no neighbour within min_separation."""
     t = np.asarray(times, dtype=np.int64)
@@ -268,59 +258,6 @@ def _check_on_grid(heralds: np.ndarray, origin: int, rep: int) -> None:
             f"herald at {int(heralds[off_grid[0]])} ps is off the pulse grid of the first herald at "
             f"{origin} ps: heralds must share one phase modulo rep_period {rep}"
         )
-
-
-def herald_conditioned_rates(stream: TagStream, config: ExperimentConfig):
-    """Partition HBT tags by the reconstructed gate state of their pulse slot.
-
-    Returns (open_rate, closed_rate, correlated_rate) in Hz.  The pulse slots
-    are the signal-arrival times ``phase + j * rep_period`` inside the run,
-    with ``phase`` the resolved signal delay modulo the period, and each tag
-    belongs to its nearest slot.  A slot is open when its time lies inside a
-    merged gate.  The slots of heralded pulses (herald time plus the signal
-    delay) hold the correlated tags and belong to neither region.  Open and
-    closed rates are tags per slot of their region times the repetition
-    rate; the correlated rate is referred to the full run duration.  The
-    heralds must share one phase modulo rep_period; the first herald off
-    that grid raises ParameterError.
-    """
-    heralds = stream.channels[Channel.HERALD_TRIGGER]
-    if heralds.size == 0:
-        raise EmptyEnsembleError("stream contains no herald tags")
-    rep = config.rep_period
-    _check_on_grid(heralds, int(heralds[0]), rep)
-    phase = config.resolved_signal_delay % rep
-    duration = stream.duration
-    n_slots = max(0, -((phase - duration) // rep))
-
-    def slot_of(times):
-        return (times - phase + rep // 2) // rep
-
-    def slots_before(times):  # slots j in [0, n_slots) with phase + j * rep < times
-        return np.clip(-((phase - times) // rep), 0, n_slots)
-
-    starts, ends = merged_gate_intervals(heralds, config.latency, config.gate_length)
-    n_open_slots = int(np.sum(slots_before(ends) - slots_before(starts)))
-    heralded = np.unique(slot_of(heralds + config.resolved_signal_delay))
-    heralded = heralded[(heralded >= 0) & (heralded < n_slots)]
-    heralded_open = int(_open_mask(phase + heralded * rep, starts, ends).sum())
-    open_slots = n_open_slots - heralded_open
-    closed_slots = n_slots - n_open_slots - (heralded.size - heralded_open)
-
-    tags = np.sort(np.concatenate([stream.channels[Channel.HBT_A], stream.channels[Channel.HBT_B]]))
-    slot = slot_of(tags)
-    slot = slot[(slot >= 0) & (slot < n_slots)]
-    correlated = _members(slot, heralded)
-    open_mask = _open_mask(phase + slot * rep, starts, ends) & ~correlated
-    n_corr = int(correlated.sum())
-    n_open = int(open_mask.sum())
-    n_closed = int(slot.size - n_corr - n_open)
-
-    slot_seconds = rep * 1e-12
-    open_rate = n_open / (open_slots * slot_seconds) if open_slots > 0 else math.nan
-    closed_rate = n_closed / (closed_slots * slot_seconds) if closed_slots > 0 else math.nan
-    correlated_rate = n_corr / (duration * 1e-12) if duration > 0 else math.nan
-    return open_rate, closed_rate, correlated_rate
 
 
 @dataclass(frozen=True)

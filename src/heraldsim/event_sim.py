@@ -208,20 +208,17 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class TagStream:
-    """Finalized per-channel time-tag arrays (int64 ps, sorted)."""
+    """Finalized per-channel time-tag arrays (int64 ps, sorted).
+
+    ``duration`` spans the pulses: every herald lies below it, while HBT tags
+    lag their pulse by the signal delay and may lie up to that delay past it.
+    """
 
     channels: dict
     duration: int
 
-    def times(self, channel: Channel) -> np.ndarray:
-        return self.channels[channel]
-
     def counts(self) -> dict:
         return {ch: int(arr.size) for ch, arr in self.channels.items()}
-
-    @property
-    def duration_seconds(self) -> float:
-        return self.duration * 1e-12
 
 
 @dataclass(frozen=True)

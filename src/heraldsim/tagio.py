@@ -117,8 +117,12 @@ def _stream_from(path, codes: np.ndarray, times: np.ndarray, duration: int | Non
         if np.any(sel[1:] < sel[:-1]):
             raise FormatError(f"{path}: {CHANNEL_NAMES[ch]} timestamps are not in time order")
         channels[ch] = sel
+    heralds = channels[Channel.HERALD_TRIGGER]
     if duration is None:
         duration = int(times.max()) + 1 if times.size else 0
+    elif heralds.size and duration <= heralds[-1]:
+        # heralds are pulse times, so the acquisition reaches past the last one
+        raise ParameterError(f"{path}: duration {duration} ps must exceed the last herald at {int(heralds[-1])} ps")
     return TagStream(channels=channels, duration=int(duration))
 
 

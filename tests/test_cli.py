@@ -363,6 +363,12 @@ class TestAnalyzeCommand:
         assert "bad duration" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_duration_inside_the_run_exit_code(self, small_tags, tmp_path, capsys):
+        """A 1 ns acquisition ends before the last herald of a 20 000-pulse run."""
+        assert invoke("analyze", "--tags", small_tags, "--duration", 1000, "--out", tmp_path / "x") == 2
+        assert "duration 1000 ps must exceed the last herald" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestThresholdsCommand:
     def test_surface_csv(self, tmp_path):
@@ -374,6 +380,21 @@ class TestThresholdsCommand:
         rates = [float(l.split(",")[2]) for l in lines[1:]]
         assert len(rates) == 20
         assert all(np.diff(rates) <= 1e-6 * max(rates))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--high-min", "0.15"), "--high-min needs --high-max"),
+            (("--high-max", "0.3"), "--high-max needs --high-min"),
+            (("--low-max", "inf"), "--low-max must be finite, got inf"),
+            (("--high-min", "0.15", "--high-max", "inf", "--high-steps", "3"), "--high-max must be finite, got inf"),
+        ],
+    )
+    def test_grid_bounds_exit_code(self, tmp_path, capsys, args, message):
+        """A lone high bound or an infinite bound exits 2 naming the flag, before numpy builds a grid."""
+        assert invoke("thresholds", *args, "--out", tmp_path / "x") == 2
+        assert f"heraldsim thresholds: error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEnvironmentOverrides:

@@ -19,7 +19,6 @@ from heraldsim import (
     UndefinedStatisticError,
     correlate,
     g2_tau,
-    herald_conditioned_rates,
     heralded_coincidence_counts,
     heralded_g2,
     integrate_peaks,
@@ -242,120 +241,6 @@ def reference_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-class TestHeraldConditionedRates:
-    def test_partition_classification(self):
-        cfg = reference_config()
-        # herald at pulse 0: gate [23, 103) ns, correlated slot at 25 ns
-        stream = make_stream(
-            herald=[0],
-            hbt_a=[25_000, 50_000, 12_500],
-            hbt_b=[110_000],
-            duration=200_000,
-        )
-        open_rate, closed_rate, correlated_rate = herald_conditioned_rates(stream, cfg)
-        # 16 slots at 0, 12.5, ..., 187.5 ns: the gate holds the 7 slots from
-        # 25 to 100 ns, of which the heralded one at 25 ns leaves the region
-        open_dur = 6 * REP * 1e-12
-        closed_dur = 9 * REP * 1e-12
-        assert correlated_rate == pytest.approx(1 / 200_000e-12)
-        assert open_rate == pytest.approx(1 / open_dur)  # the 50 ns tag
-        assert closed_rate == pytest.approx(2 / closed_dur)  # 12.5 and 110 ns tags
-
-    def test_dark_only_rates_equal(self):
-        cfg = reference_config()
-        rng = np.random.default_rng(5)
-        duration = int(5e10)
-        heralds = np.arange(0, duration, 40 * REP, dtype=np.int64)
-        darks_a = np.sort(rng.integers(0, duration, 40_000))
-        darks_b = np.sort(rng.integers(0, duration, 40_000))
-        stream = make_stream(herald=heralds, hbt_a=darks_a, hbt_b=darks_b, duration=duration)
-        open_rate, closed_rate, _ = herald_conditioned_rates(stream, cfg)
-        total = 80_000
-        sigma = math.sqrt(total)
-        # both region rates estimate the same uniform rate
-        assert abs(open_rate - closed_rate) / (total / (duration * 1e-12)) <= 3 * sigma / total * 2
-
-    def test_one_tag_per_slot_gives_equal_rates(self):
-        # every pulse slot holds one tag; heralded slots sit inside open gates
-        # and gates cover a non-uniform share of the run
-        cfg = reference_config()
-        n = 4_000
-        herald_pulses = np.sort(np.random.default_rng(1).choice(n, 100, replace=False))
-        stream = make_stream(
-            herald=herald_pulses * REP, hbt_a=np.arange(n) * REP, duration=n * REP
-        )
-        open_rate, closed_rate, correlated_rate = herald_conditioned_rates(stream, cfg)
-        rep_rate = 1e12 / REP
-        assert open_rate == pytest.approx(rep_rate, rel=1e-12)
-        assert closed_rate == pytest.approx(rep_rate, rel=1e-12)
-        assert correlated_rate == pytest.approx(100 / (n * REP * 1e-12), rel=1e-12)
-
-    def test_slot_counts_with_signal_delay_off_grid(self):
-        # a 30 ns signal delay puts the slots at 5 ns + k * 12.5 ns
-        cfg = reference_config(signal_delay=30_000)
-        stream = make_stream(herald=[0], hbt_a=[30_000, 55_000, 5_000], duration=200_000)
-        open_rate, closed_rate, correlated_rate = herald_conditioned_rates(stream, cfg)
-        # 16 slots from 5 to 192.5 ns; the gate [23, 103) ns holds the 6 slots
-        # from 30 to 92.5 ns, one of them heralded
-        assert correlated_rate == pytest.approx(1 / 200_000e-12)
-        assert open_rate == pytest.approx(1 / (5 * REP * 1e-12))
-        assert closed_rate == pytest.approx(1 / (10 * REP * 1e-12))
-
-    def test_no_heralds_raise(self):
-        cfg = reference_config()
-        stream = make_stream(hbt_a=[100])
-        with pytest.raises(EmptyEnsembleError):
-            herald_conditioned_rates(stream, cfg)
-
-    def test_herald_off_the_grid_named(self):
-        # a 12.5 ns stream analysed with a 12 ns period
-        stream = make_stream(herald=[0, REP, 3 * REP], hbt_a=[25_000], duration=200_000)
-        with pytest.raises(ParameterError, match=f"herald at {REP} ps is off the pulse grid"):
-            herald_conditioned_rates(stream, reference_config(rep_period=12_000))
-
-    def test_all_tags_inside_gates_zero_closed_rate(self):
-        cfg = reference_config()
-        stream = make_stream(
-            herald=[0], hbt_a=[30_000, 60_000], hbt_b=[90_000], duration=200_000
-        )
-        _, closed_rate, _ = herald_conditioned_rates(stream, cfg)
-        assert closed_rate == 0.0
-
-    def test_consistent_with_peak_integration(self):
-        # two independent estimators of the same suppression ratio: region
-        # rates from gate-state reconstruction vs isolated-trigger peak sums
-        from heraldsim import run
-
-        cfg = reference_config(
-            mean_pairs_per_pulse=0.0075,
-            n_pulses=40_000_000,
-            seed=8,
-            herald_selection=HeraldSelection.at_least(1, 4),
-        )
-        stream, _ = run(cfg, threads=2)
-        open_rate, closed_rate, correlated_rate = herald_conditioned_rates(stream, cfg)
-        assert correlated_rate > open_rate > closed_rate
-
-        heralds = isolated_times(stream.channels[Channel.HERALD_TRIGGER], 16 * REP)
-        isolated = TagStream(
-            channels={
-                Channel.HERALD_TRIGGER: heralds,
-                Channel.HBT_A: stream.channels[Channel.HBT_A],
-                Channel.HBT_B: stream.channels[Channel.HBT_B],
-            },
-            duration=stream.duration,
-        )
-        hist = correlate(isolated, (Channel.HERALD_TRIGGER, Channel.HBT_A))
-        peaks = dict(integrate_peaks(hist, REP))
-        peak_ratio = np.mean([peaks[k] for k in range(-7, 2)]) / np.mean(
-            [peaks[k] for k in range(3, 8)]
-        )
-        rate_ratio = closed_rate / open_rate
-        n_closed = sum(peaks[k] for k in range(-7, 2))
-        sigma = rate_ratio * 3 / math.sqrt(n_closed)
-        assert abs(rate_ratio - peak_ratio) <= 3 * sigma
 
 
 class TestHeraldedG2:

@@ -405,6 +405,37 @@ class TestEdgeConfigurations:
         assert stream.channels[Channel.HBT_A].size > 0
         assert stream.channels[Channel.HBT_B].size == 0
 
+    @given(
+        n_pulses=st.integers(1, 2_000),
+        mu=st.sampled_from([0.05, 0.5, 3.0]),
+        every_pulse=st.booleans(),
+        signal_delay=st.sampled_from([None, 0, 7_300, 30_000, 1_000_000]),
+        retrigger=st.sampled_from(["extend", "ignore"]),
+        dark_rate=st.sampled_from([0.0, 1e8]),
+        batch_size=st.sampled_from([13, 97, 1 << 20]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_heralds_below_duration_and_hbt_tags_below_the_delay_past_it(
+        self, n_pulses, mu, every_pulse, signal_delay, retrigger, dark_rate, batch_size, seed
+    ):
+        # tag readers given a duration rely on this: heralds are pulse times,
+        # and HBT tags lag their pulse by at most the signal delay
+        selection = HeraldSelection(frozenset(range(5))) if every_pulse else HeraldSelection.exactly(1)
+        cfg = make_config(mean_pairs_per_pulse=mu, n_pulses=n_pulses, seed=seed, herald_selection=selection,
+                          signal_delay=signal_delay, retrigger=retrigger, dark_rate=dark_rate,
+                          extinction_db=3.0)
+        stream, _ = run(cfg, batch_size=batch_size)
+        assert stream.duration == n_pulses * cfg.rep_period
+        heralds = stream.channels[Channel.HERALD_TRIGGER]
+        assert np.all((heralds >= 0) & (heralds < stream.duration))
+        if every_pulse:  # the first pulse is always kept, and with "extend" so is the last
+            assert heralds[0] == 0
+            assert retrigger == "ignore" or heralds[-1] == stream.duration - cfg.rep_period
+        for ch in (Channel.HBT_A, Channel.HBT_B):
+            tags = stream.channels[ch]
+            assert np.all((tags >= 0) & (tags < stream.duration + cfg.resolved_signal_delay))
+
 
 class TestRetrigger:
     def test_ignore_mode_drops_heralds_inside_open_gates(self):

@@ -412,6 +412,18 @@ class TestDispatch:
         assert tagio.read_binary(path).duration == 251
         assert tagio.read_binary(path, duration=1_000).duration == 1_000
 
+    @pytest.mark.parametrize("write, read", [(tagio.write_binary, tagio.read_binary),
+                                             (tagio.write_csv, tagio.read_csv)])
+    def test_given_duration_must_exceed_the_last_herald(self, tmp_path, write, read):
+        # HBT tags lag their pulse by the signal delay, so they may lie past the duration
+        stream = stream_of({Channel.HERALD_TRIGGER: [0, 12_500], Channel.HBT_A: [25_000, 37_500],
+                            Channel.HBT_B: [40_000]})
+        path = tmp_path / "t"
+        write(stream, path)
+        with pytest.raises(ParameterError, match="duration 12500 ps must exceed the last herald at 12500 ps"):
+            read(path, duration=12_500)
+        assert read(path, duration=12_501).duration == 12_501
+
 
 class TestTimeOrder:
     def test_csv_out_of_order_rejected(self, tmp_path):
