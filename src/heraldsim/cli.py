@@ -11,13 +11,15 @@ file; re-running the same configuration and seed reproduces the outputs
 byte for byte.  A manifest's ``config`` holds every argument of the command
 but ``--out``, with the values the command resolved in place of the given
 ones: ``nmax`` and the ``selection`` label of ``sweep``, ``nmax`` of
-``thresholds``, and ``rep_rate`` and the ``duration`` that normalised
-``g2`` of ``analyze``.  The ``simulate`` config file takes the sections and
-keys of ``event_sim.CONFIG_KEYS``, and its manifest's ``config`` is
-``ExperimentConfig.resolved()``, whose ``seed`` is the manifest's ``seed``.
+``thresholds``, and the ``duration`` that normalised ``g2`` of ``analyze``,
+whose pulse rate is 1 / ``--rep-period``.  The ``simulate`` config file
+takes the sections and keys of ``event_sim.CONFIG_KEYS``, and its manifest's
+``config`` is ``ExperimentConfig.resolved()``, whose ``seed`` is the
+manifest's ``seed``.
 
-Parameter ranges are checked by the library, whose ``ParameterError`` ends
-the command with exit code 2.
+Parameter ranges, integer ones included, are checked by the library, whose
+``ParameterError`` ends the command with exit code 2.  A config file that
+``configparser`` or UTF-8 decoding refuses ends it the same way.
 
 Durations accept ``ps`` and ``ns`` suffixes (bare numbers are picoseconds).
 Environment overrides are limited to ``HERALDSIM_THREADS`` and
@@ -53,7 +55,7 @@ from .errors import (
 from .event_sim import CHANNELS_BY_NAME, CONFIG_KEYS, Channel, ExperimentConfig, run
 from .feedforward import (DEFAULT_MEAN_GRID_POINTS, DEFAULT_MEAN_GRID_RANGE, HeraldSelection, default_mean_grid,
                           g2_sweep, write_sweep_csv)
-from .photon_stats import poissonian, required_n_max, thermal
+from .photon_stats import FAMILIES, required_n_max
 from .tagio import read_tags, write_binary, write_csv
 
 _PS_PER_UNIT = {"ps": 1, "ns": 1000}
@@ -79,20 +81,6 @@ def parse_duration(text: str) -> int:
     if abs(value - round(value)) > 1e-6 or value < 0:
         raise argparse.ArgumentTypeError(f"duration {text!r} is not a whole number of picoseconds")
     return int(round(value))
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
 
 
 def _resolve_out(path: str) -> str:
@@ -157,8 +145,12 @@ def _selection(text: str, kwargs: dict) -> HeraldSelection:
 def load_config_file(path: str) -> dict:
     """Read the flat sectioned key-value config file into constructor kwargs."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if not parser.read(path):
-        raise ParameterError(f"cannot read config file {path!r}")
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ParameterError(f"cannot read config file {path!r}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = " ".join(str(exc).split())  # configparser spreads its messages over lines
+        raise ParameterError(f"malformed config file {path!r}: {detail}") from exc
     kwargs: dict = {}
     selection_text = None
     for section in parser.sections():
@@ -253,19 +245,20 @@ def _cmd_analyze(args, out: str) -> tuple[dict, list]:
     stream = read_tags(args.tags, duration=args.duration)
     hist = correlate(stream, args.pair, bin_width=args.bin, range_ps=args.range)
     peaks = integrate_peaks(hist, args.rep_period, args.halfwidth)
-    rep_rate = args.rep_rate if args.rep_rate is not None else 1e12 / args.rep_period
-    g2 = g2_tau(hist, args.rep_period, rep_rate, args.halfwidth)
+    g2 = g2_tau(hist, args.rep_period, args.halfwidth)
     hist_path = out + ".hist.csv"
     peaks_path = out + ".peaks.csv"
     write_histogram_csv(hist, hist_path)
     write_peaks_csv(peaks, g2, peaks_path)
     print(f"wrote {hist_path} and {peaks_path}")
-    return _inputs(args, rep_rate=rep_rate, duration=stream.duration), [hist_path, peaks_path]
+    return _inputs(args, duration=stream.duration), [hist_path, peaks_path]
 
 
 def _threshold_grid(args, name: str) -> np.ndarray:
     """The ``--<name>-steps`` thresholds from ``--<name>-min`` to ``--<name>-max``; no bounds give ``[inf]``."""
-    lo, hi = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
+    lo, hi, steps = (getattr(args, f"{name}_{end}") for end in ("min", "max", "steps"))
+    if steps < 1:
+        raise ParameterError(f"--{name}-steps must be >= 1, got {steps}")
     if lo is None and hi is None:
         return np.asarray([np.inf])
     for end, value, other in (("min", lo, "max"), ("max", hi, "min")):
@@ -273,13 +266,13 @@ def _threshold_grid(args, name: str) -> np.ndarray:
             raise ParameterError(f"--{name}-{other} needs --{name}-{end}")
         if math.isinf(value):
             raise ParameterError(f"--{name}-{end} must be finite, got {value}")
-    return np.linspace(lo, hi, getattr(args, f"{name}_steps"))
+    return np.linspace(lo, hi, steps)
 
 
 def _cmd_thresholds(args, out: str) -> tuple[dict, list]:
     n_max = _nmax(args, args.mu)
     det = detection_matrix(args.transmission, args.pixels, args.crosstalk, n_max)
-    source = poissonian(args.mu, n_max) if args.family == "poissonian" else thermal(args.mu, n_max)
+    source = FAMILIES[args.family](args.mu, n_max)
     model = AmplitudeModel(
         unit_amplitude=args.unit_amplitude,
         noise_sigma=args.noise_sigma,
@@ -296,10 +289,9 @@ def _cmd_thresholds(args, out: str) -> tuple[dict, list]:
 def _add_detector_args(sub, nmax_default=None):
     sub.add_argument("--transmission", type=float, default=REFERENCE_TRANSMISSION,
                      help="source-to-detector transmission in [0, 1]")
-    sub.add_argument("--pixels", type=_positive_int, default=REFERENCE_N_PIXELS, help="number of detector pixels")
+    sub.add_argument("--pixels", type=int, default=REFERENCE_N_PIXELS, help="number of detector pixels")
     sub.add_argument("--crosstalk", type=float, default=REFERENCE_CROSSTALK, help="crosstalk probability in [0, 1)")
-    sub.add_argument("--nmax", type=_non_negative_int, default=nmax_default,
-                     help="incident photon-number cutoff")
+    sub.add_argument("--nmax", type=int, default=nmax_default, help="incident photon-number cutoff")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,20 +310,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="heralded g2(0) vs mean photon number")
     _add_detector_args(p)
     p.add_argument("--selection", required=True, help="accepted clicks, e.g. '1', '1,2', '2+', 'any'")
-    p.add_argument("--family", choices=("poissonian", "thermal"), default="poissonian")
+    p.add_argument("--family", choices=FAMILIES, default="poissonian")
     p.add_argument("--mu-min", type=float, default=DEFAULT_MEAN_GRID_RANGE[0])
     p.add_argument("--mu-max", type=float, default=DEFAULT_MEAN_GRID_RANGE[1])
-    p.add_argument("--points", type=_positive_int, default=DEFAULT_MEAN_GRID_POINTS)
+    p.add_argument("--points", type=int, default=DEFAULT_MEAN_GRID_POINTS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("simulate", help="run the event-level Monte Carlo")
     p.add_argument("--config", help="sectioned key-value config file")
     p.add_argument("--mu", type=float, help="mean pairs per pulse (overrides config)")
-    p.add_argument("--pulses", type=_non_negative_int, help="number of pulses (overrides config)")
-    p.add_argument("--seed", type=_non_negative_int, help="RNG seed (overrides config)")
+    p.add_argument("--pulses", type=int, help="number of pulses (overrides config)")
+    p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
     p.add_argument("--selection", help="herald selection (overrides config)")
-    p.add_argument("--threads", type=_positive_int, default=None,
+    p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: HERALDSIM_THREADS, else the CPU count); "
                         "output is independent of this value")
     p.add_argument("--out", required=True, help="tag file (.csv for text, binary otherwise)")
@@ -346,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep-period", type=parse_duration, default=ExperimentConfig.rep_period)
     p.add_argument("--halfwidth", type=parse_duration, default=DEFAULT_PEAK_HALFWIDTH,
                    help="peak integration half width")
-    p.add_argument("--rep-rate", type=float, default=None,
-                   help="normalization rate in Hz (default 1/rep_period)")
     p.add_argument("--duration", type=parse_duration, default=None,
                    help="acquisition duration override (ps)")
     p.add_argument("--out", required=True, help="output prefix for .hist.csv and .peaks.csv")
@@ -356,17 +346,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thresholds", help="discriminator threshold-sweep count-rate surface")
     _add_detector_args(p)
     p.add_argument("--mu", type=float, default=1.0, help="mean photon number of the source")
-    p.add_argument("--family", choices=("poissonian", "thermal"), default="poissonian")
+    p.add_argument("--family", choices=FAMILIES, default="poissonian")
     p.add_argument("--unit-amplitude", type=float, default=0.1, help="volts per fired pixel")
     p.add_argument("--noise-sigma", type=float, default=0.005, help="Gaussian height noise (volts)")
     p.add_argument("--baseline", type=float, default=0.0)
     p.add_argument("--rep-rate", type=float, default=80e6, help="pulse rate in Hz")
     p.add_argument("--low-min", type=float, default=0.04)
     p.add_argument("--low-max", type=float, default=0.46)
-    p.add_argument("--low-steps", type=_positive_int, default=85)
+    p.add_argument("--low-steps", type=int, default=85)
     p.add_argument("--high-min", type=float, default=None)
     p.add_argument("--high-max", type=float, default=None)
-    p.add_argument("--high-steps", type=_positive_int, default=1)
+    p.add_argument("--high-steps", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_thresholds)
 

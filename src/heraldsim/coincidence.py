@@ -20,7 +20,8 @@ normalizes the peak rate by the singles rates,
 
     g2(tau) = (C_ab(tau) / T) * f_rep / ((C_a / T) * (C_b / T)),
 
-the standard low-photon-number estimator (1 for uncorrelated light).
+with f_rep = 1 / rep_period: the standard low-photon-number estimator (1
+for uncorrelated light).
 
 ``heralded_g2`` implements the number-triggered variant used for the
 feedforward runs: tags at the herald-correlated pulse slots are selected
@@ -47,7 +48,6 @@ grows with the empty stretches of a run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,22 +217,14 @@ def integrate_peaks(hist: CoincidenceHistogram, rep_period: int, peak_halfwidth:
     return [(k, int(hist.counts[start + k * step : start + k * step + width].sum())) for k in offsets]
 
 
-def g2_tau(
-    hist: CoincidenceHistogram,
-    rep_period: int,
-    rep_rate: float,
-    peak_halfwidth: int = DEFAULT_PEAK_HALFWIDTH,
-):
-    """Normalized correlation per pulse peak: list of (pulse_offset, g2)."""
+def g2_tau(hist: CoincidenceHistogram, rep_period: int, peak_halfwidth: int = DEFAULT_PEAK_HALFWIDTH):
+    """Normalized correlation per pulse peak, f_rep = 1 / rep_period: list of (pulse_offset, g2)."""
     c_a, c_b = hist.total_singles
     if c_a == 0 or c_b == 0:
         raise UndefinedStatisticError("g2 is undefined with zero singles on a channel")
     if hist.duration <= 0:
         raise ParameterError("histogram carries no acquisition duration")
-    if not (math.isfinite(rep_rate) and rep_rate > 0):
-        raise ParameterError(f"rep_rate must be finite and > 0, got {rep_rate!r}")
-    duration_s = hist.duration_seconds
-    norm = rep_rate * duration_s / (c_a * c_b)
+    norm = 1e12 / rep_period * hist.duration_seconds / (c_a * c_b)
     return [(k, counts * norm) for k, counts in integrate_peaks(hist, rep_period, peak_halfwidth)]
 
 

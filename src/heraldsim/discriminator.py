@@ -28,6 +28,11 @@ from .detector_model import DetectionMatrix
 from .errors import ParameterError
 from .photon_stats import as_distribution
 
+#: What ``count_plateaus`` calls a plateau; see its docstring.
+PLATEAU_REL_FLATNESS = 1e-3
+PLATEAU_MIN_RUN = 3
+PLATEAU_LEVEL_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class AmplitudeModel:
@@ -121,32 +126,32 @@ def threshold_sweep(source, det: DetectionMatrix, model: AmplitudeModel, rep_rat
     return np.clip(surface, 0.0, None)
 
 
-def count_plateaus(rates: np.ndarray, rel_flatness: float = 1e-3, min_run: int = 3, level_floor_frac: float = 1e-6) -> int:
+def count_plateaus(rates: np.ndarray) -> int:
     """Number of flat plateaus in a 1-D threshold sweep.
 
-    A plateau is a maximal run of at least ``min_run`` consecutive grid
-    points whose step-to-step change is below ``rel_flatness`` of the sweep
-    maximum and whose level stays above ``level_floor_frac`` of the maximum
-    (so the empty region beyond the highest occupied amplitude does not
-    count as a plateau).
+    A plateau is a maximal run of at least ``PLATEAU_MIN_RUN`` consecutive
+    grid points whose step-to-step change is below ``PLATEAU_REL_FLATNESS``
+    of the sweep maximum and whose level stays above ``PLATEAU_LEVEL_FLOOR``
+    of the maximum (so the empty region beyond the highest occupied
+    amplitude does not count as a plateau).
     """
     rates = np.asarray(rates, dtype=float)
-    if rates.size < min_run:
+    if rates.size < PLATEAU_MIN_RUN:
         return 0
     scale = rates.max()
     if scale <= 0:
         return 0
-    flat = np.abs(np.diff(rates)) < rel_flatness * scale
+    flat = np.abs(np.diff(rates)) < PLATEAU_REL_FLATNESS * scale
     plateaus = 0
     run = 0
     for i, is_flat in enumerate(flat):
-        if is_flat and rates[i] > level_floor_frac * scale:
+        if is_flat and rates[i] > PLATEAU_LEVEL_FLOOR * scale:
             run += 1
         else:
-            if run >= min_run - 1:
+            if run >= PLATEAU_MIN_RUN - 1:
                 plateaus += 1
             run = 0
-    if run >= min_run - 1:
+    if run >= PLATEAU_MIN_RUN - 1:
         plateaus += 1
     return plateaus
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .feedforward import HeraldSelection
-from .photon_stats import poissonian, required_n_max
+from .photon_stats import FAMILIES, poissonian, required_n_max
 
 DEFAULT_BATCH_SIZE = 1 << 20
 
@@ -58,6 +58,9 @@ _RETRIGGER_BLOCK = 1 << 16
 
 #: Largest mean ``Generator.poisson`` draws: the int64 range less a 10-sigma margin.
 _POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+
+#: Most photons a batch may expect; each costs about 20 bytes of draws.
+_PHOTON_BUDGET = 1 << 27
 
 
 class Channel(IntEnum):
@@ -158,7 +161,7 @@ class ExperimentConfig:
             raise ParameterError("seed must be an unsigned 64-bit integer")
         if self.rep_period <= 0:
             raise ParameterError("rep_period must be > 0")
-        if self.source_family not in ("poissonian", "thermal"):
+        if self.source_family not in FAMILIES:
             raise ParameterError(f"unknown source family {self.source_family!r}")
         for name in ("idler_transmission", "signal_transmission", "hbt_splitting", "hbt_efficiency"):
             value = getattr(self, name)
@@ -571,6 +574,9 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
         raise ParameterError("timestamp range overflows 64-bit picoseconds; reduce n_pulses")
     if config.dark_rate * (min(batch_size, config.n_pulses) * config.rep_period) * 1e-12 > _POISSON_MAX_MEAN:
         raise ParameterError(f"dark_rate {config.dark_rate!r} gives more dark counts per batch than can be drawn")
+    if config.mean_pairs_per_pulse * min(batch_size, config.n_pulses) > _PHOTON_BUDGET:
+        raise ParameterError(f"mean_pairs_per_pulse {config.mean_pairs_per_pulse!r} expects more than "
+                             f"{_PHOTON_BUDGET} photons in a batch of up to batch_size={batch_size} pulses")
     # a run of zero pulses still makes one empty batch, which gives every
     # merged field its dtype
     n_batches = max(1, (config.n_pulses + batch_size - 1) // batch_size)
@@ -631,9 +637,9 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
     return stream, summary
 
 
-def benchmark(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BATCH_SIZE) -> float:
-    """Wall-clock throughput of run() in pulses per second."""
+def benchmark(config: ExperimentConfig) -> float:
+    """Wall-clock throughput of a one-thread run() in pulses per second."""
     t0 = time.perf_counter()
-    run(config, threads=threads, batch_size=batch_size)
+    run(config)
     elapsed = time.perf_counter() - t0
     return config.n_pulses / elapsed

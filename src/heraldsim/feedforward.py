@@ -22,7 +22,7 @@ import numpy as np
 
 from .detector_model import DetectionMatrix
 from .errors import EmptyEnsembleError, InconsistentRatesError, ParameterError
-from .photon_stats import PhotonNumberDistribution, as_distribution, g2_zero, poissonian, thermal
+from .photon_stats import FAMILIES, PhotonNumberDistribution, as_distribution, g2_zero
 
 #: Default sweep grid for heralded g2(0) vs source brightness.
 DEFAULT_MEAN_GRID_POINTS = 30
@@ -113,6 +113,8 @@ def default_mean_grid(
     high: float = DEFAULT_MEAN_GRID_RANGE[1],
 ) -> np.ndarray:
     """Log-spaced grid of mean photon numbers for sweeps."""
+    if n_points < 1:
+        raise ParameterError(f"n_points must be >= 1, got {n_points}")
     if not (0 < low < high):
         raise ParameterError("grid bounds must satisfy 0 < low < high")
     return np.geomspace(low, high, n_points)
@@ -121,8 +123,8 @@ def default_mean_grid(
 def g2_sweep(det: DetectionMatrix, selection: HeraldSelection, means, family: str = "poissonian"):
     """Heralded g2(0) and acceptance for each mean photon number.
 
-    Returns a list of (mean, g2, acceptance) tuples.  The source family is
-    'poissonian' or 'thermal'; each source is truncated at the detection
+    Returns a list of (mean, g2, acceptance) tuples.  The source family is a
+    key of ``photon_stats.FAMILIES``; each source is truncated at the detection
     matrix's incident dimension, which must satisfy the tail-mass policy for
     the largest mean requested.
     """
@@ -131,15 +133,11 @@ def g2_sweep(det: DetectionMatrix, selection: HeraldSelection, means, family: st
         raise ParameterError("means must be positive")
     if np.any(np.diff(means) < 0):
         raise ParameterError("means must be sorted ascending")
-    if family == "poissonian":
-        make = poissonian
-    elif family == "thermal":
-        make = thermal
-    else:
+    if family not in FAMILIES:
         raise ParameterError(f"unknown photon-number family {family!r}")
     out = []
     for mu in means:
-        source = make(float(mu), det.n_max)
+        source = FAMILIES[family](float(mu), det.n_max)
         heralded, acceptance = heralded_distribution(source, det, selection)
         out.append((float(mu), g2_zero(heralded), acceptance))
     return out

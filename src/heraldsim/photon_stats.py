@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import EmptyEnsembleError, ParameterError, TruncationError, UndefinedStatisticError
 
-#: Default upper bound on the probability mass allowed beyond the truncation
-#: window when building a distribution from an analytic family.
+#: Upper bound on the probability mass allowed beyond the truncation window
+#: when building a distribution from an analytic family.
 TAIL_MASS_TOL = 1e-9
 
 #: Probability vectors must sum to one within this absolute tolerance.
@@ -112,8 +112,8 @@ def _poisson_start(mean: float) -> tuple[int, float]:
     return n, math.exp(log_term)
 
 
-def required_n_max(mean: float, family: str = "poissonian", tail_mass_tol: float = TAIL_MASS_TOL) -> int:
-    """Smallest cutoff whose truncated tail mass is below ``tail_mass_tol``."""
+def required_n_max(mean: float, family: str = "poissonian") -> int:
+    """Smallest cutoff whose truncated tail mass is below ``TAIL_MASS_TOL``."""
     if not math.isfinite(mean) or mean < 0:
         raise ParameterError(f"mean photon number must be finite and >= 0, got {mean!r}")
     if mean == 0.0:
@@ -121,7 +121,7 @@ def required_n_max(mean: float, family: str = "poissonian", tail_mass_tol: float
     if family == "poissonian":
         n, term = _poisson_start(mean)
         cum = term
-        while 1.0 - cum >= tail_mass_tol:
+        while 1.0 - cum >= TAIL_MASS_TOL:
             n += 1
             term *= mean / n
             cum += term
@@ -131,34 +131,34 @@ def required_n_max(mean: float, family: str = "poissonian", tail_mass_tol: float
     if family == "thermal":
         # tail mass beyond n_max is (mean / (1 + mean))**(n_max + 1)
         r = mean / (1.0 + mean)
-        n = max(0, math.ceil(math.log(tail_mass_tol) / math.log(r)) - 1)
-        while r ** (n + 1) >= tail_mass_tol:  # boundary round-off
+        n = max(0, math.ceil(math.log(TAIL_MASS_TOL) / math.log(r)) - 1)
+        while r ** (n + 1) >= TAIL_MASS_TOL:  # boundary round-off
             n += 1
         return n
     raise ParameterError(f"unknown photon-number family {family!r}")
 
 
-def _check_tail(mean: float, n_max: int, tail_mass: float, family: str, tail_mass_tol: float):
-    if tail_mass >= tail_mass_tol:
-        needed = required_n_max(mean, family, tail_mass_tol)
+def _check_tail(mean: float, n_max: int, tail_mass: float, family: str):
+    if tail_mass >= TAIL_MASS_TOL:
+        needed = required_n_max(mean, family)
         raise TruncationError(
-            f"truncated tail mass {tail_mass:.3e} at n_max={n_max} exceeds {tail_mass_tol:.1e} "
+            f"truncated tail mass {tail_mass:.3e} at n_max={n_max} exceeds {TAIL_MASS_TOL:.1e} "
             f"for {family} mean={mean!r}; use n_max >= {needed}",
             required_n_max=needed,
         )
 
 
-def poissonian(mean: float, n_max: int | None = None, tail_mass_tol: float = TAIL_MASS_TOL) -> PhotonNumberDistribution:
+def poissonian(mean: float, n_max: int | None = None) -> PhotonNumberDistribution:
     """Poissonian photon-number distribution, renormalized over 0..n_max.
 
     P(n) = exp(-mean) mean**n / n! before renormalization.  The cutoff must
-    leave less than ``tail_mass_tol`` of the untruncated mass outside the
+    leave less than ``TAIL_MASS_TOL`` of the untruncated mass outside the
     window; otherwise a TruncationError names an adequate n_max.
     """
     if not math.isfinite(mean) or mean < 0:
         raise ParameterError(f"mean photon number must be finite and >= 0, got {mean!r}")
     if n_max is None:
-        n_max = required_n_max(mean, "poissonian", tail_mass_tol)
+        n_max = required_n_max(mean, "poissonian")
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
     probs = np.zeros(n_max + 1)
@@ -167,19 +167,20 @@ def poissonian(mean: float, n_max: int | None = None, tail_mass_tol: float = TAI
         probs[start] = term
     for n in range(start + 1, n_max + 1):
         probs[n] = probs[n - 1] * mean / n
-    _check_tail(mean, n_max, 1.0 - probs.sum(), "poissonian", tail_mass_tol)
+    _check_tail(mean, n_max, 1.0 - probs.sum(), "poissonian")
     return renormalize(probs)
 
 
-def thermal(mean: float, n_max: int | None = None, tail_mass_tol: float = TAIL_MASS_TOL) -> PhotonNumberDistribution:
+def thermal(mean: float, n_max: int | None = None) -> PhotonNumberDistribution:
     """Thermal (geometric) photon-number distribution over 0..n_max.
 
-    P(n) = mean**n / (1 + mean)**(n + 1) before renormalization.
+    P(n) = mean**n / (1 + mean)**(n + 1) before renormalization.  The cutoff
+    obeys the same ``TAIL_MASS_TOL`` rule as :func:`poissonian`.
     """
     if not math.isfinite(mean) or mean < 0:
         raise ParameterError(f"mean photon number must be finite and >= 0, got {mean!r}")
     if n_max is None:
-        n_max = required_n_max(mean, "thermal", tail_mass_tol)
+        n_max = required_n_max(mean, "thermal")
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
     if mean == 0.0:
@@ -189,8 +190,12 @@ def thermal(mean: float, n_max: int | None = None, tail_mass_tol: float = TAIL_M
     n = np.arange(n_max + 1)
     ratio = mean / (1.0 + mean)
     probs = ratio**n / (1.0 + mean)
-    _check_tail(mean, n_max, ratio ** (n_max + 1), "thermal", tail_mass_tol)
+    _check_tail(mean, n_max, ratio ** (n_max + 1), "thermal")
     return renormalize(probs)
+
+
+#: The analytic source families by name: each maps (mean, n_max) to a distribution.
+FAMILIES = {"poissonian": poissonian, "thermal": thermal}
 
 
 def mean_photon_number(dist) -> float:

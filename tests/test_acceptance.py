@@ -294,7 +294,7 @@ def test_criterion_6_g2_estimator_sanity():
             duration=n_pulses * REP,
         )
         hist = correlate(stream, (Channel.HBT_A, Channel.HBT_B))
-        results = g2_tau(hist, REP, rep_rate=1e12 / REP)
+        results = g2_tau(hist, REP)
         for offset, g2 in results:
             assert abs(g2 - 1.0) <= 0.05, f"offset {offset}: g2={g2:.3f}"
         assert time.perf_counter() - t0 < 10.0
@@ -326,7 +326,7 @@ class TestCriterion7DeterminismAndThroughput:
                 seed=1,
                 herald_selection=HeraldSelection.at_least(1, 4),
             )
-            rate = benchmark(config, threads=1)
+            rate = benchmark(config)
             assert rate >= 1e7, f"single-core throughput {rate/1e6:.1f} M pulses/s"
 
 

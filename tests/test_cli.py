@@ -200,6 +200,30 @@ seed = 31415
         assert message in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "text",
+        [b"[run]\npulses = 1\npulses = 2\n", b"pulses = 1\n", b"[run]\npulses\n", b"[run]\nseed = 1 \xff\n"],
+        ids=["duplicate key", "no section header", "key without value", "not utf-8"],
+    )
+    def test_malformed_config_exit_code(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(text)
+        assert invoke("simulate", "--config", cfg, "--out", tmp_path / "x.tags") == 2
+        err = capsys.readouterr().err
+        assert f"heraldsim simulate: error: malformed config file {str(cfg)!r}: " in err
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_mean_beyond_the_photon_budget_exit_code(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.CONFIG.replace("mean_pairs_per_pulse = 0.02", "mean_pairs_per_pulse = 1e12")
+                       .replace("family = poissonian", "family = thermal"))
+        result = invoke_subprocess("simulate", "--config", cfg, "--pulses", 1, "--out", tmp_path / "x.tags")
+        assert result.returncode == 2
+        assert "mean_pairs_per_pulse 1000000000000.0 expects more than" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_perfect_extinction(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text(self.CONFIG.replace("extinction_db = 10.2", "extinction_db = inf"))
@@ -290,7 +314,7 @@ def test_tag_io_goes_through_cli_names(tmp_path, monkeypatch):
     analysis_calls = [
         ("correlate", ("TagStream", "tuple"), {"bin_width": 250, "range_ps": 100_000}),
         ("integrate_peaks", ("CoincidenceHistogram", 12_500, 1_000), {}),
-        ("g2_tau", ("CoincidenceHistogram", 12_500, 80_000_000.0, 1_000), {}),
+        ("g2_tau", ("CoincidenceHistogram", 12_500, 1_000), {}),
         ("write_histogram_csv", ("CoincidenceHistogram", analysis + ".hist.csv"), {}),
         ("write_peaks_csv", ("list", "list", analysis + ".peaks.csv"), {}),
     ]
@@ -429,19 +453,26 @@ class TestEnvironmentOverrides:
 @pytest.mark.parametrize(
     "args, message",
     [
-        (("analyze", "--pair", "herald_trigger,hbt_a", "--rep-rate", "nan"), "rep_rate must be finite and > 0"),
         (("thresholds", "--rep-rate", "nan"), "rep_rate must be finite and > 0"),
+        (("thresholds", "--rep-rate", "inf"), "rep_rate must be finite and > 0"),
         (("thresholds", "--noise-sigma", "nan"), "noise_sigma must be finite"),
         (("thresholds", "--baseline", "inf"), "baseline must be finite"),
         (("thresholds", "--low-min", "nan"), "threshold grids must not hold NaN"),
         (("sweep", "--selection", "1", "--mu-min", "nan"), "grid bounds must satisfy 0 < low < high"),
+        (("matrix", "--pixels", "0"), "n_pixels must be >= 1, got 0"),
+        (("matrix", "--nmax", "-1"), "n_max must be >= 0, got -1"),
+        (("sweep", "--selection", "1", "--points", "0"), "n_points must be >= 1, got 0"),
+        (("sweep", "--selection", "1", "--points", "-2"), "n_points must be >= 1, got -2"),
+        (("simulate", "--mu", "0.1", "--pulses", "-1", "--seed", "1"), "n_pulses must be >= 0"),
+        (("simulate", "--mu", "0.1", "--pulses", "10", "--seed", "-1"), "seed must be an unsigned 64-bit integer"),
+        (("simulate", "--mu", "0.1", "--pulses", "10", "--seed", "1", "--threads", "0"), "threads must be >= 1"),
+        (("thresholds", "--low-steps", "-1"), "--low-steps must be >= 1, got -1"),
+        (("thresholds", "--high-steps", "0"), "--high-steps must be >= 1, got 0"),
     ],
 )
-def test_non_finite_argument_exit_code(small_tags, tmp_path, capsys, args, message):
-    """The library refuses non-finite numbers, so the command exits 2 and writes nothing."""
+def test_non_finite_argument_exit_code(tmp_path, capsys, args, message):
+    """The library refuses non-finite numbers and out-of-range integers, so the command exits 2 and writes nothing."""
     command, *rest = args
-    if command == "analyze":
-        rest = ["--tags", small_tags, *rest]
     assert invoke(command, *rest, "--out", tmp_path / "x") == 2
     assert f"heraldsim {command}: error: {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -459,7 +490,7 @@ def _resolved(args) -> dict:
     if args.command == "thresholds":
         return {"nmax": max(10, required_n_max(args.mu, args.family))}
     if args.command == "analyze":
-        return {"rep_rate": 1e12 / args.rep_period, "duration": read_tags(args.tags).duration}
+        return {"duration": read_tags(args.tags).duration}
     return {}
 
 

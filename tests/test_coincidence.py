@@ -205,21 +205,27 @@ class TestG2Tau:
         b = times[rng.random(n_pulses) < p]
         stream = make_stream(hbt_a=a, hbt_b=b, duration=n_pulses * REP)
         hist = correlate(stream, (Channel.HBT_A, Channel.HBT_B))
-        for offset, g2 in g2_tau(hist, REP, rep_rate=1e12 / REP):
+        for offset, g2 in g2_tau(hist, REP):
             assert g2 == pytest.approx(1.0, abs=0.05), f"offset {offset}"
 
     def test_zero_singles_raise(self):
         stream = make_stream(hbt_a=[0], hbt_b=[])
         hist = correlate(stream, (Channel.HBT_A, Channel.HBT_B))
         with pytest.raises(UndefinedStatisticError):
-            g2_tau(hist, REP, 80e6)
+            g2_tau(hist, REP)
 
-    @pytest.mark.parametrize("rep_rate", [0.0, -80e6, float("nan"), float("inf")])
-    def test_rep_rate_must_be_finite_and_positive(self, rep_rate):
-        stream = make_stream(hbt_a=[0, REP], hbt_b=[REP], duration=10 * REP)
-        hist = correlate(stream, (Channel.HBT_A, Channel.HBT_B))
-        with pytest.raises(ParameterError, match="rep_rate must be finite and > 0"):
-            g2_tau(hist, REP, rep_rate)
+    def test_normalised_at_one_over_the_period(self):
+        counts = np.zeros(800, dtype=np.int64)
+        counts[400] = 7  # offset 0
+        counts[450] = 3  # offset 1
+        duration = 123_456_789
+        c_a, c_b = 40, 9
+        hist = CoincidenceHistogram(bin_width=250, range_ps=100_000, counts=counts,
+                                    channel_pair=(Channel.HBT_A, Channel.HBT_B), total_singles=(c_a, c_b),
+                                    duration=duration)
+        norm = (1e12 / REP) * (duration * 1e-12) / (c_a * c_b)
+        g2 = dict(g2_tau(hist, REP, 1_000))
+        assert g2 == {k: {0: 7, 1: 3}.get(k, 0) * norm for k in range(-7, 8)}
 
 
 class TestIsolatedTimes:

@@ -577,6 +577,14 @@ class TestConfigValidation:
         # the bound is on the mean of one batch, and a run of no pulses draws nothing
         run(make_config(dark_rate=1e300, n_pulses=0))
 
+    def test_mean_beyond_the_photon_budget_rejected(self):
+        # 1e12 photons would need terabytes of draws; the bound is per batch
+        with pytest.raises(ParameterError, match="expects more than 134217728 photons .* batch_size=1048576"):
+            run(make_config(mean_pairs_per_pulse=1e12, source_family="thermal", n_pulses=1))
+        with pytest.raises(ParameterError, match="batch_size=4"):
+            run(make_config(mean_pairs_per_pulse=2**26, n_pulses=10), batch_size=4)
+        run(make_config(mean_pairs_per_pulse=1e12, source_family="thermal", n_pulses=0))
+
     def test_integer_fields_accept_numpy_integers(self):
         cfg = make_config(rep_period=np.int64(12_500), n_pulses=np.uint32(1_000), seed=np.uint64(2**63),
                           latency=np.int32(23_000), signal_delay=np.int64(25_000))

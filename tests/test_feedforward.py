@@ -154,6 +154,11 @@ class TestG2Sweep:
             (_, g2_t, _), = g2_sweep(det, HeraldSelection.exactly(1), [mu], "thermal")
             assert g2_t >= g2_p
 
+    @pytest.mark.parametrize("n_points", [0, -1])
+    def test_mean_grid_needs_a_point(self, n_points):
+        with pytest.raises(ParameterError, match=f"n_points must be >= 1, got {n_points}"):
+            default_mean_grid(n_points)
+
     def test_acceptance_column_positive_and_bounded(self):
         det = reference_detection_matrix(30)
         rows = g2_sweep(det, HeraldSelection.exactly(1), default_mean_grid(10))
