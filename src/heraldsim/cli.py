@@ -123,9 +123,12 @@ def _default_threads() -> int:
     env = os.environ.get("HERALDSIM_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise ParameterError(f"HERALDSIM_THREADS must be an integer, got {env!r}") from None
+        if threads < 1:
+            raise ParameterError(f"HERALDSIM_THREADS must be >= 1, got {env!r}")
+        return threads
     return os.cpu_count() or 1
 
 

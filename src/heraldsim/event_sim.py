@@ -27,12 +27,21 @@ counts are independent Poisson processes.
 
 Determinism: every random draw happens in per-batch streams keyed by
 (seed, batch index), and batches are fixed-size contiguous pulse ranges, so
-identical configs produce bit-identical streams for any thread count.  Gate
-state is resolved in a sequential stitching pass after all batches.
+identical configs produce bit-identical streams for any thread count.  The
+gate-edge thinning of ``gate_rise_time`` draws from one stream per HBT
+channel, keyed (seed, _RAMP_STREAM_TAG, channel), in time order.
+
+Gate state is resolved by a sequential stitching pass that takes the
+batches in order as they are drawn and turns each into one segment of the
+run, so memory is set by the batch size and the thread count, not by the
+run length.  A segment ends at the next batch's first pulse; what a later
+batch can still change (signal arrivals past the cut, the gates that reach
+it, and the kept heralds a retrigger filter needs) is carried over.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import deque
@@ -49,9 +58,12 @@ from .photon_stats import FAMILIES, poissonian, required_n_max
 
 DEFAULT_BATCH_SIZE = 1 << 20
 
-#: Reserved sub-stream tag for the sequential gate-edge thinning pass; batch
-#: indices must stay below this value.
+#: Sub-stream tag of the gate-edge thinning draws, which take one stream per
+#: HBT channel, keyed (seed, tag, channel); batch indices stay below it.
 _RAMP_STREAM_TAG = 1 << 48
+
+#: Photons, or occupied pulses, a batch draws and reduces at a time.
+_SLICE = 1 << 16
 
 #: Heralds the retrigger filter takes at a time.
 _RETRIGGER_BLOCK = 1 << 16
@@ -209,33 +221,118 @@ class ExperimentConfig:
         return values
 
 
-@dataclass(frozen=True, eq=False)
 class TagStream:
-    """Finalized per-channel time-tag arrays (int64 ps, sorted).
+    """Per-channel time-tag arrays (int64 ps, sorted).
 
     ``duration`` spans the pulses: every herald lies below it, while HBT tags
     lag their pulse by the signal delay and may lie up to that delay past it.
+
+    A stream that ``run`` returns is drawn as it is read.  ``segments()``
+    hands out its tags as per-channel dicts over disjoint, ascending spans of
+    time, so a reader that takes them, as the tag writers do, holds one
+    segment at a time; taking them a second time draws the run again.
+    Reading ``channels`` draws the whole run and joins its segments.
     """
 
-    channels: dict
-    duration: int
+    def __init__(self, channels: dict | None, duration: int, draw: _Draw | None = None):
+        self._channels = channels
+        self.duration = duration
+        self._draw = draw
+
+    @property
+    def channels(self) -> dict:
+        if self._channels is None:
+            self._channels = self._draw.join()
+        return self._channels
+
+    def segments(self):
+        """The tags as per-channel dicts over disjoint spans of time, in time order."""
+        if self._channels is None:
+            return self._draw.take()
+        return iter([self._channels])
 
     def counts(self) -> dict:
-        return {ch: int(arr.size) for ch, arr in self.channels.items()}
+        if self._channels is None:
+            return dict(self._draw.finish().channel_counts)
+        return {ch: int(arr.size) for ch, arr in self._channels.items()}
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    """Aggregate counters of one simulation run."""
+class _Counters(NamedTuple):
+    """What a run leaves behind once every segment is drawn."""
 
-    n_pulses: int
-    seed: int
-    duration: int
+    click_counts: np.ndarray
+    heralds_accepted: int
+    heralds_emitted: int
     channel_counts: dict
-    click_counts: np.ndarray  # pulses per idler click outcome 0..n_pixels
-    heralds_accepted: int     # pulses whose click outcome is in the selection
-    heralds_emitted: int      # trigger tags after the retrigger policy
-    config: ExperimentConfig
+
+
+class _Draw:
+    """The segments of one run, stitched as they are taken, and its counters."""
+
+    def __init__(self, draw_segments):
+        # draw_segments() starts a generator of the run's segments that returns its _Counters
+        self._draw_segments = draw_segments
+        self._parts = draw_segments()
+        self._held = deque()  # segments drawn before anyone took them
+        self._taken = False
+        self._counters = None
+
+    def _pull(self) -> bool:
+        try:
+            self._held.append(next(self._parts))
+        except StopIteration as stop:
+            self._counters = stop.value
+            return False
+        return True
+
+    def take(self):
+        """Hand out the run's segments in time order.
+
+        The first taker gets the segments that ``finish`` holds and draws
+        the rest; a later one draws the run anew, to the same tags.
+        """
+        if self._taken:
+            return self._draw_segments()
+        self._taken = True
+        return self._hand_out()
+
+    def _hand_out(self):
+        while self._held or (self._counters is None and self._pull()):
+            yield self._held.popleft()
+
+    def finish(self) -> _Counters:
+        """Draw the rest of the run, holding the segments no one has taken yet."""
+        while self._counters is None:
+            self._pull()
+        return self._counters
+
+    def join(self) -> dict:
+        segments = list(self.take())
+        return {ch: np.concatenate([segment[ch] for segment in segments]) for ch in Channel}
+
+
+def _counter(name: str):
+    return property(lambda self: getattr(self._draw.finish(), name))
+
+
+class RunSummary:
+    """Aggregate counters of one simulation run.
+
+    Reading a counter draws whatever is left of the run; the stream keeps
+    the segments no one has taken yet.
+    """
+
+    def __init__(self, config: ExperimentConfig, draw: _Draw):
+        self.config = config
+        self._draw = draw
+
+    n_pulses = property(lambda self: self.config.n_pulses)
+    seed = property(lambda self: self.config.seed)
+    duration = property(lambda self: self.config.duration)
+    channel_counts = _counter("channel_counts")
+    click_counts = _counter("click_counts")  # pulses per idler click outcome 0..n_pixels
+    heralds_accepted = _counter("heralds_accepted")  # pulses whose click outcome is in the selection
+    heralds_emitted = _counter("heralds_emitted")  # trigger tags after the retrigger policy
 
     def as_text(self) -> str:
         lines = ["[run]"]
@@ -406,7 +503,7 @@ def _with_darks(signal: np.ndarray, dark: np.ndarray) -> np.ndarray:
 
 
 class _Batch(NamedTuple):
-    """Draws for one pulse batch; ``run`` concatenates batches field by field."""
+    """Draws for one pulse batch; the stitch pass turns each into one segment of the run."""
 
     herald_pulse: np.ndarray  # int64 pulses whose click outcome is accepted
     cand_pulse: np.ndarray  # int64 pulses with a signal photon at HBT A or B through an open gate
@@ -435,11 +532,14 @@ def _geometric(rng: np.random.Generator, p: float, count: int, cap: int) -> np.n
 
 
 def _occupied_pulses(rng: np.random.Generator, p_occ: float, size: int) -> np.ndarray:
-    """Sorted offsets in [0, size) of the pulses that hold at least one pair.
+    """Sorted int32 offsets in [0, size) of the pulses that hold at least one pair.
 
     Each pulse is occupied independently with probability p_occ, so the gaps
     between occupied pulses are geometric and only occupied pulses cost a
-    draw (Devroye, Non-Uniform Random Variate Generation, ch. X).
+    draw (Devroye, Non-Uniform Random Variate Generation, ch. X).  A round
+    draws its gaps ``_SLICE`` at a time; once the batch end is passed, the
+    rest of the round's uniforms are drawn and dropped, so the stream does
+    not depend on the slicing.
     """
     found = []
     last = -1  # offset of the last occupied pulse found so far
@@ -447,26 +547,35 @@ def _occupied_pulses(rng: np.random.Generator, p_occ: float, size: int) -> np.nd
         left = size - 1 - last
         expected = left * p_occ
         n = int(min(left, expected + 5.0 * math.sqrt(expected) + 16.0))
-        # a gap of left + 1 already passes the batch end, so the clip keeps the sum exact
-        pos = last + np.cumsum(_geometric(rng, p_occ, n, left + 1))
-        found.append(pos[: np.searchsorted(pos, size)])
-        last = int(pos[-1])
-    return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+        for lo in range(0, n, _SLICE):
+            count = min(_SLICE, n - lo)
+            if last >= size:
+                rng.random(count)
+                continue
+            # a gap of left + 1 already passes the batch end, so the clip keeps the sum exact
+            pos = last + np.cumsum(_geometric(rng, p_occ, count, left + 1))
+            found.append(pos[: np.searchsorted(pos, size)].astype(np.int32))
+            last = int(pos[-1])
+    return np.concatenate(found) if found else np.empty(0, dtype=np.int32)
 
 
 def _photon_numbers(rng: np.random.Generator, config: ExperimentConfig, count: int) -> np.ndarray:
     """Pair numbers of occupied pulses: the source law conditioned on n >= 1."""
     mu = config.mean_pairs_per_pulse
+    n = np.ones(count, dtype=np.int64)
     if config.source_family == "thermal":
         # no memory holds 2**62 photons, so the clip changes no run that can finish
-        return _geometric(rng, 1.0 / (1.0 + mu), count, 2**62)
+        for lo in range(0, count, _SLICE):
+            n[lo : lo + _SLICE] = _geometric(rng, 1.0 / (1.0 + mu), min(_SLICE, count - lo), 2**62)
+        return n
     # inversion by sequential search on the table cut where the tail mass
     # falls below photon_stats.TAIL_MASS_TOL
     cdf = np.cumsum(poissonian(mu, max(1, required_n_max(mu))).probs[1:])
-    x = rng.random(count) * cdf[-1]
-    n = np.ones(count, dtype=np.int64)
-    for edge in cdf[:-1]:
-        n += x >= edge
+    for lo in range(0, count, _SLICE):
+        x = rng.random(min(_SLICE, count - lo)) * cdf[-1]
+        part = n[lo : lo + _SLICE]
+        for edge in cdf[:-1]:
+            part += x >= edge
     return n
 
 
@@ -476,38 +585,58 @@ def _segment_counts(flags: np.ndarray, last: np.ndarray) -> np.ndarray:
     return np.diff(totals, prepend=np.int32(0))
 
 
+def _photon_slices(ends: np.ndarray):
+    """Photon slices of about ``_SLICE``, cut at pulse boundaries.
+
+    ``ends`` holds the photon index past each pulse's last photon.  Yields
+    the slice's pulses as (first, past the last), its photon count and the
+    index of each pulse's first photon within the slice.
+    """
+    cuts = np.searchsorted(ends, np.arange(_SLICE, ends[-1] if ends.size else 0, _SLICE), side="right")
+    cuts = np.unique(np.concatenate(([0], cuts, [ends.size])))
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        base = int(ends[lo - 1]) if lo else 0
+        first = np.empty(hi - lo, dtype=np.int64)
+        first[0] = 0
+        np.subtract(ends[lo : hi - 1], base, out=first[1:])
+        yield lo, hi, int(ends[hi - 1]) - base, first
+
+
 def _simulate_batch(config: ExperimentConfig, batch_index: int, start: int, size: int) -> _Batch:
     """All random draws for pulses [start, start + size); no gate logic here.
 
     Photons are laid out contiguously per occupied pulse, and every occupied
-    pulse holds at least one, so no segment is empty.
+    pulse holds at least one, so no segment is empty.  The per-photon draws
+    are taken and reduced one photon slice at a time, in photon order, so
+    the working set is set by the occupied pulses, not the photons.
     """
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, batch_index)))
     n_pix = config.n_pixels
     mu = config.mean_pairs_per_pulse
     p_occ = mu / (1.0 + mu) if config.source_family == "thermal" else -math.expm1(-mu)
     occ = _occupied_pulses(rng, p_occ, size)
-    photons = _photon_numbers(rng, config, occ.size)
-    ends = np.cumsum(photons)
-    first = ends - photons
-    n_photons = int(ends[-1]) if ends.size else 0
+    ends = np.cumsum(_photon_numbers(rng, config, occ.size))
 
     # idler arm: a photon survives iff u < T, and then u / T is uniform on
     # [0, 1) and picks its pixel; index n_pix marks a lost photon
     t_idler = config.idler_transmission
-    u = rng.random(n_photons)
-    if t_idler > 0.0:
-        u /= t_idler
-        np.minimum(u, 1.0, out=u)
-    else:
-        u.fill(1.0)
-    u *= n_pix
     pixel_bit = np.zeros(n_pix + 1, dtype=np.uint16)
     pixel_bit[:n_pix] = 1 << np.arange(n_pix)
-    fired = np.bitwise_or.reduceat(pixel_bit[u.astype(np.uint8)], first)
-    del u
+    fired = np.empty(occ.size, dtype=np.uint16)
+    for lo, hi, n_photons, first in _photon_slices(ends):
+        u = rng.random(n_photons)
+        if t_idler > 0.0:
+            u /= t_idler
+            np.minimum(u, 1.0, out=u)
+        else:
+            u.fill(1.0)
+        u *= n_pix
+        fired[lo:hi] = np.bitwise_or.reduceat(pixel_bit[u.astype(np.uint8)], first)
     clicks = np.bitwise_count(fired)
-    clicks += (clicks >= 1) & (clicks <= n_pix - 1) & (rng.random(clicks.size) < config.crosstalk)
+    del fired
+    for lo in range(0, clicks.size, _SLICE):
+        part = clicks[lo : lo + _SLICE]
+        part += (part >= 1) & (part <= n_pix - 1) & (rng.random(part.size) < config.crosstalk)
 
     click_hist = np.bincount(clicks, minlength=n_pix + 1)
     click_hist[0] += size - occ.size
@@ -515,10 +644,12 @@ def _simulate_batch(config: ExperimentConfig, batch_index: int, start: int, size
     accept = np.zeros(n_pix + 1, dtype=bool)
     accept[list(config.herald_selection.accepted_clicks)] = True
     herald_occ = occ[accept[clicks]]
+    del clicks
     if accept[0]:
-        empty = np.setdiff1d(np.arange(size, dtype=np.int64), occ, assume_unique=True)
+        empty = np.setdiff1d(np.arange(size, dtype=np.int32), occ, assume_unique=True)
         herald_occ = np.sort(np.concatenate([herald_occ, empty]))
     herald_pulse = start + herald_occ.astype(np.int64)
+    del herald_occ
 
     # signal arm, counted for both gate outcomes; the stitch pass picks one.
     # v < q_a reaches A, and given that v / q_a is uniform, so v < q_a * leak
@@ -526,16 +657,27 @@ def _simulate_batch(config: ExperimentConfig, batch_index: int, start: int, size
     q_a = config.signal_transmission * config.hbt_efficiency * config.hbt_splitting
     q_b = config.signal_transmission * config.hbt_efficiency * (1.0 - config.hbt_splitting)
     leak = config.leakage
-    v = rng.random(n_photons)
-    last = ends - 1
-    a_closed, a_open, below_b_closed, below_b_open = (
-        _segment_counts(v < threshold, last)
-        for threshold in (q_a * leak, q_a, q_a + q_b * leak, q_a + q_b)
-    )
-    del v
-    keep = below_b_open > 0
-    a_open = a_open[keep]
-    cand_pulse = start + occ[keep]
+    thresholds = (q_a * leak, q_a, q_a + q_b * leak, q_a + q_b)
+    # candidates (pulses with a photon below q_a + q_b) and their photons
+    # below each threshold, for the candidates found so far
+    cand = np.empty(occ.size, dtype=np.int32)
+    below = np.empty((4, occ.size), dtype=np.int32)
+    n_cand = 0
+    for lo, hi, n_photons, first in _photon_slices(ends):
+        v = rng.random(n_photons)
+        last = np.append(first[1:], n_photons) - 1
+        counts = [_segment_counts(v < threshold, last) for threshold in thresholds]
+        keep = counts[-1] > 0
+        k = int(np.count_nonzero(keep))
+        for row, values in zip([cand, *below], [occ[lo:hi], *counts]):
+            np.compress(keep, values, out=row[n_cand : n_cand + k])
+        n_cand += k
+    del ends
+    cand_pulse = start + cand[:n_cand].astype(np.int64)
+    del cand
+    a_closed, a_open, below_b_closed, below_b_open = below[:, :n_cand]
+    below_b_closed -= a_open
+    below_b_open -= a_open
 
     # dark counts over this batch's time span
     span = size * config.rep_period
@@ -548,24 +690,135 @@ def _simulate_batch(config: ExperimentConfig, batch_index: int, start: int, size
         herald_pulse=herald_pulse,
         cand_pulse=cand_pulse,
         a_open=a_open,
-        a_closed=a_closed[keep],
-        b_open=below_b_open[keep] - a_open,
-        b_closed=below_b_closed[keep] - a_open,
+        a_closed=a_closed,
+        b_open=below_b_open,
+        b_closed=below_b_closed,
         click_hist=click_hist,
         dark_a=dark_a,
         dark_b=dark_b,
     )
 
 
+def _batches(config: ExperimentConfig, threads: int, batch_size: int, n_batches: int):
+    """The run's batches in order, with at most ``threads`` + 1 of them drawn and not yet stitched.
+
+    ``ThreadPoolExecutor.map`` would submit every batch up front, so the
+    futures are submitted by hand, ``threads`` ahead of the one handed out.
+    """
+    jobs = ((i, i * batch_size, min(batch_size, config.n_pulses - i * batch_size)) for i in range(n_batches))
+    if threads == 1 or n_batches <= 1:
+        for job in jobs:
+            yield _simulate_batch(config, *job)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        ahead = deque()
+        for job in jobs:
+            ahead.append(pool.submit(_simulate_batch, config, *job))
+            if len(ahead) > threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+
+
+def _segments(config: ExperimentConfig, threads: int, batch_size: int, n_batches: int):
+    """Stitch the run batch by batch; yields one segment per batch and returns the _Counters.
+
+    A segment ends at the next batch's first pulse time, which every herald
+    and dark count of its batch lies below.  Signal arrivals at or past that
+    cut wait, with their photon counts, for a later segment, because a later
+    herald's gate may still cover them.  Carried from one segment to the
+    next are the merged gates that reach the cut and, for the retrigger
+    filter, the kept heralds whose gates reach past it.
+    """
+    rep = config.rep_period
+    delay = config.resolved_signal_delay
+    latency, gate_length = config.latency, config.gate_length
+    ignore = config.retrigger == "ignore"
+    ramp = [
+        np.random.default_rng(np.random.SeedSequence((config.seed, _RAMP_STREAM_TAG, int(ch))))
+        for ch in (Channel.HBT_A, Channel.HBT_B)
+    ]
+    empty = np.empty(0, dtype=np.int64)
+    kept_tail = starts = ends = empty
+    waiting = [empty] + [np.empty(0, dtype=np.int32)] * 4  # arrivals, a_open, a_closed, b_open, b_closed
+    click_counts = np.zeros(config.n_pixels + 1, dtype=np.int64)
+    accepted = emitted = 0
+    channel_counts = dict.fromkeys(Channel, 0)
+
+    batches = _batches(config, threads, batch_size, n_batches)
+    for index in range(n_batches):
+        batch = next(batches)
+        click_counts += batch.click_hist
+        heralds = np.multiply(batch.herald_pulse, rep, out=batch.herald_pulse)
+        accepted += heralds.size
+        if ignore:
+            # a kept herald stays kept when only its predecessors whose gates
+            # reach this batch are filtered with it
+            heralds = _retrigger_filter(np.concatenate((kept_tail, heralds)), latency, gate_length)[kept_tail.size :]
+            kept_tail = np.concatenate((kept_tail, heralds))
+        emitted += heralds.size
+        new_starts, new_ends = merged_gate_intervals(heralds, latency, gate_length)
+        if ends.size and new_starts.size and new_starts[0] <= ends[-1]:
+            new_starts[0] = starts[-1]  # the first new gate extends the last carried one
+            starts, ends = starts[:-1], ends[:-1]
+        starts, ends = np.concatenate((starts, new_starts)), np.concatenate((ends, new_ends))
+
+        arrivals = np.multiply(batch.cand_pulse, rep, out=batch.cand_pulse)
+        arrivals += delay
+        # the waiting arrivals all come before this batch's, and either part
+        # may reach past the cut
+        parts = [waiting, (arrivals, *batch[2:6])]
+        cut = None if index == n_batches - 1 else (index + 1) * batch_size * rep
+        n_now = [part[0].size if cut is None else int(np.searchsorted(part[0], cut)) for part in parts]
+        picked_a, picked_b = [], []
+        for part, n in zip(parts, n_now):
+            arrivals, a_open, a_closed, b_open, b_closed = (column[:n] for column in part)
+            open_gate = _open_mask(arrivals, starts, ends)
+            a = np.where(open_gate, a_open, a_closed)
+            b = np.where(open_gate, b_open, b_closed)
+            if config.gate_rise_time > 0:
+                partial, factor = _on_ramp(arrivals, open_gate, starts, ends, config.gate_rise_time)
+                a[partial] = ramp[0].binomial(a[partial], factor)
+                b[partial] = ramp[1].binomial(b[partial], factor)
+            picked_a.append(arrivals[a > 0])
+            picked_b.append(arrivals[b > 0])
+        waiting = [np.concatenate((early[n_now[0] :], late[n_now[1] :])) for early, late in zip(*parts)]
+        dark_a, dark_b = batch.dark_a, batch.dark_b
+        del batch, parts, part, arrivals, a_open, a_closed, b_open, b_closed, open_gate, a, b
+        segment = {
+            Channel.HERALD_TRIGGER: heralds,
+            Channel.HBT_A: _with_darks(np.concatenate(picked_a), dark_a),
+            Channel.HBT_B: _with_darks(np.concatenate(picked_b), dark_b),
+        }
+        del picked_a, picked_b
+        for ch in Channel:
+            channel_counts[ch] += segment[ch].size
+        yield segment
+        del segment, heralds, dark_a, dark_b
+
+        if cut is not None:
+            # a gate that ends before the cut covers nothing after it
+            keep = int(np.searchsorted(ends, cut))
+            starts, ends = starts[keep:].copy(), ends[keep:].copy()
+            kept_tail = kept_tail[np.searchsorted(kept_tail, cut - latency - gate_length, side="right") :].copy()
+            del new_starts, new_ends
+    return _Counters(click_counts, accepted, emitted, channel_counts)
+
+
 def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BATCH_SIZE):
     """Simulate the configured run.
 
     Returns:
-        (TagStream, RunSummary).  Output is bit-identical for any ``threads``
-        value; see the module docstring for the determinism contract.
+        (TagStream, RunSummary) at once.  The run is drawn and stitched
+        batch by batch as the stream's segments are taken, or all of it
+        when the stream's channels or a counter of the summary are read
+        first.  Output is bit-identical for any ``threads`` value; see the
+        module docstring for the determinism contract.
     """
     if batch_size <= 0:
         raise ParameterError("batch_size must be > 0")
+    if batch_size >= 2**31:
+        raise ParameterError("batch_size must be below 2**31")
     if threads < 1:
         raise ParameterError("threads must be >= 1")
     delay = config.resolved_signal_delay
@@ -578,68 +831,19 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
         raise ParameterError(f"mean_pairs_per_pulse {config.mean_pairs_per_pulse!r} expects more than "
                              f"{_PHOTON_BUDGET} photons in a batch of up to batch_size={batch_size} pulses")
     # a run of zero pulses still makes one empty batch, which gives every
-    # merged field its dtype
+    # channel its dtype
     n_batches = max(1, (config.n_pulses + batch_size - 1) // batch_size)
     if n_batches >= _RAMP_STREAM_TAG:
         raise ParameterError("too many batches")
-
-    jobs = [
-        (i, i * batch_size, min(batch_size, config.n_pulses - i * batch_size))
-        for i in range(n_batches)
-    ]
-    if threads == 1 or n_batches <= 1:
-        results = [_simulate_batch(config, *job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: _simulate_batch(config, *job), jobs))
-    merged = _Batch(*map(np.concatenate, zip(*results)))
-    del results
-    click_counts = merged.click_hist.reshape(n_batches, config.n_pixels + 1).sum(axis=0)
-    heralds_accepted = merged.herald_pulse.size
-
-    # pulse numbers turn into times in place, so run holds one copy of each
-    herald_times = np.multiply(merged.herald_pulse, config.rep_period, out=merged.herald_pulse)
-    arrivals = np.multiply(merged.cand_pulse, config.rep_period, out=merged.cand_pulse)
-    arrivals += delay
-    if config.retrigger == "ignore":
-        herald_times = _retrigger_filter(herald_times, config.latency, config.gate_length)
-
-    starts, ends = merged_gate_intervals(herald_times, config.latency, config.gate_length)
-    open_gate = _open_mask(arrivals, starts, ends)
-    a = np.where(open_gate, merged.a_open, merged.a_closed)
-    b = np.where(open_gate, merged.b_open, merged.b_closed)
-
-    if config.gate_rise_time > 0:
-        partial, factor = _on_ramp(arrivals, open_gate, starts, ends, config.gate_rise_time)
-        if partial.size:
-            rng_ramp = np.random.default_rng(np.random.SeedSequence((config.seed, _RAMP_STREAM_TAG)))
-            a[partial] = rng_ramp.binomial(a[partial], factor)
-            b[partial] = rng_ramp.binomial(b[partial], factor)
-
-    stream = TagStream(
-        channels={
-            Channel.HERALD_TRIGGER: herald_times,
-            Channel.HBT_A: _with_darks(arrivals[a > 0], merged.dark_a),
-            Channel.HBT_B: _with_darks(arrivals[b > 0], merged.dark_b),
-        },
-        duration=config.duration,
-    )
-    summary = RunSummary(
-        n_pulses=config.n_pulses,
-        seed=config.seed,
-        duration=config.duration,
-        channel_counts=stream.counts(),
-        click_counts=click_counts,
-        heralds_accepted=int(heralds_accepted),
-        heralds_emitted=int(herald_times.size),
-        config=config,
-    )
-    return stream, summary
+    draw = _Draw(functools.partial(_segments, config, threads, batch_size, n_batches))
+    return TagStream(None, config.duration, draw), RunSummary(config, draw)
 
 
 def benchmark(config: ExperimentConfig) -> float:
     """Wall-clock throughput of a one-thread run() in pulses per second."""
     t0 = time.perf_counter()
-    run(config)
+    stream, _ = run(config)
+    for _ in stream.segments():
+        pass
     elapsed = time.perf_counter() - t0
     return config.n_pulses / elapsed

@@ -6,10 +6,17 @@ Binary format (versioned, little-endian):
     records : 12 bytes each = uint8 channel, 3 zero bytes, uint64 timestamp_ps
 
 The reader rejects non-zero reserved bytes and timestamps of 2**63 ps or
-more, which do not fit the signed 64-bit times of a TagStream.  The writer
-refuses a stream with a negative time, which the format cannot hold.
+more, which do not fit the signed 64-bit times of a TagStream.  It reads
+the records in two passes over fixed blocks of ``_READ_BLOCK`` records in
+one reused buffer: the first checks them and counts each channel's tags,
+the second copies each channel's times into an array of that size.  The
+writer refuses a stream with a negative time, which the format cannot hold.
 
-Records are stored in global time order (ties broken by channel id).  The
+Records are stored in global time order (ties broken by channel id).  Both
+writers take a TagStream or an iterable of segments, per-channel dicts of
+times over disjoint spans of time in ascending order, and append each
+segment's records as it comes, so writing a stream that ``run`` returns
+holds one segment at a time.  The
 CSV alternative is lossless: a ``channel,timestamp_ps`` header followed by
 one ``<name>,<signed decimal>`` row per record, in the same order, with the
 channel spelled by name and each row ending in ``\\n``.  The reader skips
@@ -28,6 +35,7 @@ Readers reject a file in which a channel's timestamps decrease.
 
 from __future__ import annotations
 
+import os
 import re
 
 import numpy as np
@@ -49,6 +57,8 @@ assert [int(ch) for ch in Channel] == list(range(len(Channel)))
 CSV_HEADER = "channel,timestamp_ps"
 #: Records per channel that the writers merge in one piece.
 _WRITE_CHUNK = 1 << 16
+#: Records the binary reader decodes at a time.
+_READ_BLOCK = 1 << 16
 _CSV_NAMES = [CHANNEL_NAMES[ch] for ch in sorted(Channel)]  # indexed by channel id
 # The row grammar, for the rows the bulk reader leaves to the per-row check.
 _CSV_RECORD = rf"(?:{'|'.join(map(re.escape, _CSV_NAMES))}),\s*[+-]?[0-9]+\s*"
@@ -70,38 +80,68 @@ assert max(map(len, _CSV_NAMES)) < _CSV_HEAD
 _CSV_DIGITS = 18
 
 
-def _record_chunks(stream: TagStream):
-    """The stream's records in file order, one piece at a time.
+def _record_chunks(stream, refuse_negative: bool = False):
+    """The records of a TagStream, or of an iterable of segments, in file order, one piece at a time.
 
-    Every channel is cut at the same times, which are every
+    Segments are per-channel dicts of times over disjoint spans of time in
+    ascending order, so their records follow one another in the file.
+    Within a segment every channel is cut at the same times, which are every
     ``_WRITE_CHUNK``-th time of each channel, so the pieces follow one
-    another in the file and each is merged on its own.  A piece holds at
-    most ``_WRITE_CHUNK`` records per channel, more only where a channel
-    repeats one time, and the writers never hold the whole file in memory.
+    another too and each is merged on its own.  A piece holds at most
+    ``_WRITE_CHUNK`` records per channel, more only where a channel repeats
+    one time, and the writers hold one segment and one piece at a time.
     """
-    codes, times = [], []
-    for ch in Channel:
-        arr = stream.channels.get(ch)
-        if arr is None or arr.size == 0:
-            continue
-        t = np.asarray(arr, dtype=np.int64)
-        if np.any(t[1:] < t[:-1]):
-            t = np.sort(t)
-        codes.append(int(ch))
-        times.append(t)
+    end = None  # the last time written so far
     empty = np.empty(0, dtype=np.int64)
-    cuts = np.unique(np.concatenate([t[_WRITE_CHUNK::_WRITE_CHUNK] for t in times] + [empty]))
-    edges = [np.concatenate(([0], np.searchsorted(t, cuts), [t.size])) for t in times]
-    for i in range(cuts.size + 1):
-        piece = np.concatenate([t[e[i] : e[i + 1]] for t, e in zip(times, edges)] + [empty])
-        piece_codes = np.repeat(np.array(codes, dtype=np.uint8), [e[i + 1] - e[i] for e in edges])
-        # the piece lists channels by ascending id, so a stable sort on time
-        # breaks ties by channel
-        order = np.argsort(piece, kind="stable")
-        records = np.zeros(piece.size, dtype=RECORD_DTYPE)
-        records["channel"] = piece_codes[order]
-        records["timestamp"] = piece[order]
-        yield records
+    for segment in stream.segments() if isinstance(stream, TagStream) else stream:
+        codes, times = [], []
+        for ch in Channel:
+            arr = segment.get(ch)
+            if arr is None or np.size(arr) == 0:
+                continue
+            t = np.asarray(arr, dtype=np.int64)
+            if np.any(t[1:] < t[:-1]):
+                t = np.sort(t)
+            if refuse_negative and t[0] < 0:
+                raise ParameterError(
+                    f"{CHANNEL_NAMES[ch]} holds a negative timestamp, which the binary tag format cannot store"
+                )
+            if end is not None and t[0] <= end:
+                raise ParameterError("tag segments must follow one another in time without overlap")
+            codes.append(int(ch))
+            times.append(t)
+        if not times:
+            continue
+        end = max(int(t[-1]) for t in times)
+        cuts = np.unique(np.concatenate([t[_WRITE_CHUNK::_WRITE_CHUNK] for t in times] + [empty]))
+        edges = [np.concatenate(([0], np.searchsorted(t, cuts), [t.size])) for t in times]
+        for i in range(cuts.size + 1):
+            piece = np.concatenate([t[e[i] : e[i + 1]] for t, e in zip(times, edges)])
+            piece_codes = np.repeat(np.array(codes, dtype=np.uint8), [e[i + 1] - e[i] for e in edges])
+            # the piece lists channels by ascending id, so a stable sort on time
+            # breaks ties by channel
+            order = np.argsort(piece, kind="stable")
+            records = np.zeros(piece.size, dtype=RECORD_DTYPE)
+            records["channel"] = piece_codes[order]
+            records["timestamp"] = piece[order]
+            yield records
+        # let go of this segment before the next one is drawn
+        del segment, arr, t, times, piece, piece_codes, order, records
+
+
+def _out_of_order(path, ch) -> FormatError:
+    return FormatError(f"{path}: {CHANNEL_NAMES[ch]} timestamps are not in time order")
+
+
+def _tag_stream(path, channels: dict, last: int, duration: int | None) -> TagStream:
+    """The read channels as a stream; ``last`` is the file's latest time, or -1."""
+    heralds = channels[Channel.HERALD_TRIGGER]
+    if duration is None:
+        duration = last + 1
+    elif heralds.size and duration <= heralds[-1]:
+        # heralds are pulse times, so the acquisition reaches past the last one
+        raise ParameterError(f"{path}: duration {duration} ps must exceed the last herald at {int(heralds[-1])} ps")
+    return TagStream(channels=channels, duration=int(duration))
 
 
 def _stream_from(path, codes: np.ndarray, times: np.ndarray, duration: int | None) -> TagStream:
@@ -112,36 +152,48 @@ def _stream_from(path, codes: np.ndarray, times: np.ndarray, duration: int | Non
     # a stable sort on the channel id keeps each channel's records in file
     # order and lays the channels out one after another
     by_channel = times[np.argsort(codes, kind="stable")]
-    channels = {}
-    for ch, sel in zip(Channel, np.split(by_channel, np.cumsum(counts)[:-1])):
+    channels = dict(zip(Channel, np.split(by_channel, np.cumsum(counts)[:-1])))
+    for ch, sel in channels.items():
         if np.any(sel[1:] < sel[:-1]):
-            raise FormatError(f"{path}: {CHANNEL_NAMES[ch]} timestamps are not in time order")
-        channels[ch] = sel
-    heralds = channels[Channel.HERALD_TRIGGER]
-    if duration is None:
-        duration = int(times.max()) + 1 if times.size else 0
-    elif heralds.size and duration <= heralds[-1]:
-        # heralds are pulse times, so the acquisition reaches past the last one
-        raise ParameterError(f"{path}: duration {duration} ps must exceed the last herald at {int(heralds[-1])} ps")
-    return TagStream(channels=channels, duration=int(duration))
+            raise _out_of_order(path, ch)
+    return _tag_stream(path, channels, int(times.max()) if times.size else -1, duration)
 
 
-def write_binary(stream: TagStream, path) -> None:
-    for ch in Channel:
-        arr = stream.channels.get(ch)
-        if arr is not None and np.size(arr) and np.min(arr) < 0:
-            raise ParameterError(
-                f"{CHANNEL_NAMES[ch]} holds a negative timestamp, which the binary tag format cannot store"
-            )
+def write_binary(stream, path) -> None:
+    """Write a TagStream, or an iterable of segments in time order, as a binary tag file."""
+    pieces = _record_chunks(stream, refuse_negative=True)
+    # segments come in time order, so a negative time lies in the first
+    # piece, and is refused before the file is opened
+    first = next(pieces, None)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.uint32(VERSION).tobytes())
         fh.write(np.uint32(0).tobytes())
-        for records in _record_chunks(stream):
-            fh.write(records.tobytes())
+        if first is not None:
+            fh.write(first)
+            del first
+        for records in pieces:
+            fh.write(records)
+
+
+def _record_blocks(fh, block: np.ndarray, n_records: int):
+    """The file's records read into ``block`` a block at a time, each with the index of its first record."""
+    raw = block.view(np.uint8)
+    fh.seek(HEADER_SIZE)
+    for lo in range(0, n_records, block.size):
+        count = min(block.size, n_records - lo)
+        if fh.readinto(raw[: count * RECORD_DTYPE.itemsize]) != count * RECORD_DTYPE.itemsize:
+            raise FormatError(f"{fh.name}: truncated record payload")
+        yield lo, block[:count]
 
 
 def read_binary(path, duration: int | None = None) -> TagStream:
+    """Read a binary tag file in two passes over fixed-size blocks of records.
+
+    The first pass checks every record and counts each channel's tags, the
+    second copies them into arrays of that exact size, so the reader holds
+    the decoded stream and one block.
+    """
     with open(path, "rb") as fh:
         header = fh.read(HEADER_SIZE)
         if len(header) < HEADER_SIZE or header[:8] != MAGIC:
@@ -151,18 +203,51 @@ def read_binary(path, duration: int | None = None) -> TagStream:
             raise FormatError(f"{path}: unsupported format version {version}")
         if any(header[12:]):
             raise FormatError(f"{path}: reserved header word is not zero")
-        payload = fh.read()
-    if len(payload) % RECORD_DTYPE.itemsize:
-        raise FormatError(f"{path}: truncated record payload")
-    records = np.frombuffer(payload, dtype=RECORD_DTYPE)
-    # the first little-endian word of a record is channel | reserved << 8
-    first_words = np.frombuffer(payload, dtype="<u4")[::3]
-    if first_words.size and first_words.max() > 0xFF:
-        raise FormatError(f"{path}: record {int(np.argmax(first_words > 0xFF))} has non-zero reserved bytes")
-    times = records["timestamp"].view(np.int64)  # 2**63 and above read as negative
-    if times.size and times.min() < 0:
-        raise FormatError(f"{path}: record {int(np.argmax(times < 0))} has a timestamp of 2**63 ps or more")
-    return _stream_from(path, records["channel"], times, duration)
+        n_records, extra = divmod(os.fstat(fh.fileno()).st_size - HEADER_SIZE, RECORD_DTYPE.itemsize)
+        if extra:
+            raise FormatError(f"{path}: truncated record payload")
+
+        block = np.empty(_READ_BLOCK, dtype=RECORD_DTYPE)
+        counts = np.zeros(256, dtype=np.int64)
+        bad_reserved = bad_time = None
+        last = -1
+        for lo, records in _record_blocks(fh, block, n_records):
+            # the first little-endian word of a record is channel | reserved << 8
+            words = records.view("<u4")[::3]
+            if bad_reserved is None and words.max() > 0xFF:
+                bad_reserved = lo + int(np.argmax(words > 0xFF))
+            times = records["timestamp"].view(np.int64)  # 2**63 and above read as negative
+            if bad_time is None and times.min() < 0:
+                bad_time = lo + int(np.argmax(times < 0))
+            hist = np.bincount(records["channel"])
+            counts[: hist.size] += hist
+            last = max(last, int(times.max()))
+        if bad_reserved is not None:
+            raise FormatError(f"{path}: record {bad_reserved} has non-zero reserved bytes")
+        if bad_time is not None:
+            raise FormatError(f"{path}: record {bad_time} has a timestamp of 2**63 ps or more")
+        unknown = np.flatnonzero(counts[len(Channel) :]) + len(Channel)
+        if unknown.size:
+            raise FormatError(f"{path}: unknown channel ids {unknown.tolist()}")
+
+        # one array laid out channel after channel, as a view per channel
+        counts = counts[: len(Channel)]
+        channels = dict(zip(Channel, np.split(np.empty(n_records, dtype=np.int64), np.cumsum(counts)[:-1])))
+        filled = dict.fromkeys(Channel, 0)
+        unordered = set()
+        for _, records in _record_blocks(fh, block, n_records):
+            codes, times = records["channel"], records["timestamp"].view(np.int64)
+            for ch, count in zip(Channel, np.bincount(codes, minlength=len(Channel)).tolist()):
+                lo = filled[ch]
+                np.compress(codes == ch, times, out=channels[ch][lo : lo + count])
+                filled[ch] += count
+                # the new times, and the one before them
+                run = channels[ch][max(lo - 1, 0) : lo + count]
+                if np.any(run[1:] < run[:-1]):
+                    unordered.add(ch)
+    if unordered:
+        raise _out_of_order(path, min(unordered))
+    return _tag_stream(path, channels, last, duration)
 
 
 def _csv_rows(codes: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -197,7 +282,8 @@ def _csv_rows(codes: np.ndarray, times: np.ndarray) -> np.ndarray:
     return block[block != 0]
 
 
-def write_csv(stream: TagStream, path) -> None:
+def write_csv(stream, path) -> None:
+    """Write a TagStream, or an iterable of segments in time order, as a CSV tag file."""
     with open(path, "wb") as fh:
         fh.write(f"{CSV_HEADER}\n".encode())
         for records in _record_chunks(stream):

@@ -330,6 +330,24 @@ def test_tag_io_goes_through_cli_names(tmp_path, monkeypatch):
     ]
 
 
+def test_simulate_memory_does_not_grow_with_the_run(tmp_path):
+    """simulate writes the run segment by segment, so eight times the pulses
+    hold about the same memory."""
+    peaks = {}
+    for pulses in (1_000_000, 8_000_000):
+        script = ("import resource, sys; from heraldsim.cli import main; "
+                  "rc = main(sys.argv[1:]); "
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(rc)")
+        result = subprocess.run(
+            [sys.executable, "-c", script, "simulate", "--mu", "0.5", "--selection", "1", "--pulses", str(pulses),
+             "--seed", "3", "--threads", "1", "--out", str(tmp_path / "dense.tags")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        peaks[pulses] = int(result.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
+    assert peaks[8_000_000] - peaks[1_000_000] <= 10, peaks
+
+
 @pytest.fixture(scope="module")
 def small_tags(tmp_path_factory):
     tags = tmp_path_factory.mktemp("analyze") / "run.tags"
@@ -442,6 +460,16 @@ class TestEnvironmentOverrides:
                                    "--threads", 1, "--out", tmp_path / "t.tags", env=env)
         assert result.returncode == 0
         assert invoke_subprocess("matrix", "--out", tmp_path / "m.csv", env=env).returncode == 0
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_env_not_positive(self, tmp_path, value):
+        env = {**os.environ, "HERALDSIM_THREADS": value}
+        result = invoke_subprocess("simulate", "--mu", 0.05, "--pulses", 200, "--seed", 1,
+                                   "--out", tmp_path / "t.tags", env=env)
+        assert result.returncode == 2
+        assert f"HERALDSIM_THREADS must be >= 1, got '{value}'" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "t.tags").exists()
 
     def test_threads_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HERALDSIM_THREADS", "2")

@@ -20,10 +20,12 @@ from heraldsim import (
     run,
     thermal,
 )
-from heraldsim import event_sim
+from heraldsim import event_sim, tagio
 from heraldsim.event_sim import (
+    _RAMP_STREAM_TAG,
     CONFIG_KEYS,
     _Batch,
+    _geometric,
     _occupied_pulses,
     _on_ramp,
     _open_mask,
@@ -157,6 +159,112 @@ def reference_simulate_batch(config, batch_index, start, size):
     dark_b = t0 + rng.integers(0, span, rng.poisson(lam), dtype=np.int64)
     return _Batch(herald_pulse, cand_pulse, a_open[keep], a_closed[keep], b_open[keep], b_closed[keep],
                   click_hist, dark_a, dark_b)
+
+
+def reference_unsliced_batch(config, batch_index, start, size):
+    """The per-photon kernel that draws every photon's uniforms in one call, which _simulate_batch slices."""
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, batch_index)))
+    n_pix = config.n_pixels
+    mu = config.mean_pairs_per_pulse
+    p_occ = mu / (1.0 + mu) if config.source_family == "thermal" else -math.expm1(-mu)
+    found = []
+    last = -1
+    while p_occ > 0.0 and last < size - 1:
+        left = size - 1 - last
+        expected = left * p_occ
+        n = int(min(left, expected + 5.0 * math.sqrt(expected) + 16.0))
+        pos = last + np.cumsum(_geometric(rng, p_occ, n, left + 1))
+        found.append(pos[: np.searchsorted(pos, size)])
+        last = int(pos[-1])
+    occ = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+    if config.source_family == "thermal":
+        photons = _geometric(rng, 1.0 / (1.0 + mu), occ.size, 2**62)
+    else:
+        cdf = np.cumsum(poissonian(mu, max(1, required_n_max(mu))).probs[1:])
+        x = rng.random(occ.size) * cdf[-1]
+        photons = np.ones(occ.size, dtype=np.int64)
+        for edge in cdf[:-1]:
+            photons += x >= edge
+    ends = np.cumsum(photons)
+    first = ends - photons
+    n_photons = int(ends[-1]) if ends.size else 0
+
+    u = rng.random(n_photons)
+    if config.idler_transmission > 0.0:
+        u /= config.idler_transmission
+        np.minimum(u, 1.0, out=u)
+    else:
+        u.fill(1.0)
+    u *= n_pix
+    pixel_bit = np.zeros(n_pix + 1, dtype=np.uint16)
+    pixel_bit[:n_pix] = 1 << np.arange(n_pix)
+    clicks = np.bitwise_count(np.bitwise_or.reduceat(pixel_bit[u.astype(np.uint8)], first))
+    clicks += (clicks >= 1) & (clicks <= n_pix - 1) & (rng.random(clicks.size) < config.crosstalk)
+    click_hist = np.bincount(clicks, minlength=n_pix + 1)
+    click_hist[0] += size - occ.size
+    accept = np.zeros(n_pix + 1, dtype=bool)
+    accept[list(config.herald_selection.accepted_clicks)] = True
+    herald_occ = occ[accept[clicks]]
+    if accept[0]:
+        empty = np.setdiff1d(np.arange(size, dtype=np.int64), occ, assume_unique=True)
+        herald_occ = np.sort(np.concatenate([herald_occ, empty]))
+
+    q_a = config.signal_transmission * config.hbt_efficiency * config.hbt_splitting
+    q_b = config.signal_transmission * config.hbt_efficiency * (1.0 - config.hbt_splitting)
+    leak = config.leakage
+    v = rng.random(n_photons)
+    a_closed, a_open, below_b_closed, below_b_open = (
+        np.diff(np.cumsum(v < threshold)[ends - 1], prepend=0)
+        for threshold in (q_a * leak, q_a, q_a + q_b * leak, q_a + q_b)
+    )
+    keep = below_b_open > 0
+    span = size * config.rep_period
+    t0 = start * config.rep_period
+    lam = config.dark_rate * span * 1e-12
+    dark_a = t0 + rng.integers(0, span, rng.poisson(lam), dtype=np.int64)
+    dark_b = t0 + rng.integers(0, span, rng.poisson(lam), dtype=np.int64)
+    return _Batch(start + herald_occ, start + occ[keep], a_open[keep], a_closed[keep],
+                  below_b_open[keep] - a_open[keep], below_b_closed[keep] - a_open[keep], click_hist, dark_a, dark_b)
+
+
+def reference_run(config, batch_size=event_sim.DEFAULT_BATCH_SIZE):
+    """The whole-run stitching that run() does segment by segment.
+
+    Every batch is drawn first, the batches are joined, and the gates are
+    resolved once over the whole run.  Returns the channels and the
+    counters of the run summary.
+    """
+    n_batches = max(1, -(-config.n_pulses // batch_size))
+    parts = [
+        _simulate_batch(config, i, i * batch_size, min(batch_size, config.n_pulses - i * batch_size))
+        for i in range(n_batches)
+    ]
+    merged = _Batch(*map(np.concatenate, zip(*parts)))
+    herald_times = merged.herald_pulse * config.rep_period
+    arrivals = merged.cand_pulse * config.rep_period + config.resolved_signal_delay
+    if config.retrigger == "ignore":
+        herald_times = _retrigger_filter(herald_times, config.latency, config.gate_length)
+    starts, ends = merged_gate_intervals(herald_times, config.latency, config.gate_length)
+    open_gate = _open_mask(arrivals, starts, ends)
+    a = np.where(open_gate, merged.a_open, merged.a_closed)
+    b = np.where(open_gate, merged.b_open, merged.b_closed)
+    if config.gate_rise_time > 0:
+        partial, factor = _on_ramp(arrivals, open_gate, starts, ends, config.gate_rise_time)
+        for counts, ch in ((a, Channel.HBT_A), (b, Channel.HBT_B)):
+            ramp = np.random.default_rng(np.random.SeedSequence((config.seed, _RAMP_STREAM_TAG, int(ch))))
+            counts[partial] = ramp.binomial(counts[partial], factor)
+    channels = {
+        Channel.HERALD_TRIGGER: herald_times,
+        Channel.HBT_A: _with_darks(arrivals[a > 0], merged.dark_a),
+        Channel.HBT_B: _with_darks(arrivals[b > 0], merged.dark_b),
+    }
+    counters = {
+        "click_counts": merged.click_hist.reshape(n_batches, -1).sum(axis=0).tolist(),
+        "heralds_accepted": merged.herald_pulse.size,
+        "heralds_emitted": herald_times.size,
+        "channel_counts": {ch: arr.size for ch, arr in channels.items()},
+    }
+    return channels, counters
 
 
 def make_config(**overrides):
@@ -577,6 +685,10 @@ class TestConfigValidation:
         # the bound is on the mean of one batch, and a run of no pulses draws nothing
         run(make_config(dark_rate=1e300, n_pulses=0))
 
+    def test_batch_size_fits_int32_offsets(self):
+        with pytest.raises(ParameterError, match="batch_size must be below 2\\*\\*31"):
+            run(make_config(n_pulses=10), batch_size=2**31)
+
     def test_mean_beyond_the_photon_budget_rejected(self):
         # 1e12 photons would need terabytes of draws; the bound is per batch
         with pytest.raises(ParameterError, match="expects more than 134217728 photons .* batch_size=1048576"):
@@ -667,6 +779,39 @@ def homogeneity_pvalue(x, y):
 
 
 class TestBatchKernel:
+    @given(
+        size=st.integers(0, 3_000),
+        mu=st.sampled_from([0.0, 0.01, 0.5, 3.0]),
+        family=st.sampled_from(["poissonian", "thermal"]),
+        selection=st.sampled_from(["1", "0", "2+"]),
+        t_idler=st.sampled_from([0.0, 0.7]),
+        piece=st.sampled_from([1, 3, 7, 1 << 16]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_slices_match_unsliced_draws(self, size, mu, family, selection, t_idler, piece, seed):
+        cfg = make_config(mean_pairs_per_pulse=mu, source_family=family, seed=seed, dark_rate=1e7,
+                          herald_selection=HeraldSelection.parse(selection, 4), idler_transmission=t_idler,
+                          extinction_db=5.0, hbt_splitting=0.3)
+        expected = reference_unsliced_batch(cfg, 3, 5_000, size)
+        with mock.patch.object(event_sim, "_SLICE", piece):
+            got = _simulate_batch(cfg, 3, 5_000, size)
+        for field, want, have in zip(_Batch._fields, expected, got):
+            np.testing.assert_array_equal(have, want, err_msg=field)
+
+    def test_dense_batch_working_set(self):
+        # the run's memory is set by one batch's working set; it held 37 MB
+        # when every photon's uniforms were drawn in one call
+        cfg = make_config(mean_pairs_per_pulse=0.5, seed=3)
+        tracemalloc.start()
+        try:
+            batch = _simulate_batch(cfg, 0, 0, 1 << 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.herald_pulse.size > 200_000
+        assert peak < 24e6
+
     @pytest.mark.parametrize(
         "mu, family, size", [(0.0075, "poissonian", 1 << 21), (0.5, "poissonian", 1 << 19), (1.0, "thermal", 1 << 18)]
     )
@@ -772,3 +917,78 @@ class TestBatchKernel:
             assert not batch.a_open.any()
         if splitting == 1.0:
             assert not batch.b_open.any()
+
+
+class TestSegmentedRun:
+    @given(
+        n_pulses=st.integers(0, 600),
+        batch_size=st.integers(1, 64),
+        mu=st.sampled_from([0.05, 0.5, 2.0]),
+        selection=st.sampled_from(["1", "1+", "0", "any"]),
+        # latency and gate length: gates longer and shorter than the latency
+        gate=st.sampled_from([(23_000, 80_000), (60_000, 30_000), (0, 12_500), (40_000, 40_000)]),
+        delay_spans=st.one_of(st.none(), st.integers(0, 5)),
+        retrigger=st.sampled_from(["extend", "ignore"]),
+        dark_rate=st.sampled_from([0.0, 3e7]),
+        gate_rise_time=st.sampled_from([0, 6_000, 150_000]),
+        threads=st.sampled_from([1, 3]),
+        seed=st.integers(0, 2**32),
+    )
+    # gates that touch at a batch edge merge, and the ramp counts from the merged start
+    @example(n_pulses=200, batch_size=10, mu=2.0, selection="any", gate=(0, 12_500), delay_spans=0,
+             retrigger="extend", dark_rate=0.0, gate_rise_time=6_000, threads=1, seed=3_000)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_whole_run_stitching(self, n_pulses, batch_size, mu, selection, gate, delay_spans, retrigger,
+                                         dark_rate, gate_rise_time, threads, seed):
+        latency, gate_length = gate
+        # a signal delay of up to five batch spans, plus a part of a period
+        signal_delay = None if delay_spans is None else delay_spans * batch_size * 12_500 + seed % 12_500
+        cfg = make_config(mean_pairs_per_pulse=mu, n_pulses=n_pulses, seed=seed,
+                          herald_selection=HeraldSelection.parse(selection, 4), latency=latency,
+                          gate_length=gate_length, signal_delay=signal_delay, retrigger=retrigger,
+                          dark_rate=dark_rate, gate_rise_time=gate_rise_time, extinction_db=3.0)
+        channels, counters = reference_run(cfg, batch_size)
+        stream, summary = run(cfg, threads=threads, batch_size=batch_size)
+        for ch in Channel:
+            np.testing.assert_array_equal(stream.channels[ch], channels[ch])
+            assert stream.channels[ch].dtype == np.int64
+        assert summary.click_counts.tolist() == counters["click_counts"]
+        assert summary.heralds_accepted == counters["heralds_accepted"]
+        assert summary.heralds_emitted == counters["heralds_emitted"]
+        assert summary.channel_counts == counters["channel_counts"]
+
+    def test_stream_reads_in_any_order(self, tmp_path):
+        cfg = make_config(mean_pairs_per_pulse=0.5, n_pulses=5_000, dark_rate=1e6)
+        whole, _ = run(cfg, batch_size=1_000)
+        # segments taken by a writer, then the channels, then the segments again
+        stream, summary = run(cfg, batch_size=1_000)
+        tagio.write_binary(stream, tmp_path / "first.tags")
+        assert summary.channel_counts == stream.counts() == whole.counts()
+        for ch in Channel:
+            np.testing.assert_array_equal(stream.channels[ch], whole.channels[ch])
+        tagio.write_binary(stream, tmp_path / "second.tags")
+        # the summary read first: the run is drawn and its segments are held
+        held, held_summary = run(cfg, batch_size=1_000)
+        assert held_summary.heralds_emitted == summary.heralds_emitted
+        segments = list(held.segments())
+        assert len(segments) == 5
+        tagio.write_binary(segments, tmp_path / "third.tags")
+        first = (tmp_path / "first.tags").read_bytes()
+        assert first == (tmp_path / "second.tags").read_bytes() == (tmp_path / "third.tags").read_bytes()
+
+
+@given(
+    n=st.lists(st.integers(0, 40), min_size=1, max_size=60),
+    seed=st.integers(0, 2**32),
+    cuts=st.lists(st.integers(0, 60), max_size=5),
+)
+@settings(max_examples=100, deadline=None)
+def test_binomial_over_consecutive_slices_matches_one_call(n, seed, cuts):
+    # the ramp thinning draws a run's binomials segment by segment
+    n = np.array(n)
+    p = np.random.default_rng(seed).random(n.size)
+    whole = np.random.default_rng(seed).binomial(n, p)
+    rng = np.random.default_rng(seed)
+    edges = [0, *sorted(min(c, n.size) for c in cuts), n.size]
+    sliced = np.concatenate([rng.binomial(n[lo:hi], p[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])])
+    np.testing.assert_array_equal(sliced, whole)

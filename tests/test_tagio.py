@@ -121,6 +121,31 @@ def reference_read_csv(path):
     return {ch: times[codes == int(ch)] for ch in Channel}
 
 
+def reference_read_binary(path, duration=None):
+    """The reader that loads the whole payload and splits it by channel with
+    one argsort, which the block reader replaces."""
+    with open(path, "rb") as fh:
+        header = fh.read(tagio.HEADER_SIZE)
+        if len(header) < tagio.HEADER_SIZE or header[:8] != tagio.MAGIC:
+            raise FormatError(f"{path}: not a time-tag file (bad magic)")
+        version = int(np.frombuffer(header[8:12], dtype="<u4")[0])
+        if version != tagio.VERSION:
+            raise FormatError(f"{path}: unsupported format version {version}")
+        if any(header[12:]):
+            raise FormatError(f"{path}: reserved header word is not zero")
+        payload = fh.read()
+    if len(payload) % tagio.RECORD_DTYPE.itemsize:
+        raise FormatError(f"{path}: truncated record payload")
+    records = np.frombuffer(payload, dtype=tagio.RECORD_DTYPE)
+    first_words = np.frombuffer(payload, dtype="<u4")[::3]
+    if first_words.size and first_words.max() > 0xFF:
+        raise FormatError(f"{path}: record {int(np.argmax(first_words > 0xFF))} has non-zero reserved bytes")
+    times = records["timestamp"].view(np.int64)
+    if times.size and times.min() < 0:
+        raise FormatError(f"{path}: record {int(np.argmax(times < 0))} has a timestamp of 2**63 ps or more")
+    return tagio._stream_from(path, records["channel"], times, duration)
+
+
 def stream_of(channels, duration=1):
     return TagStream(
         channels={ch: np.asarray(channels.get(ch, ()), dtype=np.int64) for ch in Channel},
@@ -626,3 +651,101 @@ def test_csv_reader_matches_loadtxt_reader(tmp_path_factory, rows, newline, last
     path = tmp_path_factory.mktemp("csvl") / "tags.csv"
     path.write_bytes(body.encode())
     assert read_or_error(tagio.read_csv, path) == read_or_error(loadtxt_read_csv, path)
+
+
+def read_with_block(path, block, duration=None):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tagio, "_READ_BLOCK", block)
+        return tagio.read_binary(path, duration)
+
+
+def outcome(read):
+    """A stream's duration and channels, or the class and text of the error it raised."""
+    try:
+        stream = read()
+    except (FormatError, ParameterError) as exc:
+        return type(exc), str(exc)
+    return stream.duration, {int(ch): arr.tolist() for ch, arr in stream.channels.items()}
+
+
+@given(st.one_of(tag_streams, tied_streams), st.sampled_from([1, 2, 3, 7]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_block_reader_round_trip(tmp_path_factory, stream, block, given_duration):
+    path = tmp_path_factory.mktemp("blocks") / "tags.bin"
+    tagio.write_binary(stream, path)
+    heralds = stream.channels[Channel.HERALD_TRIGGER]
+    duration = (int(heralds.max()) if heralds.size else 0) + 1 if given_duration else None
+    expected = outcome(lambda: reference_read_binary(path, duration))
+    assert outcome(lambda: read_with_block(path, block, duration)) == expected
+    if not isinstance(expected[0], type):
+        for ch in Channel:
+            assert sorted(expected[1][int(ch)]) == sorted(stream.channels[ch].tolist())
+
+
+def _faulted_file(path, n, fault, at):
+    """A valid file of n records with one fault at record ``at``."""
+    records = np.zeros(n, dtype=tagio.RECORD_DTYPE)
+    records["channel"] = np.arange(n) % 3
+    records["timestamp"] = np.arange(n) * 10 + 10
+    extra = b""
+    if fault == "reserved":
+        records["reserved"][at, at % 3] = 1
+    elif fault == "time":
+        records["timestamp"][at] = 2**63 + at
+    elif fault == "channel":
+        records["channel"][at] = 3 + at % 5
+    elif fault == "order":  # a channel's times decrease at record `at`, or at its next record
+        records["timestamp"][at] = records["timestamp"][at - 3] - 1 if at >= 3 else records["timestamp"][at + 3] + 1
+    elif fault == "truncated":
+        extra = b"\0" * (1 + at % 11)
+    path.write_bytes(b"HSIMTAGS" + np.uint32(1).tobytes() + np.uint32(0).tobytes() + records.tobytes() + extra)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+@pytest.mark.parametrize("fault", ["reserved", "time", "channel", "order", "truncated", "duration"])
+def test_block_reader_rejections_on_block_edges(tmp_path, block, fault):
+    n = 3 * block + 4
+    for at in sorted({block - 1, block, block + 1, 2 * block - 1, 2 * block, n - 1} - {0}):
+        path = tmp_path / f"{fault}{at}.bin"
+        _faulted_file(path, n, "none" if fault == "duration" else fault, at)
+        # a duration at or below the herald of record `at` (heralds sit at every third record)
+        duration = 10 * (at - at % 3) + 10 if fault == "duration" else None
+        expected = outcome(lambda: reference_read_binary(path, duration))
+        assert isinstance(expected[0], type), (fault, at)
+        assert outcome(lambda: read_with_block(path, block, duration)) == expected
+
+
+def test_block_reader_holds_the_stream_and_one_block(tmp_path):
+    import tracemalloc
+
+    cfg = ExperimentConfig(mean_pairs_per_pulse=0.5, n_pulses=1_000_000, seed=3,
+                           herald_selection=HeraldSelection.exactly(1))
+    path = tmp_path / "dense.tags"
+    tagio.write_binary(run(cfg)[0], path)
+    tracemalloc.start()
+    try:
+        stream = tagio.read_binary(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    decoded = sum(arr.nbytes for arr in stream.channels.values())
+    assert decoded > 4e6
+    assert peak <= decoded + 2 * 2**20
+
+
+def test_writers_take_segments_in_time_order(tmp_path):
+    segments = [
+        {Channel.HERALD_TRIGGER: np.array([0, 10]), Channel.HBT_A: np.array([5, 10])},
+        {},
+        {Channel.HBT_B: np.array([11, 30]), Channel.HERALD_TRIGGER: np.array([20])},
+    ]
+    whole = stream_of({Channel.HERALD_TRIGGER: [0, 10, 20], Channel.HBT_A: [5, 10], Channel.HBT_B: [11, 30]})
+    for write, name in ((tagio.write_binary, "tags"), (tagio.write_csv, "csv")):
+        write(iter(segments), tmp_path / f"segments.{name}")
+        write(whole, tmp_path / f"whole.{name}")
+        assert (tmp_path / f"segments.{name}").read_bytes() == (tmp_path / f"whole.{name}").read_bytes()
+    # a time shared across a segment edge could not keep the file's channel order
+    for later in ([10], [7]):
+        with pytest.raises(ParameterError, match="segments must follow one another"):
+            tagio.write_binary([segments[0], {Channel.HBT_B: np.array(later)}], tmp_path / "overlap.tags")
+
