@@ -226,34 +226,52 @@ class TagStream:
 
     ``duration`` spans the pulses: every herald lies below it, while HBT tags
     lag their pulse by the signal delay and may lie up to that delay past it.
+    Given ``channels``, a missing Channel becomes empty and any other key is refused.
 
-    A stream that ``run`` returns is drawn as it is read.  ``segments()``
-    hands out its tags as per-channel dicts over disjoint, ascending spans of
-    time, so a reader that takes them, as the tag writers do, holds one
-    segment at a time; taking them a second time draws the run again.
-    Reading ``channels`` draws the whole run and joins its segments.
+    A stream that ``run`` returns holds nothing of the run.  Each
+    ``segments()`` draws the run anew and hands out its tags as per-channel
+    dicts over disjoint, ascending spans of time, so a writer that takes
+    them holds one segment at a time.  ``channels`` draws the run once and
+    joins it; ``counters()`` drains a draw unless one has finished.
     """
 
-    def __init__(self, channels: dict | None, duration: int, draw: _Draw | None = None):
+    def __init__(self, channels: dict | None, duration: int, draw=None):
+        if channels is not None:
+            if set(channels).difference(Channel):
+                raise ParameterError(f"TagStream channels must be Channel members, got {list(channels)}")
+            channels = {ch: np.asarray(channels.get(ch, ()), dtype=np.int64) for ch in Channel}
         self._channels = channels
         self.duration = duration
-        self._draw = draw
+        # draw() starts a generator of the run's segments that returns its _Counters
+        self._draw_segments = draw
+        self._counters = None
+
+    def _draw(self):
+        self._counters = yield from self._draw_segments()
 
     @property
     def channels(self) -> dict:
         if self._channels is None:
-            self._channels = self._draw.join()
+            segments = list(self._draw())
+            self._channels = {ch: np.concatenate([segment[ch] for segment in segments]) for ch in Channel}
         return self._channels
 
     def segments(self):
         """The tags as per-channel dicts over disjoint spans of time, in time order."""
         if self._channels is None:
-            return self._draw.take()
+            return self._draw()
         return iter([self._channels])
+
+    def counters(self) -> _Counters:
+        """The run's counters, from a draw that has finished or, dropping its segments, from a new one."""
+        if self._counters is None:
+            for _ in self._draw():
+                pass
+        return self._counters
 
     def counts(self) -> dict:
         if self._channels is None:
-            return dict(self._draw.finish().channel_counts)
+            return dict(self.counters().channel_counts)
         return {ch: int(arr.size) for ch, arr in self._channels.items()}
 
 
@@ -266,65 +284,16 @@ class _Counters(NamedTuple):
     channel_counts: dict
 
 
-class _Draw:
-    """The segments of one run, stitched as they are taken, and its counters."""
-
-    def __init__(self, draw_segments):
-        # draw_segments() starts a generator of the run's segments that returns its _Counters
-        self._draw_segments = draw_segments
-        self._parts = draw_segments()
-        self._held = deque()  # segments drawn before anyone took them
-        self._taken = False
-        self._counters = None
-
-    def _pull(self) -> bool:
-        try:
-            self._held.append(next(self._parts))
-        except StopIteration as stop:
-            self._counters = stop.value
-            return False
-        return True
-
-    def take(self):
-        """Hand out the run's segments in time order.
-
-        The first taker gets the segments that ``finish`` holds and draws
-        the rest; a later one draws the run anew, to the same tags.
-        """
-        if self._taken:
-            return self._draw_segments()
-        self._taken = True
-        return self._hand_out()
-
-    def _hand_out(self):
-        while self._held or (self._counters is None and self._pull()):
-            yield self._held.popleft()
-
-    def finish(self) -> _Counters:
-        """Draw the rest of the run, holding the segments no one has taken yet."""
-        while self._counters is None:
-            self._pull()
-        return self._counters
-
-    def join(self) -> dict:
-        segments = list(self.take())
-        return {ch: np.concatenate([segment[ch] for segment in segments]) for ch in Channel}
-
-
 def _counter(name: str):
-    return property(lambda self: getattr(self._draw.finish(), name))
+    return property(lambda self: getattr(self._stream.counters(), name))
 
 
 class RunSummary:
-    """Aggregate counters of one simulation run.
+    """Aggregate counters of one simulation run, read from its stream's ``counters()``."""
 
-    Reading a counter draws whatever is left of the run; the stream keeps
-    the segments no one has taken yet.
-    """
-
-    def __init__(self, config: ExperimentConfig, draw: _Draw):
+    def __init__(self, config: ExperimentConfig, stream: TagStream):
         self.config = config
-        self._draw = draw
+        self._stream = stream
 
     n_pulses = property(lambda self: self.config.n_pulses)
     seed = property(lambda self: self.config.seed)
@@ -810,10 +779,10 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
 
     Returns:
         (TagStream, RunSummary) at once.  The run is drawn and stitched
-        batch by batch as the stream's segments are taken, or all of it
-        when the stream's channels or a counter of the summary are read
-        first.  Output is bit-identical for any ``threads`` value; see the
-        module docstring for the determinism contract.
+        batch by batch as the stream's segments are taken; see TagStream
+        for what else draws it.  Output is bit-identical for any
+        ``threads`` value; see the module docstring for the determinism
+        contract.
     """
     if batch_size <= 0:
         raise ParameterError("batch_size must be > 0")
@@ -835,15 +804,13 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
     n_batches = max(1, (config.n_pulses + batch_size - 1) // batch_size)
     if n_batches >= _RAMP_STREAM_TAG:
         raise ParameterError("too many batches")
-    draw = _Draw(functools.partial(_segments, config, threads, batch_size, n_batches))
-    return TagStream(None, config.duration, draw), RunSummary(config, draw)
+    stream = TagStream(None, config.duration, functools.partial(_segments, config, threads, batch_size, n_batches))
+    return stream, RunSummary(config, stream)
 
 
 def benchmark(config: ExperimentConfig) -> float:
     """Wall-clock throughput of a one-thread run() in pulses per second."""
     t0 = time.perf_counter()
-    stream, _ = run(config)
-    for _ in stream.segments():
-        pass
+    run(config)[0].counters()
     elapsed = time.perf_counter() - t0
     return config.n_pulses / elapsed

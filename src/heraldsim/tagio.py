@@ -9,8 +9,8 @@ The reader rejects non-zero reserved bytes and timestamps of 2**63 ps or
 more, which do not fit the signed 64-bit times of a TagStream.  It reads
 the records in two passes over fixed blocks of ``_READ_BLOCK`` records in
 one reused buffer: the first checks them and counts each channel's tags,
-the second copies each channel's times into an array of that size.  The
-writer refuses a stream with a negative time, which the format cannot hold.
+the second hands the blocks to the channel split.  The writer refuses a
+stream with a negative time, which the format cannot hold.
 
 Records are stored in global time order (ties broken by channel id).  Both
 writers take a TagStream or an iterable of segments, per-channel dicts of
@@ -30,7 +30,10 @@ digits>`` (one with padding, a sign, more digits, or outside the grammar)
 goes through the per-row grammar check, and so do the rows that start in the
 last 16 bytes of the file.
 
-Readers reject a file in which a channel's timestamps decrease.
+Both readers split the records into channels the same way, block by block
+into one array per channel of the counted size: the binary reader hands the
+split its record blocks, the CSV reader all its rows as one block.  Readers
+reject a file in which a channel's timestamps decrease.
 """
 
 from __future__ import annotations
@@ -129,36 +132,6 @@ def _record_chunks(stream, refuse_negative: bool = False):
         del segment, arr, t, times, piece, piece_codes, order, records
 
 
-def _out_of_order(path, ch) -> FormatError:
-    return FormatError(f"{path}: {CHANNEL_NAMES[ch]} timestamps are not in time order")
-
-
-def _tag_stream(path, channels: dict, last: int, duration: int | None) -> TagStream:
-    """The read channels as a stream; ``last`` is the file's latest time, or -1."""
-    heralds = channels[Channel.HERALD_TRIGGER]
-    if duration is None:
-        duration = last + 1
-    elif heralds.size and duration <= heralds[-1]:
-        # heralds are pulse times, so the acquisition reaches past the last one
-        raise ParameterError(f"{path}: duration {duration} ps must exceed the last herald at {int(heralds[-1])} ps")
-    return TagStream(channels=channels, duration=int(duration))
-
-
-def _stream_from(path, codes: np.ndarray, times: np.ndarray, duration: int | None) -> TagStream:
-    counts = np.bincount(codes, minlength=len(Channel))
-    unknown = np.nonzero(counts[len(Channel) :])[0] + len(Channel)
-    if unknown.size:
-        raise FormatError(f"{path}: unknown channel ids {unknown.tolist()}")
-    # a stable sort on the channel id keeps each channel's records in file
-    # order and lays the channels out one after another
-    by_channel = times[np.argsort(codes, kind="stable")]
-    channels = dict(zip(Channel, np.split(by_channel, np.cumsum(counts)[:-1])))
-    for ch, sel in channels.items():
-        if np.any(sel[1:] < sel[:-1]):
-            raise _out_of_order(path, ch)
-    return _tag_stream(path, channels, int(times.max()) if times.size else -1, duration)
-
-
 def write_binary(stream, path) -> None:
     """Write a TagStream, or an iterable of segments in time order, as a binary tag file."""
     pieces = _record_chunks(stream, refuse_negative=True)
@@ -185,6 +158,37 @@ def _record_blocks(fh, block: np.ndarray, n_records: int):
         if fh.readinto(raw[: count * RECORD_DTYPE.itemsize]) != count * RECORD_DTYPE.itemsize:
             raise FormatError(f"{fh.name}: truncated record payload")
         yield lo, block[:count]
+
+
+def _split(path, counts: np.ndarray, blocks, last: int, duration: int | None) -> TagStream:
+    """Split ``blocks`` of (codes, times) in file order into a stream of one array per channel.
+
+    ``counts`` holds each channel's tag count, ``last`` the file's latest time or -1.
+    """
+    # one array laid out channel after channel, as a view per channel
+    channels = dict(zip(Channel, np.split(np.empty(int(counts.sum()), dtype=np.int64), np.cumsum(counts)[:-1])))
+    filled = dict.fromkeys(Channel, 0)
+    unordered = set()
+    for codes, times in blocks:
+        for ch in Channel:
+            # np.bincount would first widen every code to 64 bits
+            mask = codes == ch
+            lo, count = filled[ch], int(np.count_nonzero(mask))
+            np.compress(mask, times, out=channels[ch][lo : lo + count])
+            filled[ch] += count
+            # the new times, and the one before them
+            run = channels[ch][max(lo - 1, 0) : lo + count]
+            if np.any(run[1:] < run[:-1]):
+                unordered.add(ch)
+    if unordered:
+        raise FormatError(f"{path}: {CHANNEL_NAMES[min(unordered)]} timestamps are not in time order")
+    heralds = channels[Channel.HERALD_TRIGGER]
+    if duration is None:
+        duration = last + 1
+    elif heralds.size and duration <= heralds[-1]:
+        # heralds are pulse times, so the acquisition reaches past the last one
+        raise ParameterError(f"{path}: duration {duration} ps must exceed the last herald at {int(heralds[-1])} ps")
+    return TagStream(channels=channels, duration=int(duration))
 
 
 def read_binary(path, duration: int | None = None) -> TagStream:
@@ -230,24 +234,8 @@ def read_binary(path, duration: int | None = None) -> TagStream:
         if unknown.size:
             raise FormatError(f"{path}: unknown channel ids {unknown.tolist()}")
 
-        # one array laid out channel after channel, as a view per channel
-        counts = counts[: len(Channel)]
-        channels = dict(zip(Channel, np.split(np.empty(n_records, dtype=np.int64), np.cumsum(counts)[:-1])))
-        filled = dict.fromkeys(Channel, 0)
-        unordered = set()
-        for _, records in _record_blocks(fh, block, n_records):
-            codes, times = records["channel"], records["timestamp"].view(np.int64)
-            for ch, count in zip(Channel, np.bincount(codes, minlength=len(Channel)).tolist()):
-                lo = filled[ch]
-                np.compress(codes == ch, times, out=channels[ch][lo : lo + count])
-                filled[ch] += count
-                # the new times, and the one before them
-                run = channels[ch][max(lo - 1, 0) : lo + count]
-                if np.any(run[1:] < run[:-1]):
-                    unordered.add(ch)
-    if unordered:
-        raise _out_of_order(path, min(unordered))
-    return _tag_stream(path, channels, last, duration)
+        blocks = ((r["channel"], r["timestamp"].view(np.int64)) for _, r in _record_blocks(fh, block, n_records))
+        return _split(path, counts[: len(Channel)], blocks, last, duration)
 
 
 def _csv_rows(codes: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -370,7 +358,8 @@ def read_csv(path, duration: int | None = None) -> TagStream:
         times[i] = int(value)
     if empty.any():
         codes, times = codes[~empty], times[~empty]
-    return _stream_from(path, codes, times, duration)
+    counts = np.array([np.count_nonzero(codes == ch) for ch in Channel])
+    return _split(path, counts, [(codes, times)], int(times.max()) if times.size else -1, duration)
 
 
 def read_tags(path, duration: int | None = None) -> TagStream:

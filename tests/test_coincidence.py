@@ -292,6 +292,23 @@ class TestHeraldedG2:
         for offset, g2 in heralded_g2(stream, cfg):
             assert g2 == pytest.approx(1.0, abs=0.1), f"offset {offset}"
 
+    def test_hand_built_channels_are_normalised(self):
+        # a TagStream built by hand holds one int64 array per channel: lists
+        # are converted, a missing channel is empty, and other keys are refused
+        cfg = reference_config()
+        slots = np.arange(0, 400_000, REP) + 25_000
+        arrays = make_stream(herald=slots - 25_000, hbt_a=slots, hbt_b=slots[::2], duration=400_000)
+        listed = TagStream(channels={Channel.HERALD_TRIGGER: (slots - 25_000).tolist(), Channel.HBT_A: slots.tolist(),
+                                     Channel.HBT_B: slots[::2].tolist()}, duration=400_000)
+        for ch in Channel:
+            assert listed.channels[ch].dtype == np.int64
+        assert heralded_g2(listed, cfg) == heralded_g2(arrays, cfg)
+        no_b = TagStream(channels={Channel.HERALD_TRIGGER: slots - 25_000, Channel.HBT_A: slots}, duration=400_000)
+        assert no_b.channels[Channel.HBT_B].dtype == np.int64 and no_b.channels[Channel.HBT_B].size == 0
+        assert heralded_g2(no_b, cfg) == []
+        with pytest.raises(ParameterError, match="must be Channel members"):
+            TagStream(channels={"hbt_a": slots}, duration=400_000)
+
     def test_no_heralds_raise(self):
         cfg = reference_config()
         with pytest.raises(EmptyEnsembleError):

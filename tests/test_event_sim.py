@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -967,7 +968,8 @@ class TestSegmentedRun:
         for ch in Channel:
             np.testing.assert_array_equal(stream.channels[ch], whole.channels[ch])
         tagio.write_binary(stream, tmp_path / "second.tags")
-        # the summary read first: the run is drawn and its segments are held
+        # the summary read first: its counters come from a draw of their own,
+        # and the segments from a fresh one
         held, held_summary = run(cfg, batch_size=1_000)
         assert held_summary.heralds_emitted == summary.heralds_emitted
         segments = list(held.segments())
@@ -975,6 +977,35 @@ class TestSegmentedRun:
         tagio.write_binary(segments, tmp_path / "third.tags")
         first = (tmp_path / "first.tags").read_bytes()
         assert first == (tmp_path / "second.tags").read_bytes() == (tmp_path / "third.tags").read_bytes()
+
+    def test_summary_read_during_a_take(self, tmp_path):
+        cfg = make_config(mean_pairs_per_pulse=0.5, n_pulses=5_000, dark_rate=1e6, gate_rise_time=6_000)
+        plain, plain_summary = run(cfg, batch_size=1_000)
+        tagio.write_binary(plain, tmp_path / "plain.tags")
+        # one segment taken, the summary read, then the take finished by the writer
+        stream, summary = run(cfg, batch_size=1_000)
+        segments = stream.segments()
+        first = next(segments)
+        assert summary.heralds_emitted == plain_summary.heralds_emitted
+        tagio.write_binary(itertools.chain([first], segments), tmp_path / "interleaved.tags")
+        assert (tmp_path / "interleaved.tags").read_bytes() == (tmp_path / "plain.tags").read_bytes()
+        assert summary.click_counts.tolist() == plain_summary.click_counts.tolist()
+        assert summary.heralds_accepted == plain_summary.heralds_accepted
+        assert summary.channel_counts == plain_summary.channel_counts == stream.counts()
+
+    def test_summary_read_first_holds_no_run(self):
+        cfg = ExperimentConfig(mean_pairs_per_pulse=0.5, n_pulses=4_000_000, seed=3,
+                               herald_selection=HeraldSelection.exactly(1))
+        tracemalloc.start()
+        try:
+            stream, summary = run(cfg)
+            assert summary.heralds_emitted > 1_000_000
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the drawn segments are dropped: 23 MB of them stayed held when the
+        # stream kept what no one had taken
+        assert held < 4e6
 
 
 @given(

@@ -12,8 +12,9 @@ from heraldsim.event_sim import CHANNEL_NAMES, CHANNELS_BY_NAME
 
 
 # Reference implementations: the whole-file record merge that the writers'
-# piecewise merge replaces, the per-record CSV writer and reader, and the
+# piecewise merge replaces, the per-record CSV writer and reader, the
 # per-row formatting writer and np.loadtxt reader that the bulk CSV codec
+# replaces, and the argsort channel split that the readers' block split
 # replaces.
 
 
@@ -63,6 +64,28 @@ def _loadtxt_bad_row_error(path, cause):
     return FormatError(f"{path}: bad record ({cause})")
 
 
+def reference_stream_from(path, codes, times, duration):
+    """The channel split by one stable argsort of the channel ids, which the
+    readers' shared block split replaces."""
+    counts = np.bincount(codes, minlength=len(Channel))
+    unknown = np.nonzero(counts[len(Channel) :])[0] + len(Channel)
+    if unknown.size:
+        raise FormatError(f"{path}: unknown channel ids {unknown.tolist()}")
+    # a stable sort on the channel id keeps each channel's records in file
+    # order and lays the channels out one after another
+    by_channel = times[np.argsort(codes, kind="stable")]
+    channels = dict(zip(Channel, np.split(by_channel, np.cumsum(counts)[:-1])))
+    for ch, sel in channels.items():
+        if np.any(sel[1:] < sel[:-1]):
+            raise FormatError(f"{path}: {CHANNEL_NAMES[ch]} timestamps are not in time order")
+    heralds = channels[Channel.HERALD_TRIGGER]
+    if duration is None:
+        duration = int(times.max()) + 1 if times.size else 0
+    elif heralds.size and duration <= heralds[-1]:
+        raise ParameterError(f"{path}: duration {duration} ps must exceed the last herald at {int(heralds[-1])} ps")
+    return TagStream(channels=channels, duration=int(duration))
+
+
 def loadtxt_read_csv(path):
     """The np.loadtxt reader: a TagStream, or FormatError."""
     with open(path, "rb") as fh:
@@ -95,7 +118,7 @@ def loadtxt_read_csv(path):
         codes[rows["name"] == name] = code
     if np.any(codes == len(tagio._CSV_NAMES)):
         raise _loadtxt_bad_row_error(path, "unknown channel name")
-    return tagio._stream_from(path, codes, rows["timestamp"], None)
+    return reference_stream_from(path, codes, rows["timestamp"], None)
 
 
 def reference_read_csv(path):
@@ -143,7 +166,7 @@ def reference_read_binary(path, duration=None):
     times = records["timestamp"].view(np.int64)
     if times.size and times.min() < 0:
         raise FormatError(f"{path}: record {int(np.argmax(times < 0))} has a timestamp of 2**63 ps or more")
-    return tagio._stream_from(path, records["channel"], times, duration)
+    return reference_stream_from(path, records["channel"], times, duration)
 
 
 def stream_of(channels, duration=1):
