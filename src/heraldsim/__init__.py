@@ -19,17 +19,8 @@ from .coincidence import (
     integrate_peaks,
     isolated_times,
 )
-from .detector_model import (
-    ClickPovm,
-    DetectionMatrix,
-    LossMatrix,
-    apply_crosstalk,
-    click_povm,
-    detection_matrix,
-    loss_matrix,
-    reference_detection_matrix,
-)
-from .discriminator import AmplitudeModel, TriggerWindow, threshold_sweep, trigger_probability
+from .detector_model import DetectionMatrix, detection_matrix, reference_detection_matrix
+from .discriminator import AmplitudeModel, threshold_sweep
 from .errors import (
     EmptyEnsembleError,
     FormatError,
@@ -55,7 +46,6 @@ from .feedforward import (
 from .photon_stats import (
     PhotonNumberDistribution,
     g2_zero,
-    mean_photon_number,
     poissonian,
     renormalize,
     required_n_max,
@@ -65,7 +55,6 @@ from .photon_stats import (
 __all__ = [
     "AmplitudeModel",
     "Channel",
-    "ClickPovm",
     "CoincidenceHistogram",
     "DetectionMatrix",
     "EmptyEnsembleError",
@@ -74,16 +63,12 @@ __all__ = [
     "HeraldSelection",
     "HeraldedCounts",
     "InconsistentRatesError",
-    "LossMatrix",
     "ParameterError",
     "PhotonNumberDistribution",
     "RunSummary",
     "TagStream",
-    "TriggerWindow",
     "TruncationError",
     "UndefinedStatisticError",
-    "apply_crosstalk",
-    "click_povm",
     "correlate",
     "default_mean_grid",
     "detection_matrix",
@@ -96,8 +81,6 @@ __all__ = [
     "heralded_g2",
     "integrate_peaks",
     "isolated_times",
-    "loss_matrix",
-    "mean_photon_number",
     "poissonian",
     "reference_detection_matrix",
     "renormalize",
@@ -105,5 +88,4 @@ __all__ = [
     "run",
     "thermal",
     "threshold_sweep",
-    "trigger_probability",
 ]

@@ -192,6 +192,8 @@ def _peak_window(bin_width: int, range_ps: int, rep_period: int, peak_halfwidth:
         raise ParameterError("peak_halfwidth must cover at least one bin")
     if 2 * peak_halfwidth > rep_period:
         raise ParameterError("peak windows overlap: need 2 * peak_halfwidth <= rep_period")
+    if peak_halfwidth > range_ps:
+        raise ParameterError("no peak window fits: need peak_halfwidth <= range_ps")
     # bins start at edge + m * bin_width; a bin starting at e is inside when
     # -peak_halfwidth <= e + bin_width / 2 < peak_halfwidth, that is when
     # first <= e <= last

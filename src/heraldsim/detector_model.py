@@ -1,34 +1,36 @@
 """End-to-end detection model of the 4-pixel series click detector.
 
-The chain incident-photon -> measured-click-number is the product of two
-stochastic matrices:
+Each created photon independently reaches the array with probability T
+(the source-to-detector transmission) and lands on one of its N pixels,
+chosen uniformly.  The click count after n photons therefore follows the
+recurrence, from n - 1 photons with k pixels fired, of three outcomes for
+the extra photon:
 
-* a binomial loss matrix for the source-to-detector transmission,
-  L[i][j] = C(i, j) T**j (1 - T)**(i - j), and
-* the click POVM of an N-pixel array with uniform independent pixel
-  assignment, P(k clicks | n photons) = C(N, k) * sum_{j=0..k} (-1)**j
-  C(k, j) ((k - j) / N)**n,
+* lost, with probability 1 - T,
+* on one of the k fired pixels, with probability T k / N, or
+* on an unfired pixel, which fires, with probability T (N - k) / N.
 
-optionally perturbed by pixel crosstalk: each click outcome k = 1..N-1
-loses a fraction eps of its probability to the outcome k + 1 (a single
-absorbed photon firing a neighbouring pixel inflates the click count by
-one; the top outcome can receive but cannot donate).
+Every term is positive, so each row stays normalized to machine precision
+at any photon number and pixel count.  Pixel crosstalk then perturbs the
+click count: each outcome k = 1..N-1 loses a fraction eps of its
+probability to the outcome k + 1 (a single absorbed photon firing a
+neighbouring pixel inflates the click count by one; the top outcome can
+receive but cannot donate).
 
-With transmission 0.7 and crosstalk 0.025 the composed matrix reproduces
-the published response table of the 4-pixel device to its printed
-precision; those values are the package's reference configuration.
+With transmission 0.7 and crosstalk 0.025 the matrix reproduces the
+published response table of the 4-pixel device to its printed precision;
+those values are the package's reference configuration.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
 
-#: Row sums of composed detection matrices must be 1 within this tolerance.
+#: Row sums of detection matrices must be 1 within this tolerance.
 ROW_SUM_TOL = 1e-10
 
 #: Reference configuration reproducing the published 4-pixel response table.
@@ -36,53 +38,27 @@ REFERENCE_TRANSMISSION = 0.7
 REFERENCE_N_PIXELS = 4
 REFERENCE_CROSSTALK = 0.025
 
-
-def _check_rows_stochastic(entries: np.ndarray, tol: float, what: str):
-    if entries.ndim != 2:
-        raise ParameterError(f"{what} must be a 2-D matrix")
-    if np.any(entries < -tol) or np.any(~np.isfinite(entries)):
-        raise ParameterError(f"{what} entries must be finite probabilities")
-    bad = np.abs(entries.sum(axis=1) - 1.0) > tol
-    if np.any(bad):
-        raise ParameterError(f"{what} rows {np.nonzero(bad)[0].tolist()} do not sum to 1 within {tol}")
-
-
-@dataclass(frozen=True, eq=False)
-class LossMatrix:
-    """Binomial thinning matrix; entries[i][j] = P(j transmitted | i incident)."""
-
-    entries: np.ndarray
-    transmission: float
-
-    def __post_init__(self):
-        _check_rows_stochastic(self.entries, 1e-12, "loss matrix")
-        self.entries.flags.writeable = False
-
-
-@dataclass(frozen=True, eq=False)
-class ClickPovm:
-    """Click-number response of the pixel array; entries[n][k] = P(k clicks | n photons at the array)."""
-
-    entries: np.ndarray
-    n_pixels: int
-    crosstalk_prob: float
-
-    def __post_init__(self):
-        _check_rows_stochastic(self.entries, 1e-12, "click POVM")
-        if self.entries.shape[1] != self.n_pixels + 1:
-            raise ParameterError("click POVM must have n_pixels + 1 columns")
-        self.entries.flags.writeable = False
+_MAX_ENTRIES = 1 << 24  # 128 MiB of float64 entries
 
 
 @dataclass(frozen=True, eq=False)
 class DetectionMatrix:
-    """Composed response; entries[n][k] = P(k measured clicks | n created photons)."""
+    """Detector response; entries[n][k] = P(k measured clicks | n created photons)."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        _check_rows_stochastic(self.entries, ROW_SUM_TOL, "detection matrix")
-        self.entries.flags.writeable = False
+        entries = self.entries
+        if entries.ndim != 2:
+            raise ParameterError("detection matrix must be a 2-D matrix")
+        if np.any(entries < -ROW_SUM_TOL) or np.any(~np.isfinite(entries)):
+            raise ParameterError("detection matrix entries must be finite probabilities")
+        bad = np.abs(entries.sum(axis=1) - 1.0) > ROW_SUM_TOL
+        if np.any(bad):
+            raise ParameterError(
+                f"detection matrix rows {np.nonzero(bad)[0].tolist()} do not sum to 1 within {ROW_SUM_TOL}"
+            )
+        entries.flags.writeable = False
 
     @property
     def n_max(self) -> int:
@@ -93,71 +69,32 @@ class DetectionMatrix:
         return self.entries.shape[1] - 1
 
 
-def loss_matrix(transmission: float, n_max: int) -> LossMatrix:
-    """Binomial loss matrix for i = 0..n_max incident photons.
-
-    Built row by row with the thinning recurrence
-    p_i(j) = T p_{i-1}(j-1) + (1 - T) p_{i-1}(j), which is numerically
-    stable and keeps every row normalized to machine precision.
-    """
+def detection_matrix(transmission: float, n_pixels: int, crosstalk: float, n_max: int) -> DetectionMatrix:
+    """P(k measured clicks | n created photons) for n = 0..n_max and k = 0..n_pixels."""
     if not 0.0 <= transmission <= 1.0:
         raise ParameterError(f"transmission must lie in [0, 1], got {transmission!r}")
-    if n_max < 0:
-        raise ParameterError(f"n_max must be >= 0, got {n_max}")
-    t = float(transmission)
-    entries = np.zeros((n_max + 1, n_max + 1))
-    entries[0, 0] = 1.0
-    for i in range(1, n_max + 1):
-        entries[i, 1 : i + 1] = t * entries[i - 1, 0:i]
-        entries[i, 0 : i + 1] += (1.0 - t) * entries[i - 1, 0 : i + 1]
-    return LossMatrix(entries=entries, transmission=t)
-
-
-def click_povm(n_pixels: int, n_max: int) -> ClickPovm:
-    """Ideal click POVM of an N-pixel array (no crosstalk, unit pixel efficiency).
-
-    Each photon lands on a uniformly random pixel, independently of the
-    others; k clicks means exactly k distinct pixels were hit.
-    """
     if n_pixels < 1:
         raise ParameterError(f"n_pixels must be >= 1, got {n_pixels}")
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
+    if not 0.0 <= crosstalk < 1.0:
+        raise ParameterError(f"crosstalk probability must lie in [0, 1), got {crosstalk!r}")
+    size = (n_max + 1) * (n_pixels + 1)
+    if size > _MAX_ENTRIES:
+        raise ParameterError(f"a detection matrix of {size} entries cannot be allocated (the limit is {_MAX_ENTRIES})")
+    t = float(transmission)
+    k = np.arange(n_pixels + 1)
+    stay = (1.0 - t) + t * (k / n_pixels)  # lost, or on one of the k fired pixels
+    fire = t * ((n_pixels - k[:-1]) / n_pixels)  # on one of the N - k unfired pixels
     entries = np.zeros((n_max + 1, n_pixels + 1))
-    n = np.arange(n_max + 1)
-    for k in range(0, n_pixels + 1):
-        acc = np.zeros(n_max + 1)
-        for j in range(0, k + 1):
-            base = (k - j) / n_pixels
-            # 0**0 == 1 covers the n = 0, k = 0 outcome.
-            acc += (-1.0) ** j * math.comb(k, j) * base**n
-        entries[:, k] = math.comb(n_pixels, k) * acc
-    np.clip(entries, 0.0, 1.0, out=entries)
-    return ClickPovm(entries=entries, n_pixels=n_pixels, crosstalk_prob=0.0)
-
-
-def apply_crosstalk(povm: ClickPovm, crosstalk_prob: float) -> ClickPovm:
-    """Shift a fraction of each click outcome 1..N-1 one outcome upward.
-
-    Row sums are preserved exactly: outcome k keeps (1 - eps) of its
-    probability and donates eps to outcome k + 1; the zero-click and
-    N-click columns never donate.
-    """
-    if not 0.0 <= crosstalk_prob < 1.0:
-        raise ParameterError(f"crosstalk probability must lie in [0, 1), got {crosstalk_prob!r}")
-    n_pix = povm.n_pixels
-    old = povm.entries
-    entries = old.copy()
-    entries[:, 1:n_pix] *= 1.0 - crosstalk_prob
-    entries[:, 2 : n_pix + 1] += crosstalk_prob * old[:, 1:n_pix]
-    return ClickPovm(entries=entries, n_pixels=n_pix, crosstalk_prob=float(crosstalk_prob))
-
-
-def detection_matrix(transmission: float, n_pixels: int, crosstalk: float, n_max: int) -> DetectionMatrix:
-    """Compose loss and crosstalked click POVM into p(n created -> k clicks)."""
-    loss = loss_matrix(transmission, n_max)
-    povm = apply_crosstalk(click_povm(n_pixels, n_max), crosstalk)
-    return DetectionMatrix(entries=loss.entries @ povm.entries)
+    entries[0, 0] = 1.0
+    for n in range(1, n_max + 1):
+        np.multiply(stay, entries[n - 1], out=entries[n])
+        entries[n, 1:] += fire * entries[n - 1, :-1]
+    donated = crosstalk * entries[:, 1:n_pixels]
+    entries[:, 1:n_pixels] *= 1.0 - crosstalk
+    entries[:, 2:] += donated
+    return DetectionMatrix(entries=entries)
 
 
 def reference_detection_matrix(n_max: int = 10) -> DetectionMatrix:
@@ -165,8 +102,8 @@ def reference_detection_matrix(n_max: int = 10) -> DetectionMatrix:
     return detection_matrix(REFERENCE_TRANSMISSION, REFERENCE_N_PIXELS, REFERENCE_CROSSTALK, n_max)
 
 
-def write_matrix_csv(matrix, path):
-    """Write any of the matrix types as CSV, one row per incident number."""
+def write_matrix_csv(matrix: DetectionMatrix, path):
+    """Write a detection matrix as CSV, one row per created photon number."""
     entries = matrix.entries
     header = "n," + ",".join(str(k) for k in range(entries.shape[1]))
     with open(path, "w", encoding="utf-8") as fh:

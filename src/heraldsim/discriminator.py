@@ -8,9 +8,9 @@ click-number-resolved source produces count-rate plateaus, one per occupied
 click level, which is how the photon-number outputs are identified on the
 real discriminator.
 
-One function gives P(height >= t) for a click level; the window
-probability is P(height >= low) - P(height >= high), for a single window and
-for the threshold-sweep surface alike.
+One function, ``_at_least``, gives P(height >= t) for a click level; the
+threshold sweep takes each window probability as
+P(height >= low) - P(height >= high).
 
 The per-click amplitudes and the noise floor of the physical device are not
 published; they are free parameters here.  The default noise of 5% of the
@@ -55,18 +55,6 @@ class AmplitudeModel:
         return self.baseline + clicks * self.unit_amplitude
 
 
-@dataclass(frozen=True)
-class TriggerWindow:
-    """Accepted pulse-height range [low_threshold, high_threshold)."""
-
-    low_threshold: float
-    high_threshold: float = math.inf
-
-    def __post_init__(self):
-        if not self.low_threshold < self.high_threshold:
-            raise ParameterError("low_threshold must be below high_threshold")
-
-
 def _at_least(thresholds, level: float, sigma: float) -> np.ndarray:
     """P(height >= t) for each threshold t, of a pulse at ``level`` with Gaussian noise ``sigma``.
 
@@ -76,14 +64,6 @@ def _at_least(thresholds, level: float, sigma: float) -> np.ndarray:
     if sigma == 0.0:
         return (level >= thresholds).astype(float)
     return np.array([0.5 * math.erfc((t - level) / (sigma * math.sqrt(2.0))) for t in thresholds])
-
-
-def trigger_probability(clicks: int, window: TriggerWindow, model: AmplitudeModel) -> float:
-    """Probability that a pulse with the given click count fires the window."""
-    if clicks < 0:
-        raise ParameterError(f"clicks must be >= 0, got {clicks}")
-    low, high = _at_least([window.low_threshold, window.high_threshold], model.level(clicks), model.noise_sigma)
-    return float(low - high)
 
 
 def click_number_rates(source, det: DetectionMatrix) -> np.ndarray:
@@ -97,7 +77,7 @@ def click_number_rates(source, det: DetectionMatrix) -> np.ndarray:
 def threshold_sweep(source, det: DetectionMatrix, model: AmplitudeModel, rep_rate: float, low_grid, high_grid) -> np.ndarray:
     """Count-rate surface over a grid of low and high thresholds.
 
-    surface[l][h] = rep_rate * sum_k Q(k) * trigger_probability(k, [low_l, high_h)).
+    surface[l][h] = rep_rate * sum_k Q(k) * P(low_l <= height_k < high_h).
 
     The surface is monotone non-increasing in the low threshold and
     non-decreasing in the high threshold.

@@ -69,9 +69,6 @@ class HeraldSelection:
                 raise
             raise ParameterError(f"cannot parse herald selection {text!r}") from exc
 
-    def sorted_clicks(self) -> list:
-        return sorted(self.accepted_clicks)
-
 
 def heralded_distribution(
     source, det: DetectionMatrix, selection: HeraldSelection
@@ -92,7 +89,7 @@ def heralded_distribution(
             f"source cutoff ({src.probs.size - 1}) must equal the detection matrix's "
             f"incident dimension ({det.entries.shape[0] - 1})"
         )
-    clicks = selection.sorted_clicks()
+    clicks = sorted(selection.accepted_clicks)
     if clicks[-1] > det.n_clicks:
         raise ParameterError(
             f"selection {selection.label!r} exceeds the detector's {det.n_clicks}-click range"

@@ -65,9 +65,6 @@ class PhotonNumberDistribution:
     def n_max(self) -> int:
         return self.probs.size - 1
 
-    def __len__(self) -> int:
-        return self.probs.size
-
 
 def as_distribution(dist) -> PhotonNumberDistribution:
     """Coerce an array-like of weights into a PhotonNumberDistribution."""
@@ -131,6 +128,8 @@ def required_n_max(mean: float, family: str = "poissonian") -> int:
     if family == "thermal":
         # tail mass beyond n_max is (mean / (1 + mean))**(n_max + 1)
         r = mean / (1.0 + mean)
+        if r == 1.0:  # 1 + mean rounds to mean: no cutoff holds the tail
+            raise ParameterError(f"no adequate truncation found for mean={mean!r}")
         n = max(0, math.ceil(math.log(TAIL_MASS_TOL) / math.log(r)) - 1)
         while r ** (n + 1) >= TAIL_MASS_TOL:  # boundary round-off
             n += 1
@@ -183,10 +182,6 @@ def thermal(mean: float, n_max: int | None = None) -> PhotonNumberDistribution:
         n_max = required_n_max(mean, "thermal")
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
-    if mean == 0.0:
-        probs = np.zeros(n_max + 1)
-        probs[0] = 1.0
-        return PhotonNumberDistribution(probs)
     n = np.arange(n_max + 1)
     ratio = mean / (1.0 + mean)
     probs = ratio**n / (1.0 + mean)
@@ -196,13 +191,6 @@ def thermal(mean: float, n_max: int | None = None) -> PhotonNumberDistribution:
 
 #: The analytic source families by name: each maps (mean, n_max) to a distribution.
 FAMILIES = {"poissonian": poissonian, "thermal": thermal}
-
-
-def mean_photon_number(dist) -> float:
-    """First moment sum_n n P(n)."""
-    d = as_distribution(dist)
-    n = np.arange(d.probs.size)
-    return float(n @ d.probs)
 
 
 def g2_zero(dist) -> float:

@@ -77,6 +77,28 @@ class TestMatrixCommand:
                 assert invoke(command, *extra, *args, "--out", tmp_path / "x.csv") == 2, (command, args)
                 assert f"heraldsim {command}: error: {name}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pixels, nmax", [(12, 30), (24, 40)])
+    def test_many_pixels_exit_code(self, tmp_path, pixels, nmax):
+        out = tmp_path / "matrix.csv"
+        assert invoke("matrix", "--pixels", pixels, "--nmax", nmax, "--out", out) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1:]
+        assert rows.shape == (nmax + 1, pixels + 1)
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("matrix", "--pixels", "1000000000000", "--nmax", "10"), "entries cannot be allocated"),
+            (("thresholds", "--family", "thermal", "--mu", "1e17"), "no adequate truncation found for mean=1e+17"),
+        ],
+    )
+    def test_oversized_request_exit_code(self, tmp_path, args, message):
+        result = invoke_subprocess(*args, "--out", tmp_path / "x.csv")
+        assert result.returncode == 2
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_digests(self, tmp_path):
         out = tmp_path / "matrix.csv"
         assert invoke("matrix", "--out", out) == 0
@@ -409,6 +431,13 @@ class TestAnalyzeCommand:
         """A 1 ns acquisition ends before the last herald of a 20 000-pulse run."""
         assert invoke("analyze", "--tags", small_tags, "--duration", 1000, "--out", tmp_path / "x") == 2
         assert "duration 1000 ps must exceed the last herald" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_range_narrower_than_the_peak_window_exit_code(self, small_tags, tmp_path, capsys):
+        """A 500 ps range holds no +-1 ns peak window, so no peak table can be written."""
+        assert invoke("analyze", "--tags", small_tags, "--pair", "herald_trigger,hbt_a",
+                      "--range", "500ps", "--halfwidth", "1ns", "--out", tmp_path / "x") == 2
+        assert "no peak window fits" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -179,6 +180,22 @@ class TestIntegratePeaks:
         )
         with pytest.raises(ParameterError):
             integrate_peaks(hist, REP, 7_000)
+
+    def test_range_narrower_than_the_halfwidth_rejected(self):
+        # [-500 ps, 500 ps) holds no +-1 ns window; the offset-0 window fits once the range reaches it
+        counts = np.zeros(4, dtype=np.int64)
+        hist = CoincidenceHistogram(
+            bin_width=250,
+            range_ps=500,
+            counts=counts,
+            channel_pair=(Channel.HBT_A, Channel.HBT_B),
+            total_singles=(1, 1),
+            duration=10**9,
+        )
+        with pytest.raises(ParameterError, match="no peak window fits"):
+            integrate_peaks(hist, REP, 1_000)
+        wide = dataclasses.replace(hist, range_ps=1_000, counts=np.ones(8, dtype=np.int64))
+        assert integrate_peaks(wide, REP, 1_000) == [(0, 8)]
 
     def test_rep_period_must_align_with_bins(self):
         counts = np.zeros(800, dtype=np.int64)
@@ -404,7 +421,8 @@ def binnings(draw):
     rep_period = bin_width * draw(st.integers(1, 6))
     half_bins = draw(st.integers(1, 12 * rep_period // bin_width).filter(lambda n: n * bin_width % 2 == 0))
     range_ps = half_bins * bin_width // 2  # odd multiples of bin_width / 2 included
-    peak_halfwidth = draw(st.integers(bin_width // 2, rep_period // 2))  # up to 2 * halfwidth = period
+    # up to 2 * halfwidth = period, and no wider than the range
+    peak_halfwidth = draw(st.integers(bin_width // 2, min(rep_period // 2, range_ps)))
     return bin_width, range_ps, rep_period, peak_halfwidth
 
 

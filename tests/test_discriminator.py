@@ -6,50 +6,52 @@ from scipy import stats
 
 from heraldsim import (
     AmplitudeModel,
+    DetectionMatrix,
     ParameterError,
-    TriggerWindow,
     poissonian,
     reference_detection_matrix,
     threshold_sweep,
-    trigger_probability,
 )
 from heraldsim.discriminator import click_number_rates, count_plateaus, write_surface_csv
+
+
+def window_probability(clicks: int, low: float, high: float, model: AmplitudeModel) -> float:
+    """P(low <= height < high) for a pulse of ``clicks`` clicks, read off a one-point threshold sweep."""
+    det = DetectionMatrix(entries=np.eye(clicks + 1))
+    source = np.eye(clicks + 1)[clicks]  # every pulse makes ``clicks`` clicks
+    return float(threshold_sweep(source, det, model, 1.0, [low], [high])[0, 0])
 
 
 class TestTriggerProbability:
     def test_noiseless_inside_window(self):
         model = AmplitudeModel(unit_amplitude=0.1, noise_sigma=0.0)
-        window = TriggerWindow(0.15, 0.25)
-        assert trigger_probability(2, window, model) == 1.0
+        assert window_probability(2, 0.15, 0.25, model) == 1.0
 
     def test_noiseless_outside_window(self):
         model = AmplitudeModel(unit_amplitude=0.1, noise_sigma=0.0)
-        window = TriggerWindow(0.15, 0.25)
-        assert trigger_probability(1, window, model) == 0.0
+        assert window_probability(1, 0.15, 0.25, model) == 0.0
 
     def test_five_sigma_boundary(self):
         # window opening midway between the k and k+1 amplitudes, noise at
         # 10% of the unit amplitude: the boundary sits 5 sigma away
         model = AmplitudeModel(unit_amplitude=1.0, noise_sigma=0.1)
-        window = TriggerWindow(2.5, math.inf)
         expected = stats.norm.sf(5.0)
-        assert trigger_probability(2, window, model) == pytest.approx(expected, rel=1e-9)
+        assert window_probability(2, 2.5, math.inf, model) == pytest.approx(expected, rel=1e-9)
 
     def test_matches_scipy_cdf(self):
         model = AmplitudeModel(unit_amplitude=0.37, noise_sigma=0.05, baseline=0.01)
-        window = TriggerWindow(0.3, 0.6)
         for clicks in range(5):
             level = 0.01 + clicks * 0.37
             expected = stats.norm.cdf(0.6, level, 0.05) - stats.norm.cdf(0.3, level, 0.05)
-            assert trigger_probability(clicks, window, model) == pytest.approx(expected, abs=1e-12)
+            assert window_probability(clicks, 0.3, 0.6, model) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("z", [7.0, 8.0, 9.0, 20.0])
     def test_upper_tail_matches_scipy_sf(self, z):
         # where 1 - Phi(z) cancels: at z = 9 it rounds to 0, against 1.13e-19
         model = AmplitudeModel(unit_amplitude=1.0, noise_sigma=0.1)
-        window = TriggerWindow(2.0 + z * 0.1)
-        expected = stats.norm.sf(window.low_threshold, 2.0, 0.1)
-        assert trigger_probability(2, window, model) == pytest.approx(expected, rel=1e-12, abs=0)
+        low = 2.0 + z * 0.1
+        expected = stats.norm.sf(low, 2.0, 0.1)
+        assert window_probability(2, low, math.inf, model) == pytest.approx(expected, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("field", ["unit_amplitude", "noise_sigma", "baseline"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -57,15 +59,6 @@ class TestTriggerProbability:
         kwargs = {"unit_amplitude": 0.1, "noise_sigma": 0.005, "baseline": 0.0, field: value}
         with pytest.raises(ParameterError, match=f"{field} must be finite"):
             AmplitudeModel(**kwargs)
-
-    def test_invalid_window(self):
-        with pytest.raises(ParameterError):
-            TriggerWindow(0.5, 0.5)
-
-    def test_negative_clicks(self):
-        model = AmplitudeModel(unit_amplitude=0.1, noise_sigma=0.0)
-        with pytest.raises(ParameterError):
-            trigger_probability(-1, TriggerWindow(0.0), model)
 
 
 @pytest.fixture(scope="module")

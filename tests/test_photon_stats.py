@@ -13,12 +13,16 @@ from heraldsim import (
     TruncationError,
     UndefinedStatisticError,
     g2_zero,
-    mean_photon_number,
     poissonian,
     renormalize,
     required_n_max,
     thermal,
 )
+
+
+def mean_photon_number(dist) -> float:
+    """First moment sum_n n P(n)."""
+    return float(np.arange(dist.probs.size) @ dist.probs)
 
 
 class TestPoissonian:
@@ -107,6 +111,11 @@ class TestThermal:
     def test_truncation_error(self):
         with pytest.raises(TruncationError):
             thermal(1.0, 3)
+
+    def test_mean_past_float_resolution_rejected(self):
+        # past about 9e15, 1 + mean rounds to mean and no cutoff holds the tail
+        with pytest.raises(ParameterError, match="no adequate truncation found for mean=1e\\+17"):
+            required_n_max(1e17, "thermal")
 
 
 class TestG2Zero:
