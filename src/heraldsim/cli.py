@@ -40,8 +40,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coincidence import (DEFAULT_BIN_WIDTH, DEFAULT_PEAK_HALFWIDTH, DEFAULT_RANGE, correlate, g2_tau,
-                          integrate_peaks, write_histogram_csv, write_peaks_csv)
+from .coincidence import (DEFAULT_BIN_WIDTH, DEFAULT_PEAK_HALFWIDTH, DEFAULT_RANGE, _check_binning, _peak_window,
+                          correlate, g2_tau, integrate_peaks, write_histogram_csv, write_peaks_csv)
 from .detector_model import (REFERENCE_CROSSTALK, REFERENCE_N_PIXELS, REFERENCE_TRANSMISSION, detection_matrix,
                              write_matrix_csv)
 from .discriminator import AmplitudeModel, threshold_sweep, write_surface_csv
@@ -245,6 +245,9 @@ def _parse_pair(text: str) -> tuple:
 
 
 def _cmd_analyze(args, out: str) -> tuple[dict, list]:
+    # refuse a binning with no peak window before the tag file is read
+    _check_binning(args.bin, args.range)
+    _peak_window(args.bin, args.range, args.rep_period, args.halfwidth)
     stream = read_tags(args.tags, duration=args.duration)
     hist = correlate(stream, args.pair, bin_width=args.bin, range_ps=args.range)
     peaks = integrate_peaks(hist, args.rep_period, args.halfwidth)

@@ -54,7 +54,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyEnsembleError, ParameterError, UndefinedStatisticError
-from .event_sim import Channel, ExperimentConfig, TagStream, _rank
+from .event_sim import CHANNEL_NAMES, Channel, ExperimentConfig, TagStream, _rank
 
 DEFAULT_BIN_WIDTH = 250
 DEFAULT_RANGE = 100_000
@@ -162,6 +162,9 @@ def correlate(
     for ch in (ch_a, ch_b):
         if ch not in stream.channels:
             raise ParameterError(f"stream has no channel {ch!r}")
+    if ch_a == ch_b:
+        # every tag would pair with itself at zero delay
+        raise ParameterError(f"a channel pair needs two different channels, got {CHANNEL_NAMES.get(ch_a, ch_a)} twice")
     _check_binning(bin_width, range_ps)
     a = stream.channels[ch_a]
     b = stream.channels[ch_b]

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detector_model import _MAX_ENTRIES
 from .errors import EmptyEnsembleError, ParameterError, TruncationError, UndefinedStatisticError
 
 #: Upper bound on the probability mass allowed beyond the truncation window
@@ -147,6 +148,17 @@ def _check_tail(mean: float, n_max: int, tail_mass: float, family: str):
         )
 
 
+def _checked_n_max(mean: float, n_max: int | None, family: str) -> int:
+    """The cutoff, ``required_n_max`` by default, if its table can be allocated."""
+    if n_max is None:
+        n_max = required_n_max(mean, family)
+    if n_max < 0:
+        raise ParameterError(f"n_max must be >= 0, got {n_max}")
+    if n_max + 1 > _MAX_ENTRIES:
+        raise ParameterError(f"a distribution of {n_max + 1} entries cannot be allocated (the limit is {_MAX_ENTRIES})")
+    return n_max
+
+
 def poissonian(mean: float, n_max: int | None = None) -> PhotonNumberDistribution:
     """Poissonian photon-number distribution, renormalized over 0..n_max.
 
@@ -156,10 +168,7 @@ def poissonian(mean: float, n_max: int | None = None) -> PhotonNumberDistributio
     """
     if not math.isfinite(mean) or mean < 0:
         raise ParameterError(f"mean photon number must be finite and >= 0, got {mean!r}")
-    if n_max is None:
-        n_max = required_n_max(mean, "poissonian")
-    if n_max < 0:
-        raise ParameterError(f"n_max must be >= 0, got {n_max}")
+    n_max = _checked_n_max(mean, n_max, "poissonian")
     probs = np.zeros(n_max + 1)
     start, term = _poisson_start(mean)
     if start <= n_max:
@@ -178,10 +187,7 @@ def thermal(mean: float, n_max: int | None = None) -> PhotonNumberDistribution:
     """
     if not math.isfinite(mean) or mean < 0:
         raise ParameterError(f"mean photon number must be finite and >= 0, got {mean!r}")
-    if n_max is None:
-        n_max = required_n_max(mean, "thermal")
-    if n_max < 0:
-        raise ParameterError(f"n_max must be >= 0, got {n_max}")
+    n_max = _checked_n_max(mean, n_max, "thermal")
     n = np.arange(n_max + 1)
     ratio = mean / (1.0 + mean)
     probs = ratio**n / (1.0 + mean)

@@ -22,17 +22,20 @@ one ``<name>,<signed decimal>`` row per record, in the same order, with the
 channel spelled by name and each row ending in ``\\n``.  The reader skips
 empty lines, splits lines at ``\\n``, ``\\r\\n`` and ``\\r``, and allows
 whitespace around the timestamp, which is a signed decimal integer that fits
-64 bits.  Both CSV halves work on whole pieces of bytes: the writer
-assembles the rows of a piece in one numpy byte block, and the reader finds
+64 bits.  Both CSV halves work on whole pieces of bytes.  The writer
+assembles the rows of a piece in one numpy byte block.  The reader reads the
+file ``_CSV_BLOCK`` (1 MiB) bytes at a time into one reused buffer and cuts
+each block after its last line end; the rest of the line waits for the next
+block, and a line longer than the buffer grows it.  In each block it finds
 the line ends and the channel names by byte compares and converts the digit
-fields of all rows at once.  Only a row that is not ``<name>,<1 to 18
-digits>`` (one with padding, a sign, more digits, or outside the grammar)
-goes through the per-row grammar check, and so do the rows that start in the
-last 16 bytes of the file.
+fields of all rows at once.  So it holds the converted rows, 9 bytes each,
+and one block's temporaries, however long the file.  Only a row that is not
+``<name>,<1 to 18 digits>`` (one with padding, a sign, more digits, or
+outside the grammar) goes through the per-row grammar check.
 
 Both readers split the records into channels the same way, block by block
 into one array per channel of the counted size: the binary reader hands the
-split its record blocks, the CSV reader all its rows as one block.  Readers
+split its record blocks, the CSV reader its converted blocks.  Readers
 reject a file in which a channel's timestamps decrease.
 """
 
@@ -81,6 +84,13 @@ _CSV_KEYS = [
 assert max(map(len, _CSV_NAMES)) < _CSV_HEAD
 #: Most digits the bulk reader converts; 18 digits always fit int64.
 _CSV_DIGITS = 18
+#: Bytes of a CSV file the reader converts at a time; a longer line grows the block.
+_CSV_BLOCK = 1 << 20
+#: Bytes on both sides of a CSV block in the read buffer, so that the
+#: ``_CSV_HEAD`` bytes at a row's start and the ``_CSV_DIGITS`` bytes before
+#: its end are in bounds.
+_CSV_PAD = 32
+assert _CSV_PAD >= max(_CSV_HEAD, _CSV_DIGITS)
 
 
 def _record_chunks(stream, refuse_negative: bool = False):
@@ -312,22 +322,63 @@ def _line_spans(raw: np.ndarray) -> tuple:
     return starts, np.concatenate((ends, [raw.size]))
 
 
-def read_csv(path, duration: int | None = None) -> TagStream:
-    raw = np.fromfile(path, dtype=np.uint8)
-    n = raw.size
-    if n and raw.max() >= 0x80:
+def _csv_blocks(fh):
+    """The file's bytes in blocks of whole lines, read into one reused buffer.
+
+    Yields ``(buf, lo, hi)``: the block is ``buf[lo:hi]``, with at least
+    ``_CSV_PAD`` bytes of ``buf`` before it and after it.  A block ends
+    after its last line end, and the bytes after that are carried into the
+    next block; so is a ``\\r`` that ends the bytes read, since its ``\\n``
+    may come next.  A line longer than the buffer doubles it.  The last
+    block holds the rest of the file.
+    """
+    size = _CSV_BLOCK
+    mem = bytearray(_CSV_PAD + size + _CSV_PAD)
+    buf = np.frombuffer(mem, dtype=np.uint8)
+    n = 0  # bytes carried and read, at mem[_CSV_PAD : _CSV_PAD + n]
+    while True:
+        n += fh.readinto(memoryview(mem)[_CSV_PAD + n : _CSV_PAD + size])
+        end = _CSV_PAD + n
+        if n < size:  # the read stopped at the end of the file
+            yield buf, _CSV_PAD, end
+            return
+        cut = max(mem.rfind(b"\n", _CSV_PAD, end), mem.rfind(b"\r", _CSV_PAD, end - 1)) + 1
+        if not cut:  # no line ends in the buffer
+            size *= 2
+            mem = mem[:end] + bytearray(size - n + _CSV_PAD)
+            buf = np.frombuffer(mem, dtype=np.uint8)
+            continue
+        yield buf, _CSV_PAD, cut
+        n = end - cut
+        mem[_CSV_PAD : _CSV_PAD + n] = mem[cut:end]
+
+
+def _csv_check_utf8(path, raw: np.ndarray) -> None:
+    if raw.size and raw.max() >= 0x80:
         try:
             raw.tobytes().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not a UTF-8 text file") from exc
-    starts, ends = _line_spans(raw)
-    header = raw[: ends[0]].tobytes().decode().strip() if ends.size else ""
-    if header != CSV_HEADER:
-        raise FormatError(f"{path}: bad CSV header {header!r}")
-    # body rows; the header holds 20 bytes, so every row starts and ends
-    # past byte 20, and every gather below stays inside the file
-    s, e = starts[1:], ends[1:]
-    heads = _windows(raw, _CSV_HEAD)[np.minimum(s, n - _CSV_HEAD)].view("<u8").reshape(-1, 2)
+
+
+def _csv_convert(path, buf: np.ndarray, lo: int, hi: int, line: int) -> tuple:
+    """The codes and times of the rows in the block ``buf[lo:hi]``, and its number of lines.
+
+    The block's first line is line ``line`` of the file, and line 1 is the
+    header.  Rows start at least ``_CSV_HEAD`` bytes before the end of
+    ``buf`` and end at least ``_CSV_DIGITS`` bytes after its start, so every
+    gather stays inside it.  A name match that runs past the end of its row
+    leaves no digits, so the bytes after a row never change its outcome.
+    """
+    starts, ends = _line_spans(buf[lo:hi])
+    n_lines = starts.size
+    if line == 1:
+        header = buf[lo : lo + ends[0]].tobytes().decode().strip() if ends.size else ""
+        if header != CSV_HEADER:
+            raise FormatError(f"{path}: bad CSV header {header!r}")
+        starts, ends, line = starts[1:], ends[1:], 2
+    s, e = starts + lo, ends + lo
+    heads = _windows(buf, _CSV_HEAD)[s].view("<u8").reshape(-1, 2)
     codes = np.zeros(s.size, dtype=np.uint8)
     field = s.copy()  # where the timestamp starts, in a row that starts with a name
     for code, (key, mask) in enumerate(_CSV_KEYS):
@@ -336,10 +387,10 @@ def read_csv(path, duration: int | None = None) -> TagStream:
         field += hit * (len(_CSV_NAMES[code]) + 1)
     del heads
     n_digits = e - field
-    fast = (field > s) & (s <= n - _CSV_HEAD) & (n_digits >= 1) & (n_digits <= _CSV_DIGITS)
+    fast = (field > s) & (n_digits >= 1) & (n_digits <= _CSV_DIGITS)
     # the last `places` bytes of every row, one row of the block per place
     places = int(n_digits[fast].max()) if fast.any() else 1
-    digits = _windows(raw, places)[e - places].view(np.uint8).reshape(-1, places).T.copy()
+    digits = _windows(buf, places)[e - places].view(np.uint8).reshape(-1, places).T.copy()
     digits -= np.uint8(ord("0"))
     digits *= np.arange(places, 0, -1)[:, None] <= n_digits  # clear bytes before the digits
     fast &= digits.max(axis=0) <= 9
@@ -350,16 +401,45 @@ def read_csv(path, duration: int | None = None) -> TagStream:
 
     empty = s == e
     for i in np.flatnonzero(~(fast | empty)).tolist():
-        line = raw[s[i] : e[i]].tobytes().decode()
-        if not _csv_row_ok(line):
-            raise FormatError(f"{path}:{i + 2}: bad record {line!r}")
-        name, value = line.split(",")
+        row = buf[s[i] : e[i]].tobytes().decode()
+        if not _csv_row_ok(row):
+            raise FormatError(f"{path}:{line + i}: bad record {row!r}")
+        name, value = row.split(",")
         codes[i] = CHANNELS_BY_NAME[name]
         times[i] = int(value)
     if empty.any():
         codes, times = codes[~empty], times[~empty]
-    counts = np.array([np.count_nonzero(codes == ch) for ch in Channel])
-    return _split(path, counts, [(codes, times)], int(times.max()) if times.size else -1, duration)
+    return codes, times, n_lines
+
+
+def read_csv(path, duration: int | None = None) -> TagStream:
+    """Read a CSV tag file a block of ``_CSV_BLOCK`` bytes at a time.
+
+    Each block's rows are converted to channel codes and times as it comes,
+    so the reader holds the converted rows, 9 bytes each, and one block's
+    temporaries, before the channel split.
+    """
+    converted = []
+    counts = np.zeros(len(Channel), dtype=np.int64)
+    tops = []  # each block's latest time
+    line = 1  # the number of the block's first line
+    with open(path, "rb") as fh:
+        blocks = _csv_blocks(fh)
+        for buf, lo, hi in blocks:
+            _csv_check_utf8(path, buf[lo:hi])
+            try:
+                codes, times, n_lines = _csv_convert(path, buf, lo, hi, line)
+            except FormatError:
+                # a file that is not UTF-8 is refused as such, wherever the bad byte lies
+                for buf, lo, hi in blocks:
+                    _csv_check_utf8(path, buf[lo:hi])
+                raise
+            line += n_lines
+            if times.size:
+                converted.append((codes, times))
+                counts += [np.count_nonzero(codes == ch) for ch in Channel]
+                tops.append(int(times.max()))
+    return _split(path, counts, converted, max(tops, default=-1), duration)
 
 
 def read_tags(path, duration: int | None = None) -> TagStream:

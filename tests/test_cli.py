@@ -440,6 +440,17 @@ class TestAnalyzeCommand:
         assert "no peak window fits" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_peak_window_checked_before_the_tag_file(self, tmp_path, capsys):
+        assert invoke("analyze", "--tags", tmp_path / "missing.tags", "--range", "500ps", "--halfwidth", "1ns",
+                      "--out", tmp_path / "x") == 2
+        assert "no peak window fits" in capsys.readouterr().err
+
+    def test_pair_of_one_channel_exit_code(self, small_tags, tmp_path, capsys):
+        """Every tag would pair with itself at zero delay."""
+        assert invoke("analyze", "--tags", small_tags, "--pair", "hbt_a,hbt_a", "--out", tmp_path / "x") == 2
+        assert "two different channels, got hbt_a twice" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestThresholdsCommand:
     def test_surface_csv(self, tmp_path):

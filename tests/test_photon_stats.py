@@ -86,6 +86,11 @@ class TestPoissonian:
             expected[n] = expected[n - 1] * mu / n
         np.testing.assert_array_equal(poissonian(mu).probs, expected / expected.sum())
 
+    def test_table_past_the_entry_limit_rejected(self):
+        # 10**13 + 1 float64 entries would take 72.8 TiB
+        with pytest.raises(ParameterError, match="10000000000001 entries cannot be allocated"):
+            poissonian(5.0, 10**13)
+
 
 class TestThermal:
     def test_vacuum(self):
@@ -116,6 +121,11 @@ class TestThermal:
         # past about 9e15, 1 + mean rounds to mean and no cutoff holds the tail
         with pytest.raises(ParameterError, match="no adequate truncation found for mean=1e\\+17"):
             required_n_max(1e17, "thermal")
+
+    def test_table_past_the_entry_limit_rejected(self):
+        # the default cutoff of a 1e15 mean is about 2.1e16 entries (147 PiB)
+        with pytest.raises(ParameterError, match="20739842733593675 entries cannot be allocated"):
+            thermal(1e15)
 
 
 class TestG2Zero:

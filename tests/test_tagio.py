@@ -14,8 +14,8 @@ from heraldsim.event_sim import CHANNEL_NAMES, CHANNELS_BY_NAME
 # Reference implementations: the whole-file record merge that the writers'
 # piecewise merge replaces, the per-record CSV writer and reader, the
 # per-row formatting writer and np.loadtxt reader that the bulk CSV codec
-# replaces, and the argsort channel split that the readers' block split
-# replaces.
+# replaces, the whole-file bulk CSV reader that the block reader replaces,
+# and the argsort channel split that the readers' block split replaces.
 
 
 def reference_records(stream):
@@ -142,6 +142,56 @@ def reference_read_csv(path):
     codes = np.asarray(codes, dtype=np.uint8)
     times = np.asarray(times, dtype=np.int64)
     return {ch: times[codes == int(ch)] for ch in Channel}
+
+
+def whole_file_read_csv(path, duration=None):
+    """The bulk CSV reader that converts the whole file at once, which the
+    block reader replaces."""
+    raw = np.fromfile(path, dtype=np.uint8)
+    n = raw.size
+    if n and raw.max() >= 0x80:
+        try:
+            raw.tobytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not a UTF-8 text file") from exc
+    starts, ends = tagio._line_spans(raw)
+    header = raw[: ends[0]].tobytes().decode().strip() if ends.size else ""
+    if header != tagio.CSV_HEADER:
+        raise FormatError(f"{path}: bad CSV header {header!r}")
+    # body rows; the header holds 20 bytes, so every row starts and ends
+    # past byte 20, and every gather below stays inside the file
+    s, e = starts[1:], ends[1:]
+    heads = tagio._windows(raw, tagio._CSV_HEAD)[np.minimum(s, n - tagio._CSV_HEAD)].view("<u8").reshape(-1, 2)
+    codes = np.zeros(s.size, dtype=np.uint8)
+    field = s.copy()  # where the timestamp starts, in a row that starts with a name
+    for code, (key, mask) in enumerate(tagio._CSV_KEYS):
+        hit = ((heads[:, 0] & mask[0]) == key[0]) & ((heads[:, 1] & mask[1]) == key[1])
+        codes += hit * np.uint8(code)
+        field += hit * (len(tagio._CSV_NAMES[code]) + 1)
+    n_digits = e - field
+    fast = (field > s) & (s <= n - tagio._CSV_HEAD) & (n_digits >= 1) & (n_digits <= tagio._CSV_DIGITS)
+    # the last `places` bytes of every row, one row of the block per place
+    places = int(n_digits[fast].max()) if fast.any() else 1
+    digits = tagio._windows(raw, places)[e - places].view(np.uint8).reshape(-1, places).T.copy()
+    digits -= np.uint8(ord("0"))
+    digits *= np.arange(places, 0, -1)[:, None] <= n_digits  # clear bytes before the digits
+    fast &= digits.max(axis=0) <= 9
+    times = np.zeros(s.size, dtype=np.int64)
+    for place in digits:
+        times *= 10
+        times += place
+    empty = s == e
+    for i in np.flatnonzero(~(fast | empty)).tolist():
+        line = raw[s[i] : e[i]].tobytes().decode()
+        if not tagio._csv_row_ok(line):
+            raise FormatError(f"{path}:{i + 2}: bad record {line!r}")
+        name, value = line.split(",")
+        codes[i] = CHANNELS_BY_NAME[name]
+        times[i] = int(value)
+    if empty.any():
+        codes, times = codes[~empty], times[~empty]
+    counts = np.array([np.count_nonzero(codes == ch) for ch in Channel])
+    return tagio._split(path, counts, [(codes, times)], int(times.max()) if times.size else -1, duration)
 
 
 def reference_read_binary(path, duration=None):
@@ -674,6 +724,104 @@ def test_csv_reader_matches_loadtxt_reader(tmp_path_factory, rows, newline, last
     path = tmp_path_factory.mktemp("csvl") / "tags.csv"
     path.write_bytes(body.encode())
     assert read_or_error(tagio.read_csv, path) == read_or_error(loadtxt_read_csv, path)
+
+
+def read_csv_with_block(path, block, duration=None):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tagio, "_CSV_BLOCK", block)
+        return tagio.read_csv(path, duration)
+
+
+# a row in the grammar: channel, increment over the channel's previous time,
+# and the spelling of the timestamp, with non-ASCII whitespace and with
+# padding or leading zeros that make the row longer than a small block
+_pads = st.sampled_from(["", " ", "\t", "\xa0", "\u3000", " " * 70])
+grammar_rows = st.tuples(st.sampled_from(sorted(CHANNELS_BY_NAME)), st.integers(0, 2**40), _pads,
+                         st.sampled_from(["", "+"]), st.sampled_from([0, 1, 3, 80]), _pads)
+
+
+@given(st.lists(st.tuples(st.one_of(grammar_rows, mixed_rows), st.sampled_from(["\n", "\r\n", "\r"])), max_size=30),
+       st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(), st.integers(16, 64))
+@settings(max_examples=300, deadline=None)
+def test_csv_block_reader_matches_whole_file_readers(tmp_path_factory, rows, header_end, last_newline, block):
+    """Blocks of 16 to 64 bytes cut rows, line ends and \\r\\n pairs anywhere,
+    and rows longer than the block grow it; the block reader returns what the
+    whole-file reader returns, or raises the same error."""
+    last = {}
+    text = "channel,timestamp_ps" + header_end
+    for row, newline in rows:
+        if isinstance(row, tuple):
+            name, step, pad_l, sign, zeros, pad_r = row
+            last[name] = last.get(name, 0) + step
+            row = f"{name},{pad_l}{sign}{'0' * zeros}{last[name]}{pad_r}"
+        text += row.replace("\r", "").replace("\n", "") + newline
+    if not last_newline:
+        text = text.rstrip("\r\n")
+    path = tmp_path_factory.mktemp("csvb") / "tags.csv"
+    path.write_bytes(text.encode())
+    expected = outcome(lambda: whole_file_read_csv(path))
+    assert outcome(lambda: read_csv_with_block(path, block)) == expected
+    if not isinstance(expected[0], type):
+        per_row = reference_read_csv(path)
+        assert expected[1] == {int(ch): per_row[ch].tolist() for ch in Channel}
+
+
+def test_csv_block_edges_at_every_offset(tmp_path):
+    """Blocks of each size from 16 to 64 bytes put block edges at every offset
+    of the file, so some fall inside a \\r\\n pair and some cut a row."""
+    path = tmp_path / "edges.csv"
+    rows = [f"hbt_a,{i}\r\n\r\nhbt_b,\xa0+{i}\rherald_trigger,0{i}\n" for i in range(30)]
+    path.write_bytes(("channel,timestamp_ps\r\n" + "".join(rows) + "hbt_a, 99").encode())
+    expected = outcome(lambda: whole_file_read_csv(path))
+    assert expected[1][int(Channel.HBT_A)] == [*range(30), 99]
+    for block in range(16, 65):
+        assert outcome(lambda: read_csv_with_block(path, block)) == expected
+
+
+@pytest.mark.parametrize("n_rows, block", [(40, 16), (40, 64), (100_000, None)])
+def test_csv_bad_record_in_a_later_block_names_its_line(tmp_path, n_rows, block):
+    path = tmp_path / "late.csv"
+    rows = "".join(f"{CHANNEL_NAMES[Channel(i % 3)]},{10 * i}\r\n" for i in range(n_rows))
+    path.write_bytes(f"channel,timestamp_ps\r\n{rows}\r\nhbt_b,x\r\nhbt_a,1\r\n".encode())
+    if block is None:
+        assert path.stat().st_size > tagio._CSV_BLOCK
+        block = tagio._CSV_BLOCK
+    message = rf"late.csv:{n_rows + 3}: bad record 'hbt_b,x'"
+    with pytest.raises(FormatError, match=message):
+        whole_file_read_csv(path)
+    with pytest.raises(FormatError, match=message):
+        read_csv_with_block(path, block)
+
+
+def test_csv_utf8_checked_past_a_bad_record(tmp_path):
+    """A file that is not UTF-8 is refused as such, even where a bad record comes before the bad byte."""
+    path = tmp_path / "late.csv"
+    path.write_bytes(b"channel,timestamp_ps\nhbt_a,x\n" + b"hbt_a,1\n" * 20 + b"\xff\n")
+    with pytest.raises(FormatError, match="not a UTF-8 text file"):
+        whole_file_read_csv(path)
+    with pytest.raises(FormatError, match="not a UTF-8 text file"):
+        read_csv_with_block(path, 16)
+
+
+def test_csv_block_reader_holds_the_rows_and_one_block(tmp_path):
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    n = 250_000
+    times = np.cumsum(rng.integers(1, 25_000, n))
+    codes = rng.integers(0, 3, n)
+    path = tmp_path / "rows.csv"
+    tagio.write_csv(stream_of({ch: times[codes == int(ch)] for ch in Channel}), path)
+    tracemalloc.start()
+    try:
+        stream = tagio.read_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(arr.size for arr in stream.channels.values()) == n
+    # the converted rows take 9 bytes each and the channels 8 more; the rest
+    # is the buffer and one block's temporaries
+    assert peak <= 24 * n + 2 * tagio._CSV_BLOCK
 
 
 def read_with_block(path, block, duration=None):
