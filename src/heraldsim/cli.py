@@ -22,8 +22,7 @@ Parameter ranges, integer ones included, are checked by the library, whose
 ``configparser`` or UTF-8 decoding refuses ends it the same way.
 
 Durations accept ``ps`` and ``ns`` suffixes (bare numbers are picoseconds).
-Environment overrides are limited to ``HERALDSIM_THREADS`` and
-``HERALDSIM_OUTDIR``.
+The one environment override is ``HERALDSIM_OUTDIR``.
 """
 
 from __future__ import annotations
@@ -120,15 +119,6 @@ def _write_manifest(primary_out: str, command: str, config: dict, outputs, start
 
 
 def _default_threads() -> int:
-    env = os.environ.get("HERALDSIM_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ParameterError(f"HERALDSIM_THREADS must be an integer, got {env!r}") from None
-        if threads < 1:
-            raise ParameterError(f"HERALDSIM_THREADS must be >= 1, got {env!r}")
-        return threads
     return os.cpu_count() or 1
 
 
@@ -330,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
     p.add_argument("--selection", help="herald selection (overrides config)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: HERALDSIM_THREADS, else the CPU count); "
+                   help="worker threads (default: the CPU count); "
                         "output is independent of this value")
     p.add_argument("--out", required=True, help="tag file (.csv for text, binary otherwise)")
     p.set_defaults(func=_cmd_simulate)

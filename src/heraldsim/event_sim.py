@@ -21,9 +21,11 @@ photon passes an open gate with probability 1 and a closed gate with the
 extinction leakage 10**(-extinction_db / 10), then goes to HBT A with
 probability q_a, to HBT B with q_b, or is lost.  One uniform per photon
 decides both its detector and whether it passes a closed gate, so the
-counts for either gate outcome come from the same draw.  Detectors register
-at most one click per pulse per channel, at the modulator-arrival time; dark
-counts are independent Poisson processes.
+counts for either gate outcome, at either HBT arm, come from the same draw.
+The two arms differ only in their thresholds, and from the batch's draws to
+the segment's tags the stitch treats HBT A and B as two rows of one block.
+Detectors register at most one click per pulse per channel, at the
+modulator-arrival time; dark counts are independent Poisson processes.
 
 Determinism: every random draw happens in per-batch streams keyed by
 (seed, batch index), and batches are fixed-size contiguous pulse ranges, so
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -226,7 +227,8 @@ class TagStream:
 
     ``duration`` spans the pulses: every herald lies below it, while HBT tags
     lag their pulse by the signal delay and may lie up to that delay past it.
-    Given ``channels``, a missing Channel becomes empty and any other key is refused.
+    Given ``channels``, a missing Channel becomes empty, a channel whose
+    times decrease is sorted, and any other key is refused.
 
     A stream that ``run`` returns holds nothing of the run.  Each
     ``segments()`` draws the run anew and hands out its tags as per-channel
@@ -240,6 +242,9 @@ class TagStream:
             if set(channels).difference(Channel):
                 raise ParameterError(f"TagStream channels must be Channel members, got {list(channels)}")
             channels = {ch: np.asarray(channels.get(ch, ()), dtype=np.int64) for ch in Channel}
+            for ch, times in channels.items():
+                if np.any(times[1:] < times[:-1]):
+                    channels[ch] = np.sort(times)
         self._channels = channels
         self.duration = duration
         # draw() starts a generator of the run's segments that returns its _Counters
@@ -360,8 +365,8 @@ def merged_gate_intervals(herald_times, latency: int, gate_length: int):
     return starts, ends
 
 
-def _open_mask(times: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Which of the sorted times lie inside one of the merged gates."""
+def _open_mask(times: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Which of the sorted times lie inside one of the merged gates, and how many lie inside each gate."""
     # the gates are disjoint and ordered, so their edges, searched into the
     # times, cut the times into runs that are closed and open in turn
     edges = np.empty(2 * starts.size, dtype=np.int64)
@@ -370,20 +375,22 @@ def _open_mask(times: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nd
     runs = np.diff(np.searchsorted(times, edges), prepend=0, append=times.size)
     state = np.zeros(runs.size, dtype=bool)
     state[1::2] = True
-    return np.repeat(state, runs)
+    # a copy, so the caller holds one count per gate rather than every run
+    return np.repeat(state, runs), runs[1::2].copy()
 
 
-def _on_ramp(arrivals, open_gate, starts, ends, rise_time: int):
+def _on_ramp(arrivals, open_gate, starts, gate_counts, rise_time: int):
     """Open arrivals on the linear voltage ramp at the opening edge of a merged gate.
 
-    Returns the indices of the open arrivals less than ``rise_time`` after
-    their gate's start, and the transmission the ramp gives each of them.
+    ``open_gate`` and ``gate_counts`` are what ``_open_mask`` returns for the
+    arrivals.  Returns the indices of the open arrivals less than
+    ``rise_time`` after their gate's start, and the transmission the ramp
+    gives each of them.
     """
     # the open arrivals come gate by gate, so each takes its gate's start
     # from the count of arrivals inside each gate
-    counts = np.searchsorted(arrivals, ends) - np.searchsorted(arrivals, starts)
     index = np.flatnonzero(open_gate)
-    factor = (arrivals[index] - np.repeat(starts, counts)) / rise_time
+    factor = (arrivals[index] - np.repeat(starts, gate_counts)) / rise_time
     partial = factor < 1.0
     return index[partial], factor[partial]
 
@@ -476,13 +483,12 @@ class _Batch(NamedTuple):
 
     herald_pulse: np.ndarray  # int64 pulses whose click outcome is accepted
     cand_pulse: np.ndarray  # int64 pulses with a signal photon at HBT A or B through an open gate
-    a_open: np.ndarray  # int32 photons of each candidate at HBT A through an open gate
-    a_closed: np.ndarray  # int32 the same through a closed gate
-    b_open: np.ndarray  # int32
-    b_closed: np.ndarray  # int32
+    # int32 (4, candidates) photons of each candidate, one row per channel
+    # and gate state: A closed, A open, B closed, B open; so photons[0::2]
+    # are the counts through a closed gate and photons[1::2] through an open one
+    photons: np.ndarray
     click_hist: np.ndarray  # int64 pulses per idler click outcome 0..n_pixels
-    dark_a: np.ndarray  # int64 dark-count times
-    dark_b: np.ndarray  # int64
+    darks: tuple  # int64 dark-count times at HBT A and at HBT B
 
 
 def _geometric(rng: np.random.Generator, p: float, count: int, cap: int) -> np.ndarray:
@@ -644,28 +650,16 @@ def _simulate_batch(config: ExperimentConfig, batch_index: int, start: int, size
     del ends
     cand_pulse = start + cand[:n_cand].astype(np.int64)
     del cand
-    a_closed, a_open, below_b_closed, below_b_open = below[:, :n_cand]
-    below_b_closed -= a_open
-    below_b_open -= a_open
+    # the B thresholds count the photons at A too
+    photons = below[:, :n_cand]
+    photons[2:] -= photons[1]
 
-    # dark counts over this batch's time span
+    # dark counts over this batch's time span, A's drawn first
     span = size * config.rep_period
     t0 = start * config.rep_period
     lam = config.dark_rate * span * 1e-12
-    dark_a = t0 + rng.integers(0, span, rng.poisson(lam), dtype=np.int64)
-    dark_b = t0 + rng.integers(0, span, rng.poisson(lam), dtype=np.int64)
-
-    return _Batch(
-        herald_pulse=herald_pulse,
-        cand_pulse=cand_pulse,
-        a_open=a_open,
-        a_closed=a_closed,
-        b_open=below_b_open,
-        b_closed=below_b_closed,
-        click_hist=click_hist,
-        dark_a=dark_a,
-        dark_b=dark_b,
-    )
+    darks = tuple(t0 + rng.integers(0, span, rng.poisson(lam), dtype=np.int64) for _ in range(2))
+    return _Batch(herald_pulse, cand_pulse, photons, click_hist, darks)
 
 
 def _batches(config: ExperimentConfig, threads: int, batch_size: int, n_batches: int):
@@ -703,13 +697,11 @@ def _segments(config: ExperimentConfig, threads: int, batch_size: int, n_batches
     delay = config.resolved_signal_delay
     latency, gate_length = config.latency, config.gate_length
     ignore = config.retrigger == "ignore"
-    ramp = [
-        np.random.default_rng(np.random.SeedSequence((config.seed, _RAMP_STREAM_TAG, int(ch))))
-        for ch in (Channel.HBT_A, Channel.HBT_B)
-    ]
+    hbt = (Channel.HBT_A, Channel.HBT_B)
+    ramp = [np.random.default_rng(np.random.SeedSequence((config.seed, _RAMP_STREAM_TAG, int(ch)))) for ch in hbt]
     empty = np.empty(0, dtype=np.int64)
     kept_tail = starts = ends = empty
-    waiting = [empty] + [np.empty(0, dtype=np.int32)] * 4  # arrivals, a_open, a_closed, b_open, b_closed
+    waiting = (empty, np.empty((4, 0), dtype=np.int32))  # arrivals and their photons
     click_counts = np.zeros(config.n_pixels + 1, dtype=np.int64)
     accepted = emitted = 0
     channel_counts = dict.fromkeys(Channel, 0)
@@ -736,34 +728,32 @@ def _segments(config: ExperimentConfig, threads: int, batch_size: int, n_batches
         arrivals += delay
         # the waiting arrivals all come before this batch's, and either part
         # may reach past the cut
-        parts = [waiting, (arrivals, *batch[2:6])]
+        parts = [waiting, (arrivals, batch.photons)]
         cut = None if index == n_batches - 1 else (index + 1) * batch_size * rep
         n_now = [part[0].size if cut is None else int(np.searchsorted(part[0], cut)) for part in parts]
-        picked_a, picked_b = [], []
+        picked = []  # per part, the arrivals with a click at A and at B
         for part, n in zip(parts, n_now):
-            arrivals, a_open, a_closed, b_open, b_closed = (column[:n] for column in part)
-            open_gate = _open_mask(arrivals, starts, ends)
-            a = np.where(open_gate, a_open, a_closed)
-            b = np.where(open_gate, b_open, b_closed)
+            arrivals, photons = (column[..., :n] for column in part)
+            open_gate, gate_counts = _open_mask(arrivals, starts, ends)
+            counts = np.where(open_gate, photons[1::2], photons[0::2])
             if config.gate_rise_time > 0:
-                partial, factor = _on_ramp(arrivals, open_gate, starts, ends, config.gate_rise_time)
-                a[partial] = ramp[0].binomial(a[partial], factor)
-                b[partial] = ramp[1].binomial(b[partial], factor)
-            picked_a.append(arrivals[a > 0])
-            picked_b.append(arrivals[b > 0])
-        waiting = [np.concatenate((early[n_now[0] :], late[n_now[1] :])) for early, late in zip(*parts)]
-        dark_a, dark_b = batch.dark_a, batch.dark_b
-        del batch, parts, part, arrivals, a_open, a_closed, b_open, b_closed, open_gate, a, b
-        segment = {
-            Channel.HERALD_TRIGGER: heralds,
-            Channel.HBT_A: _with_darks(np.concatenate(picked_a), dark_a),
-            Channel.HBT_B: _with_darks(np.concatenate(picked_b), dark_b),
-        }
-        del picked_a, picked_b
+                partial, factor = _on_ramp(arrivals, open_gate, starts, gate_counts, config.gate_rise_time)
+                for arm, ramp_rng in enumerate(ramp):
+                    counts[arm, partial] = ramp_rng.binomial(counts[arm, partial], factor)
+            del gate_counts
+            picked.append([arrivals[row > 0] for row in counts])
+        waiting = tuple(np.concatenate((early[..., n_now[0] :], late[..., n_now[1] :]), axis=-1)
+                        for early, late in zip(*parts))
+        darks = batch.darks
+        del batch, parts, part, arrivals, photons, open_gate, counts
+        segment = {Channel.HERALD_TRIGGER: heralds}
+        for ch, tags, dark in zip(hbt, zip(*picked), darks):
+            segment[ch] = _with_darks(np.concatenate(tags), dark)
+        del picked, tags, dark
         for ch in Channel:
             channel_counts[ch] += segment[ch].size
         yield segment
-        del segment, heralds, dark_a, dark_b
+        del segment, heralds, darks
 
         if cut is not None:
             # a gate that ends before the cut covers nothing after it
@@ -806,11 +796,3 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
         raise ParameterError("too many batches")
     stream = TagStream(None, config.duration, functools.partial(_segments, config, threads, batch_size, n_batches))
     return stream, RunSummary(config, stream)
-
-
-def benchmark(config: ExperimentConfig) -> float:
-    """Wall-clock throughput of a one-thread run() in pulses per second."""
-    t0 = time.perf_counter()
-    run(config)[0].counters()
-    elapsed = time.perf_counter() - t0
-    return config.n_pulses / elapsed

@@ -2,7 +2,6 @@ import argparse
 import configparser
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,13 +21,8 @@ def invoke(*args, **kwargs):
     return main([str(a) for a in args])
 
 
-def invoke_subprocess(*args, env=None):
-    return subprocess.run(
-        [sys.executable, "-m", "heraldsim", *map(str, args)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+def invoke_subprocess(*args):
+    return subprocess.run([sys.executable, "-m", "heraldsim", *map(str, args)], capture_output=True, text=True)
 
 
 class TestParseDuration:
@@ -370,6 +364,41 @@ def test_simulate_memory_does_not_grow_with_the_run(tmp_path):
     assert peaks[8_000_000] - peaks[1_000_000] <= 10, peaks
 
 
+# Configs whose `simulate` outputs pin the random stream: a dense run and
+# one with the opening ramp, the ignore policy and dark counts, each over
+# two batches.
+PINNED_CONFIGS = {
+    "dense": "[source]\nmean_pairs_per_pulse = 0.5\n[idler]\nselection = 1\n",
+    "ramp-ignore-dark": "[source]\nmean_pairs_per_pulse = 0.5\n[idler]\nselection = 1\n"
+                        "[modulator]\nretrigger = ignore\ngate_rise_time = 5000\n[signal]\ndark_rate = 1e6\n",
+}
+
+#: SHA-256 of the tag file and of the run summary, per config and tag format;
+#: the summary does not depend on the format.
+DENSE_SUMMARY = "c58ac8f4e0139416d01b2ee35798461111af8e04bb8d278d75535002bb77c648"
+RAMP_SUMMARY = "96769621cb2f029b5b41dc4539216a4346916bde7d64e8854ca38aa801aa9c97"
+PINNED_DIGESTS = {
+    ("dense", ".tags"): ("ebd638b81d189a60f36846b2adf1cce4f4cf24059b47a1f8296e8073d616da07", DENSE_SUMMARY),
+    ("dense", ".csv"): ("6500d62d15133ab83413c3dbbe034b30f410426489bb29fb33fb32f907afbc21", DENSE_SUMMARY),
+    ("ramp-ignore-dark", ".tags"): ("ffee153744e7c371d3f7869b16681c1db3ae66aa1febee328fff6042e608235f", RAMP_SUMMARY),
+    ("ramp-ignore-dark", ".csv"): ("e501477fcc680a845b9aa589a0ebe5a3c3e46e58c266615b014cbecbc5b29ba3", RAMP_SUMMARY),
+}
+
+
+@pytest.mark.parametrize("name, suffix", list(PINNED_DIGESTS))
+def test_simulate_outputs_are_pinned(tmp_path, name, suffix):
+    """A seed gives the same files for any thread count and from one version of the code to the next."""
+    config = tmp_path / "run.ini"
+    config.write_text(PINNED_CONFIGS[name] + "[run]\npulses = 1100000\nseed = 3\n")
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}{suffix}"
+        assert invoke("simulate", "--config", config, "--threads", threads, "--out", out) == 0
+        got = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, Path(f"{out}.summary.txt")))
+        assert got == PINNED_DIGESTS[name, suffix], (
+            f"simulate --threads {threads} of {name!r} wrote {suffix} and summary digests {got}; if the random "
+            "stream or the file format changed on purpose, update PINNED_DIGESTS and announce it in CHANGES.md")
+
+
 @pytest.fixture(scope="module")
 def small_tags(tmp_path_factory):
     tags = tmp_path_factory.mktemp("analyze") / "run.tags"
@@ -481,41 +510,10 @@ class TestThresholdsCommand:
 
 class TestEnvironmentOverrides:
     def test_outdir_redirects_relative_paths(self, tmp_path, monkeypatch):
-        import os
-
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("HERALDSIM_OUTDIR", str(tmp_path / "results"))
         assert invoke("matrix", "--out", "m.csv") == 0
         assert (tmp_path / "results" / "m.csv").exists()
-
-    def test_threads_env_not_an_integer(self, tmp_path):
-        env = {**os.environ, "HERALDSIM_THREADS": "abc"}
-        result = invoke_subprocess("simulate", "--mu", 0.01, "--pulses", 1_000, "--seed", 3,
-                                   "--out", tmp_path / "t.tags", env=env)
-        assert result.returncode == 2
-        assert "HERALDSIM_THREADS must be an integer" in result.stderr
-        assert "Traceback" not in result.stderr
-        # an explicit --threads and commands that run no threads ignore it
-        result = invoke_subprocess("simulate", "--mu", 0.01, "--pulses", 1_000, "--seed", 3,
-                                   "--threads", 1, "--out", tmp_path / "t.tags", env=env)
-        assert result.returncode == 0
-        assert invoke_subprocess("matrix", "--out", tmp_path / "m.csv", env=env).returncode == 0
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_threads_env_not_positive(self, tmp_path, value):
-        env = {**os.environ, "HERALDSIM_THREADS": value}
-        result = invoke_subprocess("simulate", "--mu", 0.05, "--pulses", 200, "--seed", 1,
-                                   "--out", tmp_path / "t.tags", env=env)
-        assert result.returncode == 2
-        assert f"HERALDSIM_THREADS must be >= 1, got '{value}'" in result.stderr
-        assert "Traceback" not in result.stderr
-        assert not (tmp_path / "t.tags").exists()
-
-    def test_threads_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HERALDSIM_THREADS", "2")
-        out = tmp_path / "t.tags"
-        assert invoke("simulate", "--mu", 0.01, "--pulses", 10_000, "--seed", 3, "--out", out) == 0
-        assert out.exists()
 
 
 @pytest.mark.parametrize(

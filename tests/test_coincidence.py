@@ -326,6 +326,22 @@ class TestHeraldedG2:
         with pytest.raises(ParameterError, match="must be Channel members"):
             TagStream(channels={"hbt_a": slots}, duration=400_000)
 
+    @pytest.mark.parametrize("flipped", list(Channel))
+    def test_hand_built_channel_in_falling_order_is_sorted(self, flipped):
+        # a channel handed in with its times falling gave correlate no pairs
+        # or a numpy error, and heralded_g2 an undefined statistic
+        cfg = reference_config(mean_pairs_per_pulse=0.5, n_pulses=40_000, herald_selection=HeraldSelection.exactly(1))
+        stream, _ = run(cfg)
+        channels = dict(stream.channels)
+        falling = channels[flipped][::-1]
+        channels[flipped] = falling
+        hand_built = TagStream(channels=channels, duration=stream.duration)
+        np.testing.assert_array_equal(hand_built.channels[flipped], stream.channels[flipped])
+        assert falling[0] > falling[-1]  # the caller's array is left as it was
+        assert heralded_g2(hand_built, cfg) == heralded_g2(stream, cfg)
+        for pair in ((Channel.HBT_A, Channel.HBT_B), (Channel.HERALD_TRIGGER, Channel.HBT_A)):
+            np.testing.assert_array_equal(correlate(hand_built, pair).counts, correlate(stream, pair).counts)
+
     def test_no_heralds_raise(self):
         cfg = reference_config()
         with pytest.raises(EmptyEnsembleError):

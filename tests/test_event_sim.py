@@ -158,8 +158,8 @@ def reference_simulate_batch(config, batch_index, start, size):
     lam = config.dark_rate * span * 1e-12
     dark_a = t0 + rng.integers(0, span, rng.poisson(lam), dtype=np.int64)
     dark_b = t0 + rng.integers(0, span, rng.poisson(lam), dtype=np.int64)
-    return _Batch(herald_pulse, cand_pulse, a_open[keep], a_closed[keep], b_open[keep], b_closed[keep],
-                  click_hist, dark_a, dark_b)
+    photons = np.stack((a_closed[keep], a_open[keep], b_closed[keep], b_open[keep]))
+    return _Batch(herald_pulse, cand_pulse, photons, click_hist, (dark_a, dark_b))
 
 
 def reference_unsliced_batch(config, batch_index, start, size):
@@ -224,8 +224,9 @@ def reference_unsliced_batch(config, batch_index, start, size):
     lam = config.dark_rate * span * 1e-12
     dark_a = t0 + rng.integers(0, span, rng.poisson(lam), dtype=np.int64)
     dark_b = t0 + rng.integers(0, span, rng.poisson(lam), dtype=np.int64)
-    return _Batch(start + herald_occ, start + occ[keep], a_open[keep], a_closed[keep],
-                  below_b_open[keep] - a_open[keep], below_b_closed[keep] - a_open[keep], click_hist, dark_a, dark_b)
+    photons = np.stack((a_closed[keep], a_open[keep], below_b_closed[keep] - a_open[keep],
+                        below_b_open[keep] - a_open[keep]))
+    return _Batch(start + herald_occ, start + occ[keep], photons, click_hist, (dark_a, dark_b))
 
 
 def reference_run(config, batch_size=event_sim.DEFAULT_BATCH_SIZE):
@@ -240,24 +241,27 @@ def reference_run(config, batch_size=event_sim.DEFAULT_BATCH_SIZE):
         _simulate_batch(config, i, i * batch_size, min(batch_size, config.n_pulses - i * batch_size))
         for i in range(n_batches)
     ]
-    merged = _Batch(*map(np.concatenate, zip(*parts)))
+    fields = list(zip(*parts))
+    darks = tuple(np.concatenate(arm) for arm in zip(*fields.pop()))
+    merged = _Batch(*(np.concatenate(field, axis=-1) for field in fields), darks)
     herald_times = merged.herald_pulse * config.rep_period
     arrivals = merged.cand_pulse * config.rep_period + config.resolved_signal_delay
     if config.retrigger == "ignore":
         herald_times = _retrigger_filter(herald_times, config.latency, config.gate_length)
     starts, ends = merged_gate_intervals(herald_times, config.latency, config.gate_length)
-    open_gate = _open_mask(arrivals, starts, ends)
-    a = np.where(open_gate, merged.a_open, merged.a_closed)
-    b = np.where(open_gate, merged.b_open, merged.b_closed)
+    open_gate, gate_counts = _open_mask(arrivals, starts, ends)
+    a_closed, a_open, b_closed, b_open = merged.photons
+    a = np.where(open_gate, a_open, a_closed)
+    b = np.where(open_gate, b_open, b_closed)
     if config.gate_rise_time > 0:
-        partial, factor = _on_ramp(arrivals, open_gate, starts, ends, config.gate_rise_time)
+        partial, factor = _on_ramp(arrivals, open_gate, starts, gate_counts, config.gate_rise_time)
         for counts, ch in ((a, Channel.HBT_A), (b, Channel.HBT_B)):
             ramp = np.random.default_rng(np.random.SeedSequence((config.seed, _RAMP_STREAM_TAG, int(ch))))
             counts[partial] = ramp.binomial(counts[partial], factor)
     channels = {
         Channel.HERALD_TRIGGER: herald_times,
-        Channel.HBT_A: _with_darks(arrivals[a > 0], merged.dark_a),
-        Channel.HBT_B: _with_darks(arrivals[b > 0], merged.dark_b),
+        Channel.HBT_A: _with_darks(arrivals[a > 0], merged.darks[0]),
+        Channel.HBT_B: _with_darks(arrivals[b > 0], merged.darks[1]),
     }
     counters = {
         "click_counts": merged.click_hist.reshape(n_batches, -1).sum(axis=0).tolist(),
@@ -282,7 +286,7 @@ def make_config(**overrides):
 
 def gate_open(t, heralds, latency=23_000, gate_length=80_000):
     starts, ends = merged_gate_intervals(heralds, latency, gate_length)
-    return bool(_open_mask(np.asarray([t], dtype=np.int64), starts, ends)[0])
+    return bool(_open_mask(np.asarray([t], dtype=np.int64), starts, ends)[0][0])
 
 
 class TestGateState:
@@ -345,9 +349,10 @@ class TestStitchMerges:
     def test_open_mask_matches_reference(self, heralds, times, latency, gate_length):
         times = np.asarray(times, dtype=np.int64)
         starts, ends = merged_gate_intervals(heralds, latency, gate_length)
-        got = _open_mask(times, starts, ends)
+        got, gate_counts = _open_mask(times, starts, ends)
         assert got.dtype == bool
         np.testing.assert_array_equal(got, reference_open_mask(times, starts, ends))
+        np.testing.assert_array_equal(gate_counts, np.searchsorted(times, ends) - np.searchsorted(times, starts))
 
     @given(herald_lists, st.lists(st.integers(-100, 2_500), max_size=40))
     @settings(max_examples=200, deadline=None)
@@ -752,17 +757,18 @@ class TestGateRiseTime:
     def test_ramp_factors_match_reference(self, heralds, arrivals, latency, gate_length, rise_time):
         arrivals = np.asarray(arrivals, dtype=np.int64)
         starts, ends = merged_gate_intervals(heralds, latency, gate_length)
-        open_gate = _open_mask(arrivals, starts, ends)
+        open_gate, gate_counts = _open_mask(arrivals, starts, ends)
         want = reference_ramp_factor(arrivals, open_gate, starts, rise_time)
-        index, factor = _on_ramp(arrivals, open_gate, starts, ends, rise_time)
+        index, factor = _on_ramp(arrivals, open_gate, starts, gate_counts, rise_time)
         np.testing.assert_array_equal(index, np.flatnonzero(want < 1.0))
         np.testing.assert_array_equal(factor, want[want < 1.0])
 
 
 def signal_patterns(batch, size):
     """Pulses per joint outcome (a_open > 0, b_open > 0, a_closed > 0, b_closed > 0) as 16 bins."""
-    code = ((batch.a_open > 0) * 8 + (batch.b_open > 0) * 4
-            + (batch.a_closed > 0) * 2 + (batch.b_closed > 0))
+    a_closed, a_open, b_closed, b_open = batch.photons
+    code = ((a_open > 0) * 8 + (b_open > 0) * 4
+            + (a_closed > 0) * 2 + (b_closed > 0))
     hist = np.bincount(code, minlength=16)
     hist[0] += size - code.size
     return hist
@@ -798,7 +804,11 @@ class TestBatchKernel:
         with mock.patch.object(event_sim, "_SLICE", piece):
             got = _simulate_batch(cfg, 3, 5_000, size)
         for field, want, have in zip(_Batch._fields, expected, got):
-            np.testing.assert_array_equal(have, want, err_msg=field)
+            if field == "darks":
+                for want_arm, have_arm in zip(want, have, strict=True):
+                    np.testing.assert_array_equal(have_arm, want_arm, err_msg=field)
+            else:
+                np.testing.assert_array_equal(have, want, err_msg=field)
 
     def test_dense_batch_working_set(self):
         # the run's memory is set by one batch's working set; it held 37 MB
@@ -879,28 +889,29 @@ class TestBatchKernel:
         # photon sent to HBT A shows each occupied pulse and its photon number
         every = _simulate_batch(replace(cfg, signal_transmission=1.0, hbt_efficiency=1.0, hbt_splitting=1.0),
                                 batch_index, start, size)
-        occupied, photons = every.cand_pulse, every.a_open
+        occupied, photons = every.cand_pulse, every.photons[1]
+        a_closed, a_open, b_closed, b_open = batch.photons
 
-        for name in ("herald_pulse", "cand_pulse", "dark_a", "dark_b"):
+        for name in ("herald_pulse", "cand_pulse"):
             assert getattr(batch, name).dtype == np.int64
-        for name in ("a_open", "a_closed", "b_open", "b_closed"):
-            assert getattr(batch, name).dtype == np.int32
+        assert len(batch.darks) == 2 and all(dark.dtype == np.int64 for dark in batch.darks)
+        assert batch.photons.dtype == np.int32 and batch.photons.shape == (4, batch.cand_pulse.size)
         assert batch.click_hist.size == n_pixels + 1
         assert batch.click_hist.sum() == size
-        assert np.all(batch.a_closed >= 0) and np.all(batch.b_closed >= 0)
-        assert np.all(batch.a_closed <= batch.a_open) and np.all(batch.b_closed <= batch.b_open)
-        assert np.all(batch.a_open + batch.b_open >= 1)
+        assert np.all(a_closed >= 0) and np.all(b_closed >= 0)
+        assert np.all(a_closed <= a_open) and np.all(b_closed <= b_open)
+        assert np.all(a_open + b_open >= 1)
         assert np.all(np.diff(occupied) > 0) and np.all(photons >= 1)
         assert np.all((occupied >= start) & (occupied < start + size))
         assert np.all(np.isin(batch.cand_pulse, occupied))
         assert np.all(np.diff(batch.cand_pulse) > 0)
-        assert np.all(batch.a_open + batch.b_open <= photons[np.searchsorted(occupied, batch.cand_pulse)])
+        assert np.all(a_open + b_open <= photons[np.searchsorted(occupied, batch.cand_pulse)])
         assert np.all(np.diff(batch.herald_pulse) > 0)
         assert np.all((batch.herald_pulse >= start) & (batch.herald_pulse < start + size))
         if herald_zero:  # every empty pulse is a herald
             empty = np.setdiff1d(np.arange(start, start + size), occupied)
             assert np.all(np.isin(empty, batch.herald_pulse))
-        for dark in (batch.dark_a, batch.dark_b):
+        for dark in batch.darks:
             assert np.all((dark >= start * cfg.rep_period) & (dark < (start + size) * cfg.rep_period))
 
         if mu == 1e-300:  # a pair turns up with probability size * 1e-300
@@ -910,14 +921,14 @@ class TestBatchKernel:
         if t_idler == 1.0 and n_pixels == 1:
             assert batch.click_hist[1] == occupied.size
         if extinction == math.inf:
-            assert not batch.a_closed.any() and not batch.b_closed.any()
+            assert not a_closed.any() and not b_closed.any()
         if extinction == 0.0:
-            np.testing.assert_array_equal(batch.a_closed, batch.a_open)
-            np.testing.assert_array_equal(batch.b_closed, batch.b_open)
+            np.testing.assert_array_equal(a_closed, a_open)
+            np.testing.assert_array_equal(b_closed, b_open)
         if splitting == 0.0:
-            assert not batch.a_open.any()
+            assert not a_open.any()
         if splitting == 1.0:
-            assert not batch.b_open.any()
+            assert not b_open.any()
 
 
 class TestSegmentedRun:
