@@ -12,7 +12,10 @@ pulse emits a HeraldTrigger tag at t_p and opens the modulator over
 With ``retrigger = "ignore"`` a herald is dropped, with its tag and its
 gate, when the gate of an earlier kept herald has opened at or before its
 time and has not yet closed; a herald that comes before the pending gates
-open is kept.
+open is kept.  Heralds sit on the pulse grid, so the filter works in whole
+pulses: a gate opened by the herald of pulse p has opened by pulse p + L,
+L = ceil(latency / rep), and has closed by pulse p + R,
+R = ceil((latency + gate_length) / rep).
 
 Signal photons of pulse p reach the modulator after a fixed optical delay
 (by default the smallest whole number of pulse periods >= latency, so the
@@ -24,6 +27,9 @@ decides both its detector and whether it passes a closed gate, so the
 counts for either gate outcome, at either HBT arm, come from the same draw.
 The two arms differ only in their thresholds, and from the batch's draws to
 the segment's tags the stitch treats HBT A and B as two rows of one block.
+Only photons with a uniform below q_a + q_b can reach a detector; when they
+are a small share of all photons, the batch reduces those candidate photons
+alone, each found in its pulse by a search, rather than every photon.
 Detectors register at most one click per pulse per channel, at the
 modulator-arrival time; dark counts are independent Poisson processes.
 
@@ -66,8 +72,20 @@ _RAMP_STREAM_TAG = 1 << 48
 #: Photons, or occupied pulses, a batch draws and reduces at a time.
 _SLICE = 1 << 16
 
+#: Share of photons, q_a + q_b, below which the signal arm reduces only the
+#: photons that reach a detector rather than every photon.  The two
+#: reductions take equal time near 1/3 for thermal mu = 1 and near 0.4 for
+#: Poissonian mu = 0.5 (one batch of 2**20 pulses, numpy 2.4).
+_SPARSE_SIGNAL = 1 / 3
+
 #: Heralds the retrigger filter takes at a time.
 _RETRIGGER_BLOCK = 1 << 16
+
+#: Pulses per herald, in a block of the retrigger filter, up to which it
+#: ranks the block's heralds by prefix counts over its pulses rather than by
+#: merges.  The two take equal time near 7 pulses per herald (2**16-herald
+#: blocks, numpy 2.4), and the counts take 8 bytes per pulse.
+_GRID_SPAN = 6
 
 #: Largest mean ``Generator.poisson`` draws: the int64 range less a 10-sigma margin.
 _POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
@@ -395,20 +413,20 @@ def _on_ramp(arrivals, open_gate, starts, gate_counts, rise_time: int):
     return index[partial], factor[partial]
 
 
-def _retrigger_loop(herald_times: np.ndarray, latency: int, gate_length: int) -> np.ndarray:
+def _retrigger_loop(pulses: np.ndarray, opens: int, closes: int) -> np.ndarray:
     """_retrigger_filter one herald at a time; it serves gates shorter than the latency."""
-    kept = np.zeros(herald_times.size, dtype=bool)
-    pending = deque()  # starts of kept gates that have not opened yet
-    open_end = -1
-    for lo in range(0, herald_times.size, _RETRIGGER_BLOCK):
-        chunk = herald_times[lo : lo + _RETRIGGER_BLOCK].tolist()
-        for i, h in enumerate(chunk, start=lo):
-            while pending and pending[0] <= h:
-                open_end = max(open_end, pending.popleft() + gate_length)
-            if h >= open_end:
+    kept = np.zeros(pulses.size, dtype=bool)
+    pending = deque()  # per kept gate not yet open, the first pulse that sees it open
+    open_until = -1  # the first pulse that sees every opened gate closed
+    for lo in range(0, pulses.size, _RETRIGGER_BLOCK):
+        chunk = pulses[lo : lo + _RETRIGGER_BLOCK].tolist()
+        for i, p in enumerate(chunk, start=lo):
+            while pending and pending[0] <= p:
+                open_until = max(open_until, pending.popleft() - opens + closes)
+            if p >= open_until:
                 kept[i] = True
-                pending.append(h + latency)
-    return herald_times[kept]
+                pending.append(p + opens)
+    return pulses[kept]
 
 
 def _orbit(jump: np.ndarray) -> np.ndarray:
@@ -430,46 +448,70 @@ def _orbit(jump: np.ndarray) -> np.ndarray:
         jump = jump[jump]
 
 
-def _retrigger_filter(herald_times: np.ndarray, latency: int, gate_length: int) -> np.ndarray:
+def _grid_rank(block: np.ndarray):
+    """``lambda keys: _rank(keys, block)`` for sorted pulse indices and sorted keys >= block[0].
+
+    Over a span of pulses at most ``_GRID_SPAN`` times the block's size it
+    counts the block's pulses below each pulse of the span once, and a key
+    takes its count by one gather; a sparser block is merged with the keys.
+    """
+    p0 = int(block[0])
+    span = int(block[-1]) - p0 + 1
+    if span > _GRID_SPAN * block.size:
+        return lambda keys: _rank(keys, block)
+    # below[i]: pulses of the block below p0 + i; the sum runs in place,
+    # since fresh pages cost more than the sum
+    below = np.bincount(block - (p0 - 1), minlength=span + 1)
+    np.cumsum(below, out=below)
+    return lambda keys: below[np.minimum(keys - p0, span)]
+
+
+def _retrigger_filter(pulses: np.ndarray, rep: int, latency: int, gate_length: int) -> np.ndarray:
     """Drop heralds that arrive while a previously accepted gate is open.
 
-    A herald is kept when no earlier kept herald's gate has opened and is
+    Takes and returns sorted herald pulses; pulse p heralds at p * rep.  A
+    herald is kept when no earlier kept herald's gate has opened and is
     still open at its time; heralds before a pending gate opens are kept.
+    A gate opened at p * rep + latency has opened by pulse p + L, with
+    L = ceil(latency / rep), and has closed by pulse p + R, with
+    R = ceil((latency + gate_length) / rep).
 
     When gate_length >= latency the kept heralds come in bursts.  A burst
-    starts at a head h that no earlier kept gate reaches and keeps every
-    herald in [h, h + latency); with h_last the last of them, the burst's
-    gates cover [h + latency, h_last + latency + gate_length) without a hole,
-    since the gaps inside the burst are below latency <= gate_length, so
-    every herald in that span is dropped and the next head is the first
-    herald at or after h_last + latency + gate_length.  The heads are the
-    orbit of the first herald under that map.  Shorter gates leave holes
-    between a burst's gates, and heralds in a hole are kept, so that case
-    runs the loop one herald at a time.
+    starts at a head p that no earlier kept gate reaches and keeps every
+    herald below pulse p + L; with p_last the last of them, the burst's
+    gates cover [p * rep + latency, p_last * rep + latency + gate_length)
+    without a hole, since the gaps inside the burst are below
+    latency <= gate_length, so every herald in that span is dropped and the
+    next head is the first herald at or after pulse p_last + R.  The heads
+    are the orbit of the first herald under that map.  Shorter gates leave
+    holes between a burst's gates, and heralds in a hole are kept, so that
+    case runs the loop one herald at a time.
     """
+    opens = -(-latency // rep)
+    closes = -(-(latency + gate_length) // rep)
     if gate_length < latency:
-        return _retrigger_loop(herald_times, latency, gate_length)
-    n = herald_times.size
+        return _retrigger_loop(pulses, opens, closes)
+    n = pulses.size
     steps = np.zeros(n + 1, dtype=np.int8)  # +1 at each burst's first herald, -1 past its last
     head = 0
     while head < n:
         # each block starts at a head, so its heads are the orbit of its first herald
-        block = herald_times[head : head + _RETRIGGER_BLOCK]
-        last = np.maximum(np.arange(block.size), _rank(block + latency, block) - 1)
+        block = pulses[head : head + _RETRIGGER_BLOCK]
+        rank = _grid_rank(block)
+        last = np.maximum(np.arange(block.size), rank(block + opens) - 1)
         reach = block[last]
-        reach += latency + gate_length
-        jump = np.append(np.maximum(last + 1, _rank(reach, block)), block.size)
+        reach += closes
+        jump = np.append(np.maximum(last + 1, rank(reach)), block.size)
         heads = _orbit(jump)
         steps[head + heads[:-1]] += 1
         steps[head + last[heads[:-1]] + 1] -= 1
         # the last burst, and the span its gates block, may run past the block
         head += int(heads[-1])
-        burst_end = max(head + 1, int(np.searchsorted(herald_times, herald_times[head] + latency)))
+        burst_end = max(head + 1, int(np.searchsorted(pulses, pulses[head] + opens)))
         steps[head] += 1
         steps[burst_end] -= 1
-        blocked_until = int(herald_times[burst_end - 1]) + latency + gate_length
-        head = max(burst_end, int(np.searchsorted(herald_times, blocked_until)))
-    return herald_times[np.cumsum(steps[:-1], dtype=np.int8).view(bool)]
+        head = max(burst_end, int(np.searchsorted(pulses, pulses[burst_end - 1] + closes)))
+    return pulses[np.cumsum(steps[:-1], dtype=np.int8).view(bool)]
 
 
 def _with_darks(signal: np.ndarray, dark: np.ndarray) -> np.ndarray:
@@ -560,6 +602,38 @@ def _segment_counts(flags: np.ndarray, last: np.ndarray) -> np.ndarray:
     return np.diff(totals, prepend=np.int32(0))
 
 
+def _signal_counts(v: np.ndarray, first: np.ndarray, pulses: np.ndarray, thresholds: tuple, sparse: bool,
+                   out: list) -> int:
+    """Reduce a photon slice to its pulses with a uniform below the top threshold; returns how many there are.
+
+    ``v`` holds the slice's per-photon uniforms, ``first`` the index of each
+    pulse's first photon and ``pulses`` the pulses themselves.  The rows of
+    ``out`` take, from their start, the pulses kept and then their uniforms
+    below each threshold.  With ``sparse`` only the photons below the top
+    threshold are reduced, each found in its pulse by a search into
+    ``first``; otherwise every photon is.
+    """
+    if not sparse:
+        last = np.append(first[1:], v.size) - 1
+        counts = [_segment_counts(v < threshold, last) for threshold in thresholds]
+        keep = counts[-1] > 0
+        k = int(np.count_nonzero(keep))
+        for row, values in zip(out, [pulses, *counts]):
+            np.compress(keep, values, out=row[:k])
+        return k
+    index = np.flatnonzero(v < thresholds[-1])
+    pulse = np.searchsorted(first, index, "right") - 1
+    v = v[index]
+    # where each pulse's candidates start, and past the last one's
+    edges = np.flatnonzero(np.diff(pulse, prepend=-1, append=first.size))
+    k = edges.size - 1
+    np.take(pulses, pulse[edges[:-1]], out=out[0][:k])
+    for row, threshold in zip(out[1:], thresholds[:-1]):
+        row[:k] = _segment_counts(v < threshold, edges[1:] - 1)
+    out[-1][:k] = np.diff(edges)
+    return k
+
+
 def _photon_slices(ends: np.ndarray):
     """Photon slices of about ``_SLICE``, cut at pulse boundaries.
 
@@ -633,6 +707,7 @@ def _simulate_batch(config: ExperimentConfig, batch_index: int, start: int, size
     q_b = config.signal_transmission * config.hbt_efficiency * (1.0 - config.hbt_splitting)
     leak = config.leakage
     thresholds = (q_a * leak, q_a, q_a + q_b * leak, q_a + q_b)
+    sparse = thresholds[-1] < _SPARSE_SIGNAL
     # candidates (pulses with a photon below q_a + q_b) and their photons
     # below each threshold, for the candidates found so far
     cand = np.empty(occ.size, dtype=np.int32)
@@ -640,13 +715,8 @@ def _simulate_batch(config: ExperimentConfig, batch_index: int, start: int, size
     n_cand = 0
     for lo, hi, n_photons, first in _photon_slices(ends):
         v = rng.random(n_photons)
-        last = np.append(first[1:], n_photons) - 1
-        counts = [_segment_counts(v < threshold, last) for threshold in thresholds]
-        keep = counts[-1] > 0
-        k = int(np.count_nonzero(keep))
-        for row, values in zip([cand, *below], [occ[lo:hi], *counts]):
-            np.compress(keep, values, out=row[n_cand : n_cand + k])
-        n_cand += k
+        rows = [cand[n_cand:], *below[:, n_cand:]]
+        n_cand += _signal_counts(v, first, occ[lo:hi], thresholds, sparse, rows)
     del ends
     cand_pulse = start + cand[:n_cand].astype(np.int64)
     del cand
@@ -700,7 +770,7 @@ def _segments(config: ExperimentConfig, threads: int, batch_size: int, n_batches
     hbt = (Channel.HBT_A, Channel.HBT_B)
     ramp = [np.random.default_rng(np.random.SeedSequence((config.seed, _RAMP_STREAM_TAG, int(ch)))) for ch in hbt]
     empty = np.empty(0, dtype=np.int64)
-    kept_tail = starts = ends = empty
+    kept_tail = starts = ends = empty  # kept_tail holds pulses, the gates times
     waiting = (empty, np.empty((4, 0), dtype=np.int32))  # arrivals and their photons
     click_counts = np.zeros(config.n_pixels + 1, dtype=np.int64)
     accepted = emitted = 0
@@ -710,13 +780,15 @@ def _segments(config: ExperimentConfig, threads: int, batch_size: int, n_batches
     for index in range(n_batches):
         batch = next(batches)
         click_counts += batch.click_hist
-        heralds = np.multiply(batch.herald_pulse, rep, out=batch.herald_pulse)
+        heralds = batch.herald_pulse
         accepted += heralds.size
         if ignore:
             # a kept herald stays kept when only its predecessors whose gates
             # reach this batch are filtered with it
-            heralds = _retrigger_filter(np.concatenate((kept_tail, heralds)), latency, gate_length)[kept_tail.size :]
+            heralds = _retrigger_filter(np.concatenate((kept_tail, heralds)), rep, latency, gate_length)
+            heralds = heralds[kept_tail.size :]
             kept_tail = np.concatenate((kept_tail, heralds))
+        heralds = np.multiply(heralds, rep, out=heralds)
         emitted += heralds.size
         new_starts, new_ends = merged_gate_intervals(heralds, latency, gate_length)
         if ends.size and new_starts.size and new_starts[0] <= ends[-1]:
@@ -759,7 +831,9 @@ def _segments(config: ExperimentConfig, threads: int, batch_size: int, n_batches
             # a gate that ends before the cut covers nothing after it
             keep = int(np.searchsorted(ends, cut))
             starts, ends = starts[keep:].copy(), ends[keep:].copy()
-            kept_tail = kept_tail[np.searchsorted(kept_tail, cut - latency - gate_length, side="right") :].copy()
+            # the kept heralds (pulses) whose gates end past the cut
+            reach_cut = (cut - latency - gate_length) // rep
+            kept_tail = kept_tail[np.searchsorted(kept_tail, reach_cut, side="right") :].copy()
             del new_starts, new_ends
     return _Counters(click_counts, accepted, emitted, channel_counts)
 

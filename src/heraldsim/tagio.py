@@ -22,16 +22,18 @@ one ``<name>,<signed decimal>`` row per record, in the same order, with the
 channel spelled by name and each row ending in ``\\n``.  The reader skips
 empty lines, splits lines at ``\\n``, ``\\r\\n`` and ``\\r``, and allows
 whitespace around the timestamp, which is a signed decimal integer that fits
-64 bits.  Both CSV halves work on whole pieces of bytes.  The writer
-assembles the rows of a piece in one numpy byte block.  The reader reads the
-file ``_CSV_BLOCK`` (1 MiB) bytes at a time into one reused buffer and cuts
-each block after its last line end; the rest of the line waits for the next
-block, and a line longer than the buffer grows it.  In each block it finds
-the line ends and the channel names by byte compares and converts the digit
-fields of all rows at once.  So it holds the converted rows, 9 bytes each,
-and one block's temporaries, however long the file.  Only a row that is not
-``<name>,<1 to 18 digits>`` (one with padding, a sign, more digits, or
-outside the grammar) goes through the per-row grammar check.
+64 bits.  Both CSV halves work on blocks of bytes.  The writer formats each
+merged piece ``_CSV_ROWS`` (2**14) rows at a time, each block of rows as one
+numpy byte array, so the block's temporaries stay in the CPU caches.  The
+reader reads the file ``_CSV_BLOCK`` (1 MiB) bytes at a time into one reused
+buffer and cuts each block after its last line end; the rest of the line
+waits for the next block, and a line longer than the buffer grows it.  In
+each block it finds the line ends and the channel names by byte compares
+and converts the digit fields of all rows at once.  So it holds the
+converted rows, 9 bytes each, and one block's temporaries, however long the
+file.  Only a row that is not ``<name>,<1 to 18 digits>`` (one with
+padding, a sign, more digits, or outside the grammar) goes through the
+per-row grammar check.
 
 Both readers split the records into channels the same way, block by block
 into one array per channel of the counted size: the binary reader hands the
@@ -63,6 +65,9 @@ assert [int(ch) for ch in Channel] == list(range(len(Channel)))
 CSV_HEADER = "channel,timestamp_ps"
 #: Records per channel that the writers merge in one piece.
 _WRITE_CHUNK = 1 << 16
+#: Rows the CSV writer formats at a time: the temporaries of a block of
+#: rows, about 120 bytes per row, then stay in the CPU caches.
+_CSV_ROWS = 1 << 14
 #: Records the binary reader decodes at a time.
 _READ_BLOCK = 1 << 16
 _CSV_NAMES = [CHANNEL_NAMES[ch] for ch in sorted(Channel)]  # indexed by channel id
@@ -285,7 +290,9 @@ def write_csv(stream, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"{CSV_HEADER}\n".encode())
         for records in _record_chunks(stream):
-            fh.write(_csv_rows(records["channel"], records["timestamp"].view(np.int64)))
+            codes, times = records["channel"], records["timestamp"].view(np.int64)
+            for lo in range(0, records.size, _CSV_ROWS):
+                fh.write(_csv_rows(codes[lo : lo + _CSV_ROWS], times[lo : lo + _CSV_ROWS]))
 
 
 def _csv_row_ok(line: str) -> bool:

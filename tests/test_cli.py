@@ -364,24 +364,32 @@ def test_simulate_memory_does_not_grow_with_the_run(tmp_path):
     assert peaks[8_000_000] - peaks[1_000_000] <= 10, peaks
 
 
-# Configs whose `simulate` outputs pin the random stream: a dense run and
-# one with the opening ramp, the ignore policy and dark counts, each over
-# two batches.
+# Configs whose `simulate` outputs pin the random stream: a dense run, one
+# with the opening ramp, the ignore policy and dark counts, and the sparse
+# signal arm of a thermal source behind a 10 %-efficient HBT arm under the
+# ignore policy, each over two batches.
 PINNED_CONFIGS = {
     "dense": "[source]\nmean_pairs_per_pulse = 0.5\n[idler]\nselection = 1\n",
     "ramp-ignore-dark": "[source]\nmean_pairs_per_pulse = 0.5\n[idler]\nselection = 1\n"
                         "[modulator]\nretrigger = ignore\ngate_rise_time = 5000\n[signal]\ndark_rate = 1e6\n",
+    "thermal-ignore-sparse": "[source]\nmean_pairs_per_pulse = 1.0\nfamily = thermal\n[idler]\nselection = any\n"
+                             "[modulator]\nretrigger = ignore\n[signal]\nhbt_efficiency = 0.1\n",
 }
 
 #: SHA-256 of the tag file and of the run summary, per config and tag format;
 #: the summary does not depend on the format.
 DENSE_SUMMARY = "c58ac8f4e0139416d01b2ee35798461111af8e04bb8d278d75535002bb77c648"
 RAMP_SUMMARY = "96769621cb2f029b5b41dc4539216a4346916bde7d64e8854ca38aa801aa9c97"
+SPARSE_SUMMARY = "7428da3f0a73708aba91dd13f2eaa2c3a52a5dd11c3b92a7104201c3d7ddb8dd"
 PINNED_DIGESTS = {
     ("dense", ".tags"): ("ebd638b81d189a60f36846b2adf1cce4f4cf24059b47a1f8296e8073d616da07", DENSE_SUMMARY),
     ("dense", ".csv"): ("6500d62d15133ab83413c3dbbe034b30f410426489bb29fb33fb32f907afbc21", DENSE_SUMMARY),
     ("ramp-ignore-dark", ".tags"): ("ffee153744e7c371d3f7869b16681c1db3ae66aa1febee328fff6042e608235f", RAMP_SUMMARY),
     ("ramp-ignore-dark", ".csv"): ("e501477fcc680a845b9aa589a0ebe5a3c3e46e58c266615b014cbecbc5b29ba3", RAMP_SUMMARY),
+    ("thermal-ignore-sparse", ".tags"): ("dc337fee583c8e4d9d923ae7464ac6212c521dc57870086830bf427156ece93f",
+                                        SPARSE_SUMMARY),
+    ("thermal-ignore-sparse", ".csv"): ("81a57827e10f7fdb28ef97f50edaab7051e3309830e29876521a2fb935f637a9",
+                                       SPARSE_SUMMARY),
 }
 
 

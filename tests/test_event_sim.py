@@ -30,9 +30,11 @@ from heraldsim.event_sim import (
     _occupied_pulses,
     _on_ramp,
     _open_mask,
+    _orbit,
     _photon_numbers,
     _rank,
     _retrigger_filter,
+    _signal_counts,
     _simulate_batch,
     _with_darks,
     merged_gate_intervals,
@@ -56,6 +58,30 @@ def reference_retrigger_filter(herald_times, latency, gate_length):
             starts.append(h + latency)
             ends.append(h + latency + gate_length)
     return herald_times[kept]
+
+
+def rank_retrigger_filter(herald_times, latency, gate_length):
+    """The burst filter over herald times, ranked by merges, that _retrigger_filter replaces on the pulse grid."""
+    if gate_length < latency:
+        return reference_retrigger_filter(herald_times, latency, gate_length)
+    n = herald_times.size
+    steps = np.zeros(n + 1, dtype=np.int8)  # +1 at each burst's first herald, -1 past its last
+    head = 0
+    while head < n:
+        block = herald_times[head : head + event_sim._RETRIGGER_BLOCK]
+        last = np.maximum(np.arange(block.size), _rank(block + latency, block) - 1)
+        reach = block[last] + latency + gate_length
+        jump = np.append(np.maximum(last + 1, _rank(reach, block)), block.size)
+        heads = _orbit(jump)
+        steps[head + heads[:-1]] += 1
+        steps[head + last[heads[:-1]] + 1] -= 1
+        head += int(heads[-1])
+        burst_end = max(head + 1, int(np.searchsorted(herald_times, herald_times[head] + latency)))
+        steps[head] += 1
+        steps[burst_end] -= 1
+        blocked_until = int(herald_times[burst_end - 1]) + latency + gate_length
+        head = max(burst_end, int(np.searchsorted(herald_times, blocked_until)))
+    return herald_times[np.cumsum(steps[:-1], dtype=np.int8).view(bool)]
 
 
 def reference_merged_gate_intervals(herald_times, latency, gate_length):
@@ -247,7 +273,8 @@ def reference_run(config, batch_size=event_sim.DEFAULT_BATCH_SIZE):
     herald_times = merged.herald_pulse * config.rep_period
     arrivals = merged.cand_pulse * config.rep_period + config.resolved_signal_delay
     if config.retrigger == "ignore":
-        herald_times = _retrigger_filter(herald_times, config.latency, config.gate_length)
+        herald_times = _retrigger_filter(merged.herald_pulse, config.rep_period, config.latency, config.gate_length)
+        herald_times *= config.rep_period
     starts, ends = merged_gate_intervals(herald_times, config.latency, config.gate_length)
     open_gate, gate_counts = _open_mask(arrivals, starts, ends)
     a_closed, a_open, b_closed, b_open = merged.photons
@@ -572,50 +599,74 @@ class TestRetrigger:
         assert heralds[:4].tolist() == [0, 12_500, 125_000, 137_500]
 
     def test_filter_spans_chunks(self):
-        heralds = np.sort(np.random.default_rng(3).integers(0, 10**9, 40_000)) // 12_500 * 12_500
-        kept = _retrigger_filter(heralds, 23_000, 80_000)
-        np.testing.assert_array_equal(kept, reference_retrigger_filter(heralds, 23_000, 80_000))
-        assert 0 < kept.size < heralds.size
+        pulses = np.sort(np.random.default_rng(3).integers(0, 80_000, 40_000))
+        kept = _retrigger_filter(pulses, 12_500, 23_000, 80_000) * 12_500
+        np.testing.assert_array_equal(kept, reference_retrigger_filter(pulses * 12_500, 23_000, 80_000))
+        np.testing.assert_array_equal(kept, rank_retrigger_filter(pulses * 12_500, 23_000, 80_000))
+        assert 0 < kept.size < pulses.size
 
     @given(
         st.lists(st.integers(0, 2_000), max_size=200).map(sorted),
+        st.integers(1, 40),
         st.integers(0, 300),
         st.integers(0, 300),
     )
-    @example([0, 0, 5, 5, 5, 10, 10, 90], 0, 10)  # shared times with no latency
-    @example([0, 0, 5, 5, 5, 10, 10, 90], 6, 0)  # zero-length gates
+    @example([0, 0, 5, 5, 5, 10, 10, 90], 1, 0, 10)  # shared pulses with no latency
+    @example([0, 0, 5, 5, 5, 10, 10, 90], 1, 6, 0)  # zero-length gates
+    @example([0, 1, 2, 3, 5, 8, 9, 10, 11], 4, 0, 9)  # latency 0, a gate not a multiple of rep
+    @example([0, 1, 2, 3, 5, 8, 9, 10, 11], 4, 8, 8)  # gate_length == latency, both multiples of rep
+    @example([0, 1, 2, 3, 5, 8, 9, 10, 11], 4, 7, 7)  # gate_length == latency, neither a multiple
+    @example([0, 1, 2, 3, 5, 8, 9, 10, 11], 4, 5, 3)  # a gate shorter than the latency
     @settings(max_examples=300, deadline=None)
-    def test_filter_matches_reference(self, times, latency, gate_length):
-        # a small time range makes shared herald times and overlapping gates common
-        heralds = np.asarray(times, dtype=np.int64)
-        kept = _retrigger_filter(heralds, latency, gate_length)
+    def test_filter_matches_reference(self, pulses, rep, latency, gate_length):
+        # a small pulse range makes shared heralds and overlapping gates common
+        pulses = np.asarray(pulses, dtype=np.int64)
+        kept = _retrigger_filter(pulses, rep, latency, gate_length)
         assert kept.dtype == np.int64
-        np.testing.assert_array_equal(kept, reference_retrigger_filter(heralds, latency, gate_length))
+        want = reference_retrigger_filter(pulses * rep, latency, gate_length)
+        np.testing.assert_array_equal(kept * rep, want)
+        np.testing.assert_array_equal(want, rank_retrigger_filter(pulses * rep, latency, gate_length))
 
-    @pytest.mark.parametrize("block", [1, 2, 3])
-    @given(herald_lists, st.integers(0, 300), st.integers(0, 300))
-    @example(np.asarray([0, 0, 5, 5, 5, 10, 10, 90]), 0, 10)
-    @example(np.asarray([0, 0, 5, 5, 5, 10, 10, 90]), 6, 0)
-    @example(np.asarray([0, 10, 20, 30, 31]), 0, 5)  # a block opens where the last one's burst ends
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    @given(herald_lists, st.integers(1, 40), st.integers(0, 300), st.integers(0, 300), st.sampled_from([0, 4, 10**6]))
+    @example(np.asarray([0, 0, 5, 5, 5, 10, 10, 90]), 1, 0, 10, 4)
+    @example(np.asarray([0, 0, 5, 5, 5, 10, 10, 90]), 1, 6, 0, 4)
+    @example(np.asarray([0, 10, 20, 30, 31]), 1, 0, 5, 4)  # a block opens where the last one's burst ends
+    @example(np.asarray([0, 2, 3, 4, 6, 9, 12, 13]), 3, 7, 7, 0)  # gate_length == latency, not multiples of rep
     @settings(max_examples=150, deadline=None)
-    def test_filter_block_edges(self, block, heralds, latency, gate_length):
-        # blocks end inside bursts and inside the spans the bursts' gates block
-        with mock.patch.object(event_sim, "_RETRIGGER_BLOCK", block):
-            kept = _retrigger_filter(heralds, latency, gate_length)
-        np.testing.assert_array_equal(kept, reference_retrigger_filter(heralds, latency, gate_length))
+    def test_filter_block_edges(self, block, pulses, rep, latency, gate_length, grid_span):
+        # blocks end inside bursts and inside the spans the bursts' gates
+        # block; a block is ranked by merges (grid_span 0), by prefix counts
+        # (10**6) or by either
+        with mock.patch.object(event_sim, "_RETRIGGER_BLOCK", block), \
+                mock.patch.object(event_sim, "_GRID_SPAN", grid_span):
+            kept = _retrigger_filter(pulses, rep, latency, gate_length)
+            np.testing.assert_array_equal(kept * rep, rank_retrigger_filter(pulses * rep, latency, gate_length))
+        np.testing.assert_array_equal(kept * rep, reference_retrigger_filter(pulses * rep, latency, gate_length))
 
     def test_filter_peak_memory_bounded(self):
         # 2**20 heralds on a 12.5 ns grid with 40 % of the pulses heralded
         gaps = np.random.default_rng(8).geometric(0.4, 1 << 20)
-        heralds = np.cumsum(gaps) * 12_500
+        pulses = np.cumsum(gaps)
         tracemalloc.start()
         try:
-            kept = _retrigger_filter(heralds, 23_000, 80_000)
+            kept = _retrigger_filter(pulses, 12_500, 23_000, 80_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert 0 < kept.size < heralds.size
+        assert 0 < kept.size < pulses.size
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("density", [0.002, 0.4])
+    def test_filter_ranks_sparse_and_dense_blocks_alike(self, density):
+        # a sparse herald grid is ranked by merges and a dense one by prefix
+        # counts over its pulses; either way the heralds kept are the same
+        pulses = np.flatnonzero(np.random.default_rng(9).random(1 << 18) < density)
+        kept = _retrigger_filter(pulses, 12_500, 23_000, 80_000)
+        for grid_span in (0, 10**9):
+            with mock.patch.object(event_sim, "_GRID_SPAN", grid_span):
+                np.testing.assert_array_equal(_retrigger_filter(pulses, 12_500, 23_000, 80_000), kept)
+        np.testing.assert_array_equal(kept * 12_500, rank_retrigger_filter(pulses * 12_500, 23_000, 80_000))
 
     def test_extend_mode_keeps_all(self):
         cfg = make_config(
@@ -785,6 +836,24 @@ def homogeneity_pvalue(x, y):
     return chi2_contingency(table).pvalue
 
 
+def signal_counts(v, first, thresholds, sparse):
+    """_signal_counts of pulses 7, 8, ... into a fresh block, whose columns past the pulses kept must stay untouched."""
+    out = np.full((1 + len(thresholds), first.size + 1), -1, dtype=np.int32)
+    k = _signal_counts(v, first, np.arange(7, 7 + first.size, dtype=np.int32), thresholds, sparse, list(out))
+    assert np.all(out[:, k:] == -1)
+    return out[0, :k], out[1:, :k]
+
+
+@st.composite
+def signal_slices(draw):
+    """A photon slice: photons per pulse, their uniforms and four nested thresholds, all on a coarse grid."""
+    grid = st.sampled_from([i / 20 for i in range(20)])
+    photons = draw(st.lists(st.one_of(st.just(1), st.integers(1, 40)), min_size=1, max_size=40))
+    v = draw(st.lists(grid, min_size=sum(photons), max_size=sum(photons)))
+    thresholds = tuple(sorted(draw(st.lists(grid, min_size=4, max_size=4))))
+    return photons, v, thresholds
+
+
 class TestBatchKernel:
     @given(
         size=st.integers(0, 3_000),
@@ -809,6 +878,39 @@ class TestBatchKernel:
                     np.testing.assert_array_equal(have_arm, want_arm, err_msg=field)
             else:
                 np.testing.assert_array_equal(have, want, err_msg=field)
+
+    @given(signal_slices(), st.sampled_from([0.0, 0.3, 1.0]))
+    @example(([1, 1, 1], [0.1, 0.5, 0.9], (0.1, 0.25, 0.5, 0.75)), 0.0)  # thresholds at uniforms
+    @example(([3, 1, 2], [0.95] * 6, (0.1, 0.25, 0.5, 0.75)), 0.0)  # no candidates
+    @example(([2, 1], [0.0, 0.2, 0.4], (0.0, 0.0, 0.0, 0.0)), 0.3)  # q_a + q_b = 0
+    @settings(max_examples=300, deadline=None)
+    def test_candidate_reduction_matches_per_photon(self, slice_, q_top):
+        photons, v, thresholds = slice_
+        if q_top:  # q_a + q_b reaches the top: every photon, or most, is a candidate
+            thresholds = (*thresholds[:3], max(thresholds[2], q_top))
+        v = np.asarray(v)
+        first = np.cumsum([0, *photons[:-1]])
+        (want_pulses, want_counts), (pulses, counts) = (signal_counts(v, first, thresholds, sparse)
+                                                        for sparse in (False, True))
+        np.testing.assert_array_equal(pulses, want_pulses)
+        np.testing.assert_array_equal(counts, want_counts)
+        # the top row counts the candidates, and every pulse with one is listed
+        assert np.all(counts[-1] >= 1)
+        assert counts[-1].sum() == np.count_nonzero(v < thresholds[-1])
+
+    @pytest.mark.parametrize("efficiency", [0.0, 0.1, 0.6, 1.0])
+    @pytest.mark.parametrize("mu, family", [(0.5, "poissonian"), (1.0, "thermal"), (4.0, "thermal")])
+    def test_signal_paths_give_the_same_batch(self, efficiency, mu, family):
+        cfg = make_config(mean_pairs_per_pulse=mu, source_family=family, hbt_efficiency=efficiency,
+                          extinction_db=6.0, hbt_splitting=0.4, seed=11)
+        batches = []
+        for share in (0.0, 2.0):  # every photon reduced, then only the candidates
+            with mock.patch.object(event_sim, "_SPARSE_SIGNAL", share), mock.patch.object(event_sim, "_SLICE", 1 << 10):
+                batches.append(_simulate_batch(cfg, 2, 70_000, 20_000))
+        per_photon, candidates = batches
+        for name in ("herald_pulse", "cand_pulse", "photons", "click_hist"):
+            np.testing.assert_array_equal(getattr(candidates, name), getattr(per_photon, name), err_msg=name)
+        assert (candidates.cand_pulse.size > 0) == (efficiency > 0)
 
     def test_dense_batch_working_set(self):
         # the run's memory is set by one batch's working set; it held 37 MB

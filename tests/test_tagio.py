@@ -594,6 +594,39 @@ def test_csv_round_trip_over_int64(tmp_path_factory, stream, chunk):
         np.testing.assert_array_equal(loaded.channels[ch], stream.channels[ch])
 
 
+@given(st.one_of(tag_streams, signed_streams), st.integers(1, 7), st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+def test_csv_writer_row_blocks_match_reference(tmp_path_factory, stream, rows, chunk):
+    # row blocks end inside pieces, at their ends and past them
+    path = tmp_path_factory.mktemp("csvrows") / "tags.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tagio, "_CSV_ROWS", rows)
+        mp.setattr(tagio, "_WRITE_CHUNK", chunk)
+        tagio.write_csv(stream, path)
+    reference_write_csv(stream, path.with_suffix(".ref"))
+    assert path.read_bytes() == path.with_suffix(".ref").read_bytes()
+
+
+def test_csv_writer_holds_one_piece_and_one_row_block(tmp_path):
+    import tracemalloc
+
+    # one piece of 2**16 records per channel, with 13-digit times
+    times = np.arange(tagio._WRITE_CHUNK, dtype=np.int64) * 12_500 + 10**12
+    stream = stream_of({Channel.HERALD_TRIGGER: times, Channel.HBT_A: times + 1, Channel.HBT_B: times + 2})
+    tracemalloc.start()
+    try:
+        tagio.write_csv(stream, tmp_path / "piece.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = 3 * times.size
+    assert (tmp_path / "piece.csv").read_bytes().count(b"\n") == rows + 1
+    # merging the piece takes 29 bytes per record; formatting takes about
+    # 120 bytes per row of one block (8.5 MB here), where formatting the
+    # whole piece at once took 27 MB
+    assert peak <= 32 * rows + 200 * tagio._CSV_ROWS
+
+
 # few distinct times, so that channels share times at and around the cuts
 tied_times = st.lists(st.integers(0, 12), max_size=40)
 tied_streams = st.builds(
