@@ -22,7 +22,6 @@ Parameter ranges, integer ones included, are checked by the library, whose
 ``configparser`` or UTF-8 decoding refuses ends it the same way.
 
 Durations accept ``ps`` and ``ns`` suffixes (bare numbers are picoseconds).
-The one environment override is ``HERALDSIM_OUTDIR``.
 """
 
 from __future__ import annotations
@@ -80,14 +79,6 @@ def parse_duration(text: str) -> int:
     if abs(value - round(value)) > 1e-6 or value < 0:
         raise argparse.ArgumentTypeError(f"duration {text!r} is not a whole number of picoseconds")
     return int(round(value))
-
-
-def _resolve_out(path: str) -> str:
-    outdir = os.environ.get("HERALDSIM_OUTDIR")
-    if outdir and not os.path.isabs(path):
-        os.makedirs(outdir, exist_ok=True)
-        return os.path.join(outdir, path)
-    return path
 
 
 def _sha256(path: str) -> str:
@@ -164,7 +155,7 @@ def load_config_file(path: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# subcommands: each takes the parsed arguments and the resolved --out path,
+# subcommands: each takes the parsed arguments and the --out path,
 # writes its outputs and returns (manifest config, output paths)
 
 
@@ -374,9 +365,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = _utc_now()
     try:
-        out = _resolve_out(args.out)
-        config, outputs = args.func(args, out)
-        _write_manifest(out, args.command, config, outputs, started)
+        config, outputs = args.func(args, args.out)
+        _write_manifest(args.out, args.command, config, outputs, started)
     except _CLI_ERRORS as exc:
         print(f"heraldsim {args.command}: error: {exc}", file=sys.stderr)
         return 2

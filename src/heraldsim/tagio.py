@@ -12,14 +12,16 @@ one reused buffer: the first checks them and counts each channel's tags,
 the second hands the blocks to the channel split.  The writer refuses a
 stream with a negative time, which the format cannot hold.
 
-Records are stored in global time order (ties broken by channel id).  Both
-writers take a TagStream or an iterable of segments, per-channel dicts of
-times over disjoint spans of time in ascending order, and append each
+Records are stored in global time order (ties broken by channel id), and
+the binary reader refuses a file whose records are not.  Both writers take
+a TagStream, merge the channels of each of its segments (sorted int64
+times over disjoint spans of time in ascending order) and append the
 segment's records as it comes, so writing a stream that ``run`` returns
-holds one segment at a time.  The
-CSV alternative is lossless: a ``channel,timestamp_ps`` header followed by
-one ``<name>,<signed decimal>`` row per record, in the same order, with the
-channel spelled by name and each row ending in ``\\n``.  The reader skips
+holds one segment at a time.
+
+The CSV alternative is lossless: a ``channel,timestamp_ps`` header followed
+by one ``<name>,<signed decimal>`` row per record, in the same order, with
+the channel spelled by name and each row ending in ``\\n``.  The reader skips
 empty lines, splits lines at ``\\n``, ``\\r\\n`` and ``\\r``, and allows
 whitespace around the timestamp, which is a signed decimal integer that fits
 64 bits.  Both CSV halves work on blocks of bytes.  The writer formats each
@@ -38,7 +40,9 @@ per-row grammar check.
 Both readers split the records into channels the same way, block by block
 into one array per channel of the counted size: the binary reader hands the
 split its record blocks, the CSV reader its converted blocks.  Readers
-reject a file in which a channel's timestamps decrease.
+reject a file in which a channel's timestamps decrease.  Without a given
+duration, a stream read from a file lasts until one past its latest time,
+the last time of one of its split channels.
 """
 
 from __future__ import annotations
@@ -98,70 +102,57 @@ _CSV_PAD = 32
 assert _CSV_PAD >= max(_CSV_HEAD, _CSV_DIGITS)
 
 
-def _record_chunks(stream, refuse_negative: bool = False):
-    """The records of a TagStream, or of an iterable of segments, in file order, one piece at a time.
+def _merged(stream: TagStream):
+    """The ``(codes, times)`` of a stream's tags in file order, one piece at a time.
 
-    Segments are per-channel dicts of times over disjoint spans of time in
-    ascending order, so their records follow one another in the file.
-    Within a segment every channel is cut at the same times, which are every
-    ``_WRITE_CHUNK``-th time of each channel, so the pieces follow one
-    another too and each is merged on its own.  A piece holds at most
-    ``_WRITE_CHUNK`` records per channel, more only where a channel repeats
-    one time, and the writers hold one segment and one piece at a time.
+    ``stream.segments()`` hands out every channel of a segment as sorted
+    int64 times, over disjoint spans of time in ascending order, so the
+    segments' records follow one another in the file.  Within a segment every
+    channel is cut at the same times, which are every ``_WRITE_CHUNK``-th
+    time of each channel, so the pieces follow one another too and each is
+    merged on its own.  A piece holds at most ``_WRITE_CHUNK`` records per
+    channel, more only where a channel repeats one time, and the writers hold
+    one segment and one piece at a time.
     """
-    end = None  # the last time written so far
-    empty = np.empty(0, dtype=np.int64)
-    for segment in stream.segments() if isinstance(stream, TagStream) else stream:
-        codes, times = [], []
-        for ch in Channel:
-            arr = segment.get(ch)
-            if arr is None or np.size(arr) == 0:
-                continue
-            t = np.asarray(arr, dtype=np.int64)
-            if np.any(t[1:] < t[:-1]):
-                t = np.sort(t)
-            if refuse_negative and t[0] < 0:
-                raise ParameterError(
-                    f"{CHANNEL_NAMES[ch]} holds a negative timestamp, which the binary tag format cannot store"
-                )
-            if end is not None and t[0] <= end:
-                raise ParameterError("tag segments must follow one another in time without overlap")
-            codes.append(int(ch))
-            times.append(t)
-        if not times:
-            continue
-        end = max(int(t[-1]) for t in times)
-        cuts = np.unique(np.concatenate([t[_WRITE_CHUNK::_WRITE_CHUNK] for t in times] + [empty]))
-        edges = [np.concatenate(([0], np.searchsorted(t, cuts), [t.size])) for t in times]
-        for i in range(cuts.size + 1):
-            piece = np.concatenate([t[e[i] : e[i + 1]] for t, e in zip(times, edges)])
-            piece_codes = np.repeat(np.array(codes, dtype=np.uint8), [e[i + 1] - e[i] for e in edges])
-            # the piece lists channels by ascending id, so a stable sort on time
-            # breaks ties by channel
+    for segment in stream.segments():
+        yield from _segment_pieces([segment[ch] for ch in Channel])
+        del segment  # let go of it before the next one is drawn
+
+
+def _segment_pieces(times: list):
+    """The non-empty pieces of one segment's channels, ``times`` indexed by channel id."""
+    cuts = np.unique(np.concatenate([t[_WRITE_CHUNK::_WRITE_CHUNK] for t in times]))
+    edges = [np.concatenate(([0], np.searchsorted(t, cuts), [t.size])) for t in times]
+    for i in range(cuts.size + 1):
+        piece = np.concatenate([t[e[i] : e[i + 1]] for t, e in zip(times, edges)])
+        if piece.size:
+            # the piece lists channels by ascending id, so a stable sort on
+            # time breaks ties by channel
             order = np.argsort(piece, kind="stable")
-            records = np.zeros(piece.size, dtype=RECORD_DTYPE)
-            records["channel"] = piece_codes[order]
-            records["timestamp"] = piece[order]
-            yield records
-        # let go of this segment before the next one is drawn
-        del segment, arr, t, times, piece, piece_codes, order, records
+            codes = np.repeat(np.arange(len(Channel), dtype=np.uint8), [e[i + 1] - e[i] for e in edges])
+            yield codes[order], piece[order]
 
 
-def write_binary(stream, path) -> None:
-    """Write a TagStream, or an iterable of segments in time order, as a binary tag file."""
-    pieces = _record_chunks(stream, refuse_negative=True)
-    # segments come in time order, so a negative time lies in the first
-    # piece, and is refused before the file is opened
-    first = next(pieces, None)
+def write_binary(stream: TagStream, path) -> None:
+    """Write a TagStream as a binary tag file."""
+    pieces = _merged(stream)
+    piece = next(pieces, None)
+    # the first piece holds the file's earliest time, so a negative time is
+    # refused before the file is opened
+    if piece is not None and piece[1][0] < 0:
+        name = CHANNEL_NAMES[Channel(piece[0][0])]
+        raise ParameterError(f"{name} holds a negative timestamp, which the binary tag format cannot store")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.uint32(VERSION).tobytes())
         fh.write(np.uint32(0).tobytes())
-        if first is not None:
-            fh.write(first)
-            del first
-        for records in pieces:
+        while piece is not None:
+            codes, times = piece
+            records = np.zeros(times.size, dtype=RECORD_DTYPE)
+            records["channel"] = codes
+            records["timestamp"] = times
             fh.write(records)
+            piece = next(pieces, None)
 
 
 def _record_blocks(fh, block: np.ndarray, n_records: int):
@@ -175,10 +166,11 @@ def _record_blocks(fh, block: np.ndarray, n_records: int):
         yield lo, block[:count]
 
 
-def _split(path, counts: np.ndarray, blocks, last: int, duration: int | None) -> TagStream:
+def _split(path, counts: np.ndarray, blocks, duration: int | None) -> TagStream:
     """Split ``blocks`` of (codes, times) in file order into a stream of one array per channel.
 
-    ``counts`` holds each channel's tag count, ``last`` the file's latest time or -1.
+    ``counts`` holds each channel's tag count.  Without a ``duration``, the
+    stream's is one past the file's latest time, the last time of a channel.
     """
     # one array laid out channel after channel, as a view per channel
     channels = dict(zip(Channel, np.split(np.empty(int(counts.sum()), dtype=np.int64), np.cumsum(counts)[:-1])))
@@ -199,7 +191,7 @@ def _split(path, counts: np.ndarray, blocks, last: int, duration: int | None) ->
         raise FormatError(f"{path}: {CHANNEL_NAMES[min(unordered)]} timestamps are not in time order")
     heralds = channels[Channel.HERALD_TRIGGER]
     if duration is None:
-        duration = last + 1
+        duration = max((int(times[-1]) for times in channels.values() if times.size), default=-1) + 1
     elif heralds.size and duration <= heralds[-1]:
         # heralds are pulse times, so the acquisition reaches past the last one
         raise ParameterError(f"{path}: duration {duration} ps must exceed the last herald at {int(heralds[-1])} ps")
@@ -228,8 +220,8 @@ def read_binary(path, duration: int | None = None) -> TagStream:
 
         block = np.empty(_READ_BLOCK, dtype=RECORD_DTYPE)
         counts = np.zeros(256, dtype=np.int64)
-        bad_reserved = bad_time = None
-        last = -1
+        bad_reserved = bad_time = bad_order = None
+        before = -1  # the time of the record before the block
         for lo, records in _record_blocks(fh, block, n_records):
             # the first little-endian word of a record is channel | reserved << 8
             words = records.view("<u4")[::3]
@@ -238,9 +230,12 @@ def read_binary(path, duration: int | None = None) -> TagStream:
             times = records["timestamp"].view(np.int64)  # 2**63 and above read as negative
             if bad_time is None and times.min() < 0:
                 bad_time = lo + int(np.argmax(times < 0))
+            if bad_order is None:
+                earlier = np.flatnonzero(times < np.concatenate(([before], times[:-1])))
+                bad_order = lo + int(earlier[0]) if earlier.size else None
+            before = times[-1]
             hist = np.bincount(records["channel"])
             counts[: hist.size] += hist
-            last = max(last, int(times.max()))
         if bad_reserved is not None:
             raise FormatError(f"{path}: record {bad_reserved} has non-zero reserved bytes")
         if bad_time is not None:
@@ -250,7 +245,11 @@ def read_binary(path, duration: int | None = None) -> TagStream:
             raise FormatError(f"{path}: unknown channel ids {unknown.tolist()}")
 
         blocks = ((r["channel"], r["timestamp"].view(np.int64)) for _, r in _record_blocks(fh, block, n_records))
-        return _split(path, counts[: len(Channel)], blocks, last, duration)
+        stream = _split(path, counts[: len(Channel)], blocks, duration)
+    # after the split, so that a channel whose own times decrease is named as such
+    if bad_order is not None:
+        raise FormatError(f"{path}: record {bad_order} is earlier than the record before it")
+    return stream
 
 
 def _csv_rows(codes: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -285,13 +284,12 @@ def _csv_rows(codes: np.ndarray, times: np.ndarray) -> np.ndarray:
     return block[block != 0]
 
 
-def write_csv(stream, path) -> None:
-    """Write a TagStream, or an iterable of segments in time order, as a CSV tag file."""
+def write_csv(stream: TagStream, path) -> None:
+    """Write a TagStream as a CSV tag file."""
     with open(path, "wb") as fh:
         fh.write(f"{CSV_HEADER}\n".encode())
-        for records in _record_chunks(stream):
-            codes, times = records["channel"], records["timestamp"].view(np.int64)
-            for lo in range(0, records.size, _CSV_ROWS):
+        for codes, times in _merged(stream):
+            for lo in range(0, times.size, _CSV_ROWS):
                 fh.write(_csv_rows(codes[lo : lo + _CSV_ROWS], times[lo : lo + _CSV_ROWS]))
 
 
@@ -428,7 +426,6 @@ def read_csv(path, duration: int | None = None) -> TagStream:
     """
     converted = []
     counts = np.zeros(len(Channel), dtype=np.int64)
-    tops = []  # each block's latest time
     line = 1  # the number of the block's first line
     with open(path, "rb") as fh:
         blocks = _csv_blocks(fh)
@@ -445,8 +442,7 @@ def read_csv(path, duration: int | None = None) -> TagStream:
             if times.size:
                 converted.append((codes, times))
                 counts += [np.count_nonzero(codes == ch) for ch in Channel]
-                tops.append(int(times.max()))
-    return _split(path, counts, converted, max(tops, default=-1), duration)
+    return _split(path, counts, converted, duration)
 
 
 def read_tags(path, duration: int | None = None) -> TagStream:

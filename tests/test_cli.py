@@ -392,10 +392,22 @@ PINNED_DIGESTS = {
                                        SPARSE_SUMMARY),
 }
 
+#: SHA-256 of `analyze --pair herald_trigger,hbt_a` outputs (hist.csv, peaks.csv)
+#: for each config's tag file, read in either format with the duration it infers.
+PINNED_ANALYSIS = {
+    "dense": ("67e2a417648180d221f1ed5f8795caac6b2b0e314be89b6606d49be95622fbe3",
+              "0173901eb35c186457a2a6e6f86f7133d88674dc1b0586f0a369539b5dfb5025"),
+    "ramp-ignore-dark": ("94564eb0a41cd8095070da52fe496328f83c197b9874417f049942e075a24d5f",
+                         "4b5dff592d67bff66bf710e12614914b76c6d259ccbc9a97a907d1c5d4a32319"),
+    "thermal-ignore-sparse": ("1b1554a1a43cfa5d0e5421ffc0f0ffba7b265cd2f9682c0a6ba5cde36f89b69d",
+                              "8666ec473f1046d5807cd522f9a082f50dfc66dac853f524487a5ced917c2c65"),
+}
+
 
 @pytest.mark.parametrize("name, suffix", list(PINNED_DIGESTS))
 def test_simulate_outputs_are_pinned(tmp_path, name, suffix):
-    """A seed gives the same files for any thread count and from one version of the code to the next."""
+    """A seed gives the same files for any thread count and from one version of the code to the next,
+    and so does `analyze` of them."""
     config = tmp_path / "run.ini"
     config.write_text(PINNED_CONFIGS[name] + "[run]\npulses = 1100000\nseed = 3\n")
     for threads in (1, 2):
@@ -405,6 +417,12 @@ def test_simulate_outputs_are_pinned(tmp_path, name, suffix):
         assert got == PINNED_DIGESTS[name, suffix], (
             f"simulate --threads {threads} of {name!r} wrote {suffix} and summary digests {got}; if the random "
             "stream or the file format changed on purpose, update PINNED_DIGESTS and announce it in CHANGES.md")
+    analysis = tmp_path / "analysis"
+    assert invoke("analyze", "--tags", tmp_path / f"t1{suffix}", "--pair", "herald_trigger,hbt_a",
+                  "--out", analysis) == 0
+    outputs = (Path(f"{analysis}.hist.csv"), Path(f"{analysis}.peaks.csv"))
+    got = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs)
+    assert got == PINNED_ANALYSIS[name], f"analyze of {name!r} {suffix} wrote hist and peaks digests {got}"
 
 
 @pytest.fixture(scope="module")
@@ -514,14 +532,6 @@ class TestThresholdsCommand:
         assert invoke("thresholds", *args, "--out", tmp_path / "x") == 2
         assert f"heraldsim thresholds: error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-
-class TestEnvironmentOverrides:
-    def test_outdir_redirects_relative_paths(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("HERALDSIM_OUTDIR", str(tmp_path / "results"))
-        assert invoke("matrix", "--out", "m.csv") == 0
-        assert (tmp_path / "results" / "m.csv").exists()
 
 
 @pytest.mark.parametrize(

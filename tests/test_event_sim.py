@@ -14,6 +14,7 @@ from heraldsim import (
     ExperimentConfig,
     HeraldSelection,
     ParameterError,
+    TagStream,
     heralded_distribution,
     poissonian,
     reference_detection_matrix,
@@ -1033,6 +1034,15 @@ class TestBatchKernel:
             assert not b_open.any()
 
 
+def assert_same_segments(got, expected):
+    got = list(got)
+    assert len(got) == len(expected)
+    for segment, want in zip(got, expected):
+        assert set(segment) == set(want)
+        for ch in want:
+            np.testing.assert_array_equal(segment[ch], want[ch])
+
+
 class TestSegmentedRun:
     @given(
         n_pulses=st.integers(0, 600),
@@ -1063,9 +1073,22 @@ class TestSegmentedRun:
                           dark_rate=dark_rate, gate_rise_time=gate_rise_time, extinction_db=3.0)
         channels, counters = reference_run(cfg, batch_size)
         stream, summary = run(cfg, threads=threads, batch_size=batch_size)
+        # what the tag writers take on trust: every segment holds every
+        # channel as sorted int64 times, over disjoint, ascending spans of time
+        segments = list(stream.segments())
+        end = None  # the latest time of the segments so far
+        for segment in segments:
+            assert set(segment) == set(Channel)
+            assert all(times.dtype == np.int64 for times in segment.values())
+            spans = [(times[0], times[-1]) for times in segment.values() if times.size]
+            if spans:
+                assert end is None or min(lo for lo, _ in spans) > end
+                end = max(hi for _, hi in spans)
         for ch in Channel:
-            np.testing.assert_array_equal(stream.channels[ch], channels[ch])
-            assert stream.channels[ch].dtype == np.int64
+            joined = np.concatenate([segment[ch] for segment in segments])
+            # sorted when joined, so sorted in every segment
+            assert np.all(joined[1:] >= joined[:-1])
+            np.testing.assert_array_equal(joined, channels[ch])
         assert summary.click_counts.tolist() == counters["click_counts"]
         assert summary.heralds_accepted == counters["heralds_accepted"]
         assert summary.heralds_emitted == counters["heralds_emitted"]
@@ -1074,34 +1097,39 @@ class TestSegmentedRun:
     def test_stream_reads_in_any_order(self, tmp_path):
         cfg = make_config(mean_pairs_per_pulse=0.5, n_pulses=5_000, dark_rate=1e6)
         whole, _ = run(cfg, batch_size=1_000)
+        segments = list(whole.segments())
+        assert len(segments) == 5
+        joined = {ch: np.concatenate([segment[ch] for segment in segments]) for ch in Channel}
         # segments taken by a writer, then the channels, then the segments again
         stream, summary = run(cfg, batch_size=1_000)
         tagio.write_binary(stream, tmp_path / "first.tags")
         assert summary.channel_counts == stream.counts() == whole.counts()
         for ch in Channel:
-            np.testing.assert_array_equal(stream.channels[ch], whole.channels[ch])
+            np.testing.assert_array_equal(stream.channels[ch], joined[ch])
         tagio.write_binary(stream, tmp_path / "second.tags")
         # the summary read first: its counters come from a draw of their own,
         # and the segments from a fresh one
         held, held_summary = run(cfg, batch_size=1_000)
         assert held_summary.heralds_emitted == summary.heralds_emitted
-        segments = list(held.segments())
-        assert len(segments) == 5
-        tagio.write_binary(segments, tmp_path / "third.tags")
+        assert_same_segments(held.segments(), segments)
+        # the run written segment by segment is the file of its joined channels
+        for write, name in ((tagio.write_binary, "tags"), (tagio.write_csv, "csv")):
+            write(held, tmp_path / f"run.{name}")
+            write(TagStream(channels=joined, duration=held.duration), tmp_path / f"joined.{name}")
+            assert (tmp_path / f"run.{name}").read_bytes() == (tmp_path / f"joined.{name}").read_bytes()
         first = (tmp_path / "first.tags").read_bytes()
-        assert first == (tmp_path / "second.tags").read_bytes() == (tmp_path / "third.tags").read_bytes()
+        assert first == (tmp_path / "second.tags").read_bytes() == (tmp_path / "run.tags").read_bytes()
 
-    def test_summary_read_during_a_take(self, tmp_path):
+    def test_summary_read_during_a_take(self):
         cfg = make_config(mean_pairs_per_pulse=0.5, n_pulses=5_000, dark_rate=1e6, gate_rise_time=6_000)
         plain, plain_summary = run(cfg, batch_size=1_000)
-        tagio.write_binary(plain, tmp_path / "plain.tags")
-        # one segment taken, the summary read, then the take finished by the writer
+        expected = list(plain.segments())
+        # one segment taken, the summary read, then the take finished
         stream, summary = run(cfg, batch_size=1_000)
         segments = stream.segments()
         first = next(segments)
         assert summary.heralds_emitted == plain_summary.heralds_emitted
-        tagio.write_binary(itertools.chain([first], segments), tmp_path / "interleaved.tags")
-        assert (tmp_path / "interleaved.tags").read_bytes() == (tmp_path / "plain.tags").read_bytes()
+        assert_same_segments(itertools.chain([first], segments), expected)
         assert summary.click_counts.tolist() == plain_summary.click_counts.tolist()
         assert summary.heralds_accepted == plain_summary.heralds_accepted
         assert summary.channel_counts == plain_summary.channel_counts == stream.counts()

@@ -43,11 +43,10 @@ def format_write_csv(stream, path, rows_per_write=1 << 14):
     """The writer that formats each row with str.format, in text mode."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("channel,timestamp_ps\n")
-        for records in tagio._record_chunks(stream):
-            for lo in range(0, records.size, rows_per_write):
-                chunk = records[lo : lo + rows_per_write]
-                names = map(tagio._CSV_NAMES.__getitem__, chunk["channel"].tolist())
-                fh.write("".join(map("{},{}\n".format, names, chunk["timestamp"].view(np.int64).tolist())))
+        for codes, times in tagio._merged(stream):
+            for lo in range(0, times.size, rows_per_write):
+                names = map(tagio._CSV_NAMES.__getitem__, codes[lo : lo + rows_per_write].tolist())
+                fh.write("".join(map("{},{}\n".format, names, times[lo : lo + rows_per_write].tolist())))
 
 
 # 16 characters hold every channel name, so a longer name stays unknown
@@ -191,7 +190,7 @@ def whole_file_read_csv(path, duration=None):
     if empty.any():
         codes, times = codes[~empty], times[~empty]
     counts = np.array([np.count_nonzero(codes == ch) for ch in Channel])
-    return tagio._split(path, counts, [(codes, times)], int(times.max()) if times.size else -1, duration)
+    return tagio._split(path, counts, [(codes, times)], duration)
 
 
 def reference_read_binary(path, duration=None):
@@ -216,7 +215,11 @@ def reference_read_binary(path, duration=None):
     times = records["timestamp"].view(np.int64)
     if times.size and times.min() < 0:
         raise FormatError(f"{path}: record {int(np.argmax(times < 0))} has a timestamp of 2**63 ps or more")
-    return reference_stream_from(path, records["channel"], times, duration)
+    stream = reference_stream_from(path, records["channel"], times, duration)
+    earlier = np.flatnonzero(times[1:] < times[:-1])
+    if earlier.size:
+        raise FormatError(f"{path}: record {int(earlier[0]) + 1} is earlier than the record before it")
+    return stream
 
 
 def stream_of(channels, duration=1):
@@ -531,16 +534,24 @@ class TestTimeOrder:
             tagio.read_csv(path)
 
     def test_binary_out_of_order_rejected(self, tmp_path):
-        records = np.zeros(3, dtype=tagio.RECORD_DTYPE)
-        records["channel"] = [int(Channel.HERALD_TRIGGER), int(Channel.HERALD_TRIGGER), int(Channel.HBT_A)]
-        records["timestamp"] = [200, 100, 300]
         path = tmp_path / "disorder.bin"
-        path.write_bytes(b"HSIMTAGS" + np.uint32(1).tobytes() + np.uint32(0).tobytes() + records.tobytes())
-        with pytest.raises(FormatError, match="herald_trigger timestamps are not in time order"):
-            tagio.read_binary(path)
+        for channels, times, message in (
+            # a channel's own times decrease
+            ([Channel.HERALD_TRIGGER, Channel.HERALD_TRIGGER, Channel.HBT_A], [200, 100, 300],
+             "herald_trigger timestamps are not in time order"),
+            # each channel in order, but a record earlier than the one before it
+            ([Channel.HBT_A, Channel.HERALD_TRIGGER, Channel.HBT_B], [10, 5, 7],
+             "record 1 is earlier than the record before it"),
+        ):
+            records = np.zeros(3, dtype=tagio.RECORD_DTYPE)
+            records["channel"] = [int(ch) for ch in channels]
+            records["timestamp"] = times
+            path.write_bytes(b"HSIMTAGS" + np.uint32(1).tobytes() + np.uint32(0).tobytes() + records.tobytes())
+            with pytest.raises(FormatError, match=message):
+                tagio.read_binary(path)
 
     def test_interleaved_channels_accepted(self, tmp_path):
-        # only each channel's own times must not decrease
+        # the CSV reader checks only that each channel's own times do not decrease
         path = tmp_path / "interleaved.csv"
         path.write_text("channel,timestamp_ps\nhbt_a,100\nhbt_b,50\nhbt_a,100\nhbt_b,60\n")
         loaded = tagio.read_csv(path)
@@ -633,7 +644,7 @@ tied_streams = st.builds(
     lambda h, a, b: stream_of({Channel.HERALD_TRIGGER: h, Channel.HBT_A: a, Channel.HBT_B: b}),
     tied_times.map(sorted),
     tied_times.map(sorted),
-    # one channel out of order: the writers sort a channel they are handed unsorted
+    # one channel out of order, which the TagStream sorts
     tied_times,
 )
 
@@ -900,13 +911,15 @@ def _faulted_file(path, n, fault, at):
         records["channel"][at] = 3 + at % 5
     elif fault == "order":  # a channel's times decrease at record `at`, or at its next record
         records["timestamp"][at] = records["timestamp"][at - 3] - 1 if at >= 3 else records["timestamp"][at + 3] + 1
+    elif fault == "interleave":  # records `at - 1` and `at` of two channels swap times; each channel stays in order
+        records["timestamp"][at - 1 : at + 1] = records["timestamp"][at - 1 : at + 1][::-1].copy()
     elif fault == "truncated":
         extra = b"\0" * (1 + at % 11)
     path.write_bytes(b"HSIMTAGS" + np.uint32(1).tobytes() + np.uint32(0).tobytes() + records.tobytes() + extra)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
-@pytest.mark.parametrize("fault", ["reserved", "time", "channel", "order", "truncated", "duration"])
+@pytest.mark.parametrize("fault", ["reserved", "time", "channel", "order", "interleave", "truncated", "duration"])
 def test_block_reader_rejections_on_block_edges(tmp_path, block, fault):
     n = 3 * block + 4
     for at in sorted({block - 1, block, block + 1, 2 * block - 1, 2 * block, n - 1} - {0}):
@@ -935,21 +948,3 @@ def test_block_reader_holds_the_stream_and_one_block(tmp_path):
     decoded = sum(arr.nbytes for arr in stream.channels.values())
     assert decoded > 4e6
     assert peak <= decoded + 2 * 2**20
-
-
-def test_writers_take_segments_in_time_order(tmp_path):
-    segments = [
-        {Channel.HERALD_TRIGGER: np.array([0, 10]), Channel.HBT_A: np.array([5, 10])},
-        {},
-        {Channel.HBT_B: np.array([11, 30]), Channel.HERALD_TRIGGER: np.array([20])},
-    ]
-    whole = stream_of({Channel.HERALD_TRIGGER: [0, 10, 20], Channel.HBT_A: [5, 10], Channel.HBT_B: [11, 30]})
-    for write, name in ((tagio.write_binary, "tags"), (tagio.write_csv, "csv")):
-        write(iter(segments), tmp_path / f"segments.{name}")
-        write(whole, tmp_path / f"whole.{name}")
-        assert (tmp_path / f"segments.{name}").read_bytes() == (tmp_path / f"whole.{name}").read_bytes()
-    # a time shared across a segment edge could not keep the file's channel order
-    for later in ([10], [7]):
-        with pytest.raises(ParameterError, match="segments must follow one another"):
-            tagio.write_binary([segments[0], {Channel.HBT_B: np.array(later)}], tmp_path / "overlap.tags")
-
