@@ -93,7 +93,8 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_manifest(primary_out: str, command: str, config: dict, outputs, started: str) -> None:
+def _write_manifest(primary_out: str, command: str, config: dict, outputs: dict, started: str) -> None:
+    """Write ``<primary_out>.manifest.json``; ``outputs`` maps each output to its digest, or to None to read it back."""
     manifest = {
         "tool": "heraldsim",
         "version": __version__,
@@ -102,7 +103,7 @@ def _write_manifest(primary_out: str, command: str, config: dict, outputs, start
         "seed": config.get("seed"),
         "started_utc": started,
         "finished_utc": _utc_now(),
-        "outputs": {path: f"sha256:{_sha256(path)}" for path in outputs},
+        "outputs": {path: f"sha256:{digest or _sha256(path)}" for path, digest in outputs.items()},
     }
     with open(primary_out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -156,7 +157,8 @@ def load_config_file(path: str) -> dict:
 
 # ----------------------------------------------------------------------
 # subcommands: each takes the parsed arguments and the --out path,
-# writes its outputs and returns (manifest config, output paths)
+# writes its outputs and returns (manifest config, {output path: its
+# SHA-256 digest, or None where the command has none})
 
 
 def _inputs(args, **resolved) -> dict:
@@ -171,14 +173,14 @@ def _nmax(args, mu: float) -> int:
     return args.nmax if args.nmax is not None else max(10, required_n_max(mu, args.family))
 
 
-def _cmd_matrix(args, out: str) -> tuple[dict, list]:
+def _cmd_matrix(args, out: str) -> tuple[dict, dict]:
     matrix = detection_matrix(args.transmission, args.pixels, args.crosstalk, args.nmax)
     write_matrix_csv(matrix, out)
     print(f"wrote {out}")
-    return _inputs(args), [out]
+    return _inputs(args), {out: None}
 
 
-def _cmd_sweep(args, out: str) -> tuple[dict, list]:
+def _cmd_sweep(args, out: str) -> tuple[dict, dict]:
     means = default_mean_grid(args.points, args.mu_min, args.mu_max)
     n_max = _nmax(args, args.mu_max)
     det = detection_matrix(args.transmission, args.pixels, args.crosstalk, n_max)
@@ -186,10 +188,10 @@ def _cmd_sweep(args, out: str) -> tuple[dict, list]:
     rows = g2_sweep(det, selection, means, args.family)
     write_sweep_csv(rows, selection, args.family, out)
     print(f"wrote {out}")
-    return _inputs(args, nmax=n_max, selection=selection.label), [out]
+    return _inputs(args, nmax=n_max, selection=selection.label), {out: None}
 
 
-def _cmd_simulate(args, out: str) -> tuple[dict, list]:
+def _cmd_simulate(args, out: str) -> tuple[dict, dict]:
     kwargs = load_config_file(args.config) if args.config else {}
     if args.mu is not None:
         kwargs["mean_pairs_per_pulse"] = args.mu
@@ -205,15 +207,12 @@ def _cmd_simulate(args, out: str) -> tuple[dict, list]:
     config = ExperimentConfig(**kwargs)
     threads = args.threads if args.threads is not None else _default_threads()
     stream, summary = run(config, threads=threads)
-    if out.endswith(".csv"):
-        write_csv(stream, out)
-    else:
-        write_binary(stream, out)
+    digest = write_csv(stream, out) if out.endswith(".csv") else write_binary(stream, out)
     summary_path = out + ".summary.txt"
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(summary.as_text())
     print(f"wrote {out} ({sum(stream.counts().values())} tags)")
-    return config.resolved(), [out, summary_path]
+    return config.resolved(), {out: digest, summary_path: None}
 
 
 def _parse_pair(text: str) -> tuple:
@@ -225,7 +224,7 @@ def _parse_pair(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad channel pair {text!r}; channels: {names}") from exc
 
 
-def _cmd_analyze(args, out: str) -> tuple[dict, list]:
+def _cmd_analyze(args, out: str) -> tuple[dict, dict]:
     # refuse a binning with no peak window before the tag file is read
     _check_binning(args.bin, args.range)
     _peak_window(args.bin, args.range, args.rep_period, args.halfwidth)
@@ -238,7 +237,7 @@ def _cmd_analyze(args, out: str) -> tuple[dict, list]:
     write_histogram_csv(hist, hist_path)
     write_peaks_csv(peaks, g2, peaks_path)
     print(f"wrote {hist_path} and {peaks_path}")
-    return _inputs(args, duration=stream.duration), [hist_path, peaks_path]
+    return _inputs(args, duration=stream.duration), {hist_path: None, peaks_path: None}
 
 
 def _threshold_grid(args, name: str) -> np.ndarray:
@@ -256,7 +255,7 @@ def _threshold_grid(args, name: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _cmd_thresholds(args, out: str) -> tuple[dict, list]:
+def _cmd_thresholds(args, out: str) -> tuple[dict, dict]:
     n_max = _nmax(args, args.mu)
     det = detection_matrix(args.transmission, args.pixels, args.crosstalk, n_max)
     source = FAMILIES[args.family](args.mu, n_max)
@@ -270,7 +269,7 @@ def _cmd_thresholds(args, out: str) -> tuple[dict, list]:
     surface = threshold_sweep(source, det, model, args.rep_rate, low_grid, high_grid)
     write_surface_csv(low_grid, high_grid, surface, out)
     print(f"wrote {out}")
-    return _inputs(args, nmax=n_max), [out]
+    return _inputs(args, nmax=n_max), {out: None}
 
 
 def _add_detector_args(sub, nmax_default=None):

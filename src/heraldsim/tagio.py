@@ -9,15 +9,18 @@ The reader rejects non-zero reserved bytes and timestamps of 2**63 ps or
 more, which do not fit the signed 64-bit times of a TagStream.  It reads
 the records in two passes over fixed blocks of ``_READ_BLOCK`` records in
 one reused buffer: the first checks them and counts each channel's tags,
-the second hands the blocks to the channel split.  The writer refuses a
-stream with a negative time, which the format cannot hold.
+the second hands the blocks to the channel split.  A file whose records
+are in time order has every channel in time order, so then the split checks
+no channel's order.  The writer refuses a stream with a negative time, which
+the format cannot hold.
 
 Records are stored in global time order (ties broken by channel id), and
 the binary reader refuses a file whose records are not.  Both writers take
 a TagStream, merge the channels of each of its segments (sorted int64
 times over disjoint spans of time in ascending order) and append the
 segment's records as it comes, so writing a stream that ``run`` returns
-holds one segment at a time.
+holds one segment at a time.  Each returns the SHA-256 digest of the bytes
+it wrote.
 
 The CSV alternative is lossless: a ``channel,timestamp_ps`` header followed
 by one ``<name>,<signed decimal>`` row per record, in the same order, with
@@ -47,6 +50,7 @@ the last time of one of its split channels.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 
@@ -133,8 +137,20 @@ def _segment_pieces(times: list):
             yield codes[order], piece[order]
 
 
-def write_binary(stream: TagStream, path) -> None:
-    """Write a TagStream as a binary tag file."""
+class _HashingWriter:
+    """Writes bytes to a file and hashes them as they go."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.digest = hashlib.sha256()
+
+    def write(self, data) -> None:
+        self._fh.write(data)
+        self.digest.update(data)
+
+
+def write_binary(stream: TagStream, path) -> str:
+    """Write a TagStream as a binary tag file; returns the SHA-256 hex digest of the bytes written."""
     pieces = _merged(stream)
     piece = next(pieces, None)
     # the first piece holds the file's earliest time, so a negative time is
@@ -143,16 +159,16 @@ def write_binary(stream: TagStream, path) -> None:
         name = CHANNEL_NAMES[Channel(piece[0][0])]
         raise ParameterError(f"{name} holds a negative timestamp, which the binary tag format cannot store")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(np.uint32(VERSION).tobytes())
-        fh.write(np.uint32(0).tobytes())
+        out = _HashingWriter(fh)
+        out.write(MAGIC + np.array([VERSION, 0], dtype="<u4").tobytes())
         while piece is not None:
             codes, times = piece
             records = np.zeros(times.size, dtype=RECORD_DTYPE)
             records["channel"] = codes
             records["timestamp"] = times
-            fh.write(records)
+            out.write(records)
             piece = next(pieces, None)
+    return out.digest.hexdigest()
 
 
 def _record_blocks(fh, block: np.ndarray, n_records: int):
@@ -166,11 +182,13 @@ def _record_blocks(fh, block: np.ndarray, n_records: int):
         yield lo, block[:count]
 
 
-def _split(path, counts: np.ndarray, blocks, duration: int | None) -> TagStream:
+def _split(path, counts: np.ndarray, blocks, duration: int | None, ordered: bool = False) -> TagStream:
     """Split ``blocks`` of (codes, times) in file order into a stream of one array per channel.
 
-    ``counts`` holds each channel's tag count.  Without a ``duration``, the
-    stream's is one past the file's latest time, the last time of a channel.
+    ``counts`` holds each channel's tag count.  Unless the file's times are
+    known to be ``ordered`` as a whole, which orders every channel too, each
+    channel's order is checked.  Without a ``duration``, the stream's is one
+    past the file's latest time, the last time of a channel.
     """
     # one array laid out channel after channel, as a view per channel
     channels = dict(zip(Channel, np.split(np.empty(int(counts.sum()), dtype=np.int64), np.cumsum(counts)[:-1])))
@@ -183,10 +201,11 @@ def _split(path, counts: np.ndarray, blocks, duration: int | None) -> TagStream:
             lo, count = filled[ch], int(np.count_nonzero(mask))
             np.compress(mask, times, out=channels[ch][lo : lo + count])
             filled[ch] += count
-            # the new times, and the one before them
-            run = channels[ch][max(lo - 1, 0) : lo + count]
-            if np.any(run[1:] < run[:-1]):
-                unordered.add(ch)
+            if not ordered:
+                # the new times, and the one before them
+                run = channels[ch][max(lo - 1, 0) : lo + count]
+                if np.any(run[1:] < run[:-1]):
+                    unordered.add(ch)
     if unordered:
         raise FormatError(f"{path}: {CHANNEL_NAMES[min(unordered)]} timestamps are not in time order")
     heralds = channels[Channel.HERALD_TRIGGER]
@@ -195,7 +214,18 @@ def _split(path, counts: np.ndarray, blocks, duration: int | None) -> TagStream:
     elif heralds.size and duration <= heralds[-1]:
         # heralds are pulse times, so the acquisition reaches past the last one
         raise ParameterError(f"{path}: duration {duration} ps must exceed the last herald at {int(heralds[-1])} ps")
-    return TagStream(channels=channels, duration=int(duration))
+    return TagStream._of_sorted(channels, int(duration))
+
+
+def _record_columns(fh, block: np.ndarray, n_records: int):
+    """The file's records as (codes, times) a block at a time, each copied to a reused contiguous buffer."""
+    codes = np.empty(block.size, dtype=np.uint8)
+    times = np.empty(block.size, dtype=np.int64)
+    for _, records in _record_blocks(fh, block, n_records):
+        n = records.size
+        codes[:n] = records["channel"]
+        times[:n] = records["timestamp"].view(np.int64)
+        yield codes[:n], times[:n]
 
 
 def read_binary(path, duration: int | None = None) -> TagStream:
@@ -219,14 +249,20 @@ def read_binary(path, duration: int | None = None) -> TagStream:
             raise FormatError(f"{path}: truncated record payload")
 
         block = np.empty(_READ_BLOCK, dtype=RECORD_DTYPE)
-        counts = np.zeros(256, dtype=np.int64)
+        counts = np.zeros(len(Channel), dtype=np.int64)
+        unknown = set()
         bad_reserved = bad_time = bad_order = None
         before = -1  # the time of the record before the block
         for lo, records in _record_blocks(fh, block, n_records):
-            # the first little-endian word of a record is channel | reserved << 8
+            # the first little-endian word of a record is channel | reserved << 8,
+            # so a valid record's word is its channel id
             words = records.view("<u4")[::3]
-            if bad_reserved is None and words.max() > 0xFF:
+            top = int(words.max())
+            if bad_reserved is None and top > 0xFF:
                 bad_reserved = lo + int(np.argmax(words > 0xFF))
+            if top >= len(Channel):
+                codes = records["channel"]
+                unknown.update(np.unique(codes[codes >= len(Channel)]).tolist())
             times = records["timestamp"].view(np.int64)  # 2**63 and above read as negative
             if bad_time is None and times.min() < 0:
                 bad_time = lo + int(np.argmax(times < 0))
@@ -234,18 +270,19 @@ def read_binary(path, duration: int | None = None) -> TagStream:
                 earlier = np.flatnonzero(times < np.concatenate(([before], times[:-1])))
                 bad_order = lo + int(earlier[0]) if earlier.size else None
             before = times[-1]
-            hist = np.bincount(records["channel"])
-            counts[: hist.size] += hist
+            # every word is a channel id unless the file is refused below
+            heralds = np.count_nonzero(words == Channel.HERALD_TRIGGER)
+            hbt_a = np.count_nonzero(words == Channel.HBT_A)
+            counts += (heralds, hbt_a, records.size - heralds - hbt_a)
         if bad_reserved is not None:
             raise FormatError(f"{path}: record {bad_reserved} has non-zero reserved bytes")
         if bad_time is not None:
             raise FormatError(f"{path}: record {bad_time} has a timestamp of 2**63 ps or more")
-        unknown = np.flatnonzero(counts[len(Channel) :]) + len(Channel)
-        if unknown.size:
-            raise FormatError(f"{path}: unknown channel ids {unknown.tolist()}")
+        if unknown:
+            raise FormatError(f"{path}: unknown channel ids {sorted(unknown)}")
 
-        blocks = ((r["channel"], r["timestamp"].view(np.int64)) for _, r in _record_blocks(fh, block, n_records))
-        stream = _split(path, counts[: len(Channel)], blocks, duration)
+        blocks = _record_columns(fh, block, n_records)
+        stream = _split(path, counts, blocks, duration, ordered=bad_order is None)
     # after the split, so that a channel whose own times decrease is named as such
     if bad_order is not None:
         raise FormatError(f"{path}: record {bad_order} is earlier than the record before it")
@@ -284,13 +321,15 @@ def _csv_rows(codes: np.ndarray, times: np.ndarray) -> np.ndarray:
     return block[block != 0]
 
 
-def write_csv(stream: TagStream, path) -> None:
-    """Write a TagStream as a CSV tag file."""
+def write_csv(stream: TagStream, path) -> str:
+    """Write a TagStream as a CSV tag file; returns the SHA-256 hex digest of the bytes written."""
     with open(path, "wb") as fh:
-        fh.write(f"{CSV_HEADER}\n".encode())
+        out = _HashingWriter(fh)
+        out.write(f"{CSV_HEADER}\n".encode())
         for codes, times in _merged(stream):
             for lo in range(0, times.size, _CSV_ROWS):
-                fh.write(_csv_rows(codes[lo : lo + _CSV_ROWS], times[lo : lo + _CSV_ROWS]))
+                out.write(_csv_rows(codes[lo : lo + _CSV_ROWS], times[lo : lo + _CSV_ROWS]))
+    return out.digest.hexdigest()
 
 
 def _csv_row_ok(line: str) -> bool:

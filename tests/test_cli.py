@@ -170,6 +170,15 @@ seed = 31415
         assert manifest["seed"] == 31415
         assert manifest["config"]["herald_selection"] == "1"
 
+    @pytest.mark.parametrize("name", ["run.tags", "run.csv"])
+    def test_manifest_digests_are_those_of_the_files(self, tmp_path, name):
+        # the tag writers hash what they write, and the summary is read back
+        out = tmp_path / name
+        assert invoke("simulate", "--config", self.write_config(tmp_path), "--out", out) == 0
+        outputs = json.loads((tmp_path / f"{name}.manifest.json").read_text())["outputs"]
+        files = (out, tmp_path / f"{name}.summary.txt")
+        assert outputs == {str(path): f"sha256:{hashlib.sha256(path.read_bytes()).hexdigest()}" for path in files}
+
     def test_seed_reproducibility_across_threads(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out1, out2 = tmp_path / "a.tags", tmp_path / "b.tags"

@@ -25,8 +25,10 @@ from heraldsim import (
 from heraldsim import event_sim, tagio
 from heraldsim.event_sim import (
     _RAMP_STREAM_TAG,
+    _SELECT_BLOCK,
     CONFIG_KEYS,
     _Batch,
+    _count_edges,
     _geometric,
     _occupied_pulses,
     _on_ramp,
@@ -35,6 +37,7 @@ from heraldsim.event_sim import (
     _photon_numbers,
     _rank,
     _retrigger_filter,
+    _select,
     _signal_counts,
     _simulate_batch,
     _with_darks,
@@ -853,6 +856,76 @@ def signal_slices(draw):
     v = draw(st.lists(grid, min_size=sum(photons), max_size=sum(photons)))
     thresholds = tuple(sorted(draw(st.lists(grid, min_size=4, max_size=4))))
     return photons, v, thresholds
+
+
+def four_threshold_counts(v, first, pulses, thresholds):
+    """The pulses with a uniform below the top threshold and their counts below each threshold, pulse by pulse."""
+    segment = np.repeat(np.arange(first.size), np.diff(first, append=v.size))
+    counts = np.array([np.bincount(segment[v < t], minlength=first.size) for t in thresholds])
+    keep = counts[-1] > 0
+    return pulses[keep], counts[:, keep]
+
+
+#: Uniforms on both sides of the thresholds of splittings 0, 0.3, 0.5 and 1, and the largest below 1.
+LOSSLESS_UNIFORMS = st.sampled_from([0.0, 0.1, 0.29, 0.3, 0.31, 0.5, 0.7, 0.9, float(np.nextafter(1.0, 0.0))])
+
+
+class TestFastPaths:
+    @given(
+        photons=st.lists(st.integers(1, 12), min_size=1, max_size=40),
+        uniforms=st.data(),
+        leak=st.sampled_from([0.0, 1.0]),
+        splitting=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lossless_shortcut_matches_four_thresholds(self, photons, uniforms, leak, splitting):
+        q_a, q_b = splitting, 1.0 - splitting
+        thresholds = (q_a * leak, q_a, q_a + q_b * leak, q_a + q_b)
+        assert thresholds[-1] >= 1.0  # the shortcut is the path taken
+        v = np.asarray(uniforms.draw(st.lists(LOSSLESS_UNIFORMS, min_size=sum(photons), max_size=sum(photons))))
+        first = np.cumsum([0, *photons[:-1]])
+        want_pulses, want_counts = four_threshold_counts(v, first, np.arange(7, 7 + first.size), thresholds)
+        pulses, counts = signal_counts(v, first, thresholds, sparse=False)
+        np.testing.assert_array_equal(pulses, want_pulses)
+        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_array_equal(counts[-1], photons)  # every pulse is kept, with all its photons
+
+    @given(
+        length=st.sampled_from([0, 1, _SELECT_BLOCK - 1, _SELECT_BLOCK, _SELECT_BLOCK + 1, 3 * _SELECT_BLOCK]),
+        mask=st.sampled_from(["random", "none", "all"]),
+        dtype=st.sampled_from([np.int32, np.int64]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_selection_matches_boolean_indexing(self, length, mask, dtype, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-(2**31), 2**31, length).astype(dtype)
+        chosen = {"random": rng.random(length) < rng.random(), "none": np.zeros(length, dtype=bool),
+                  "all": np.ones(length, dtype=bool)}[mask]
+        got = _select(chosen, values)
+        assert got.dtype == values.dtype
+        np.testing.assert_array_equal(got, values[chosen])
+
+    @given(
+        edges=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=30).map(sorted),
+        x=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50),
+        at_edge=st.one_of(st.none(), st.integers(0, 29)),
+    )
+    @example(edges=[0.25, 0.5, 0.75], x=[0.1, 0.5], at_edge=None)  # the largest x equal to an edge
+    @example(edges=[0.25, 0.5, 0.5, 0.75], x=[0.5], at_edge=None)  # and to repeated edges
+    @example(edges=[0.25], x=[0.1], at_edge=None)  # below every edge
+    @settings(max_examples=300, deadline=None)
+    def test_bounded_edge_search_matches_every_edge(self, edges, x, at_edge):
+        edges, x = np.asarray(edges, dtype=float), np.asarray(x)
+        if edges.size and at_edge is not None:  # make the largest x one of the edges
+            x = np.append(x, edges[at_edge % edges.size])
+            x[x > x[-1]] = x[-1]
+        want = np.ones(x.size, dtype=np.int64)
+        for edge in edges:
+            want += x >= edge
+        got = np.ones(x.size, dtype=np.int64)
+        _count_edges(x, edges, got)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestBatchKernel:
