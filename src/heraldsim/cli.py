@@ -50,7 +50,7 @@ from .errors import (
     ParameterError,
     UndefinedStatisticError,
 )
-from .event_sim import CHANNELS_BY_NAME, CONFIG_KEYS, Channel, ExperimentConfig, run
+from .event_sim import CHANNELS_BY_NAME, CONFIG_KEYS, Channel, ExperimentConfig, _check_pixels, run
 from .feedforward import (DEFAULT_MEAN_GRID_POINTS, DEFAULT_MEAN_GRID_RANGE, HeraldSelection, default_mean_grid,
                           g2_sweep, write_sweep_csv)
 from .photon_stats import FAMILIES, required_n_max
@@ -123,8 +123,11 @@ _ROW_BY_KEY = {(row.section, row.key): row for row in CONFIG_KEYS}
 
 
 def _selection(text: str, kwargs: dict) -> HeraldSelection:
-    """Parse a herald selection for the configured pixel count, else the dataclass default."""
-    return HeraldSelection.parse(text, kwargs.get("n_pixels", ExperimentConfig.n_pixels))
+    """Parse a herald selection for the configured pixel count, else the dataclass default.
+
+    The count is checked first: ``k+`` lists every count from k to it.
+    """
+    return HeraldSelection.parse(text, _check_pixels(kwargs.get("n_pixels", ExperimentConfig.n_pixels)))
 
 
 def load_config_file(path: str) -> dict:

@@ -2,12 +2,13 @@
 
 Pulse p sits at t_p = p * rep_period.  The simulator draws only the pulses
 that hold at least one pair: the gaps between them are geometric with
-p = 1 - p(0), and their pair numbers come from the source law conditioned
-on n >= 1.  Each photon then gets its own draws.  An idler photon survives
-the source-to-detector transmission T and lands on a uniform pixel; the
-pixels it fires give the click count, which the per-event crosstalk upgrade
-may raise by one, and the herald selection is evaluated on it.  An accepted
-pulse emits a HeraldTrigger tag at t_p and opens the modulator over
+p = 1 - p(0).  Each of them then takes one uniform, which draws its whole
+outcome from a Walker alias table of the joint law, built once per run: the
+pair number n, the idler click count c (the detection matrix, crosstalk
+included) and, per HBT arm, whether no signal photon reaches it, photons
+reach it but none passes a closed gate, or one does.  Given n the idler and
+signal photons are independent, so the law is a product.  An accepted pulse
+emits a HeraldTrigger tag at t_p and opens the modulator over
 [t_p + latency, t_p + latency + gate_length); overlapping gates merge.
 With ``retrigger = "ignore"`` a herald is dropped, with its tag and its
 gate, when the gate of an earlier kept herald has opened at or before its
@@ -21,19 +22,13 @@ Signal photons of pulse p reach the modulator after a fixed optical delay
 (by default the smallest whole number of pulse periods >= latency, so the
 heralded photons of a pulse meet their own gate just after it opens).  A
 photon passes an open gate with probability 1 and a closed gate with the
-extinction leakage 10**(-extinction_db / 10), then goes to HBT A with
-probability q_a, to HBT B with q_b, or is lost.  One uniform per photon
-decides both its detector and whether it passes a closed gate, so the
-counts for either gate outcome, at either HBT arm, come from the same draw.
-The two arms differ only in their thresholds, and from the batch's draws to
-the segment's tags the stitch treats HBT A and B as two rows of one block.
-Only photons with a uniform below q_a + q_b can reach a detector; when they
-are a small share of all photons, the batch reduces those candidate photons
-alone, each found in its pulse by a search, rather than every photon.  A
-lossless arm, q_a + q_b = 1, makes every photon a candidate: then every
-occupied pulse is kept, with its photon number as its count at the top
-threshold, and only the three lower thresholds are counted.
-Detectors register at most one click per pulse per channel, at the
+extinction leakage 10**(-extinction_db / 10), and goes to HBT A with
+probability q_a, to HBT B with q_b, or is lost.  So an arm clicks through
+an open gate when a photon reaches it, and through a closed one when a
+photon passes; a pulse's outcome and its gate state pick both clicks by one
+lookup.  On the opening ramp of ``gate_rise_time`` each photon passes with
+the ramp's transmission, and the clicks are drawn from their law given the
+outcome.  Detectors register at most one click per pulse per channel, at the
 modulator-arrival time; dark counts are independent Poisson processes.
 
 Determinism: every random draw happens in per-batch streams keyed by
@@ -53,6 +48,7 @@ it, and the kept heralds a retrigger filter needs) is carried over.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -62,9 +58,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .detector_model import detection_matrix
 from .errors import ParameterError
 from .feedforward import HeraldSelection
-from .photon_stats import FAMILIES, poissonian, required_n_max
+from .photon_stats import FAMILIES, required_n_max
 
 DEFAULT_BATCH_SIZE = 1 << 20
 
@@ -72,16 +69,9 @@ DEFAULT_BATCH_SIZE = 1 << 20
 #: HBT channel, keyed (seed, tag, channel); batch indices stay below it.
 _RAMP_STREAM_TAG = 1 << 48
 
-#: Photons, or occupied pulses, a batch draws and reduces at a time.
-_SLICE = 1 << 16
-
-#: Share of photons, q_a + q_b, below which the signal arm reduces only the
-#: photons that reach a detector rather than every photon.  The two
-#: reductions take equal time near 1/3 for thermal mu = 1 and near 0.4 for
-#: Poissonian mu = 0.5 (one batch of 2**20 pulses, numpy 2.4).  At a share
-#: of 1, a lossless arm, neither is used: every pulse is kept and its photon
-#: number is its top count.
-_SPARSE_SIGNAL = 1 / 3
+#: Occupied pulses a batch draws at a time: 2**14 took 4.7 ms against 5.6 ms
+#: for 2**16 to find the occupied pulses of a dense batch of 2**20.
+_SLICE = 1 << 14
 
 #: Entries ``_select`` takes at a time.  ``np.compress`` builds an 8-byte
 #: index of the entries a block selects.  On a dense run, 2**14-entry blocks
@@ -101,8 +91,9 @@ _GRID_SPAN = 6
 #: Largest mean ``Generator.poisson`` draws: the int64 range less a 10-sigma margin.
 _POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
-#: Most photons a batch may expect; each costs about 20 bytes of draws.
-_PHOTON_BUDGET = 1 << 27
+#: Most entries the table of pulse outcomes may hold; each costs about 30
+#: bytes.  Thermal mu = 128 with 16 pixels takes about 4e5.
+_TABLE_BUDGET = 1 << 20
 
 
 class Channel(IntEnum):
@@ -150,6 +141,13 @@ CONFIG_KEYS = (
     ConfigKey("run", "pulses", "n_pulses", "int"),
     ConfigKey("run", "seed", "seed", "int"),
 )
+
+
+def _check_pixels(n_pixels: int) -> int:
+    """The idler pixel count, if the simulation takes it."""
+    if not 1 <= n_pixels <= 16:
+        raise ParameterError("n_pixels must lie in 1..16")
+    return n_pixels
 
 
 @dataclass(frozen=True)
@@ -209,8 +207,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
-        if not 1 <= self.n_pixels <= 16:
-            raise ParameterError("n_pixels must lie in 1..16")
+        _check_pixels(self.n_pixels)
         if not 0.0 <= self.crosstalk < 1.0:
             raise ParameterError(f"crosstalk must lie in [0, 1), got {self.crosstalk!r}")
         if max(self.herald_selection.accepted_clicks) > self.n_pixels:
@@ -562,10 +559,7 @@ class _Batch(NamedTuple):
 
     herald_pulse: np.ndarray  # int64 pulses whose click outcome is accepted
     cand_pulse: np.ndarray  # int64 pulses with a signal photon at HBT A or B through an open gate
-    # int32 (4, candidates) photons of each candidate, one row per channel
-    # and gate state: A closed, A open, B closed, B open; so photons[0::2]
-    # are the counts through a closed gate and photons[1::2] through an open one
-    photons: np.ndarray
+    cand_entry: np.ndarray  # int32 _Outcomes entry of each candidate
     click_hist: np.ndarray  # int64 pulses per idler click outcome 0..n_pixels
     darks: tuple  # int64 dark-count times at HBT A and at HBT B
 
@@ -613,168 +607,144 @@ def _occupied_pulses(rng: np.random.Generator, p_occ: float, size: int) -> np.nd
     return np.concatenate(found) if found else np.empty(0, dtype=np.int32)
 
 
-def _photon_numbers(rng: np.random.Generator, config: ExperimentConfig, count: int) -> np.ndarray:
-    """Pair numbers of occupied pulses: the source law conditioned on n >= 1."""
+def _arm_law(config: ExperimentConfig, n, state, z_a=1.0, z_b=1.0):
+    """E[z_a**a z_b**b; the HBT arms' states] for n pairs, a of whose photons reach HBT A and b HBT B.
+
+    ``state`` is 3 * A state + B state.  An arm's state is 0 when no photon
+    reaches it, 1 when photons reach it but none passes a closed gate, and 2
+    when one does.  Each photon keeps both arms at or below (s_a, s_b) with
+    a share of the arms that adds, so that case is a power of n, and the
+    states themselves are its differences over s_a and s_b.  At z_a = z_b = 1
+    this is P(state | n).
+    """
+    q = config.signal_transmission * config.hbt_efficiency
+    q_a, q_b, leak = q * config.hbt_splitting, q * (1.0 - config.hbt_splitting), config.leakage
+    # an arm's share of a photon that keeps it at or below each state, from state -1 up
+    share_a, share_b = (np.array([0.0, 0.0, x * (1.0 - leak), x]) for x in (q_a, q_b))
+    lost = max(0.0, 1.0 - q_a - q_b)
+    total = 0.0
+    for d_a, d_b in itertools.product((0, 1), repeat=2):
+        i_a, i_b = state // 3 + 1 - d_a, state % 3 + 1 - d_b
+        term = (lost + z_a * share_a[i_a] + z_b * share_b[i_b]) ** n * ((i_a > 0) & (i_b > 0))
+        total = total + term if d_a == d_b else total - term
+    return total
+
+
+def _alias(p: np.ndarray) -> tuple:
+    """Walker's alias table of the weights p (Walker 1977; Vose 1991), built in vectorized rounds.
+
+    Returns ``cut`` and ``alias``: with x uniform on [0, p.size) and
+    i = floor(x), the draw is i when x < cut[i], else alias[i].  In a round
+    every entry below the mean goes to the entry above it in whose share of
+    the excess its own deficit starts; an entry that gives away more than
+    its excess falls below the mean and waits for the next round.
+    """
+    q = p * (p.size / p.sum())
+    prob = np.ones(p.size)
+    alias = np.arange(p.size, dtype=np.int32)
+    small, large = np.flatnonzero(q < 1.0), np.flatnonzero(q >= 1.0)
+    while small.size and large.size:
+        deficit = 1.0 - q[small]
+        owner = np.searchsorted(np.cumsum(q[large] - 1.0), np.cumsum(deficit) - deficit, side="right")
+        # round-off can leave a deficit past the last excess; that entry keeps its own slot
+        fits = owner < large.size
+        small, owner, deficit = small[fits], owner[fits], deficit[fits]
+        prob[small] = q[small]
+        alias[small] = large[owner]
+        q[large] -= np.bincount(owner, weights=deficit, minlength=large.size)
+        small, large = large[q[large] < 1.0], large[q[large] >= 1.0]
+    return np.arange(p.size) + prob, alias
+
+
+class _Outcomes(NamedTuple):
+    """The joint law of what an occupied pulse does, as an alias table over its outcomes.
+
+    An outcome is (n, c, A state, B state): n >= 1 pairs, c idler clicks and
+    the HBT arms' states of ``_arm_law``.  Entry ((n - 1) * (n_pixels + 1)
+    + c) * 9 + 3 * A state + B state has the probability
+    p(n | n >= 1) * detection_matrix[n, c] * P(A state, B state | n).
+    """
+
+    p_occ: float  # probability that a pulse holds a pair
+    cut: np.ndarray  # float64 and int32 alias arrays, see _alias
+    alias: np.ndarray
+    heralded: np.ndarray  # bool per entry: its click count is in the selection
+    candidate: np.ndarray  # bool per entry: a photon reaches HBT A or B
+    # uint8 per entry and gate state, at 2 * entry + open: bit 0 a click at
+    # HBT A, bit 1 at HBT B; a closed gate passes only arms in state 2
+    hbt: np.ndarray
+
+
+def _outcomes(config: ExperimentConfig) -> _Outcomes:
+    """The run's outcome table; the source law is cut where its tail mass falls below TAIL_MASS_TOL."""
     mu = config.mean_pairs_per_pulse
-    n = np.ones(count, dtype=np.int64)
-    if config.source_family == "thermal":
-        # no memory holds 2**62 photons, so the clip changes no run that can finish
-        for lo in range(0, count, _SLICE):
-            n[lo : lo + _SLICE] = _geometric(rng, 1.0 / (1.0 + mu), min(_SLICE, count - lo), 2**62)
-        return n
-    # inversion by sequential search on the table cut where the tail mass
-    # falls below photon_stats.TAIL_MASS_TOL
-    cdf = np.cumsum(poissonian(mu, max(1, required_n_max(mu))).probs[1:])
+    n_max = max(1, required_n_max(mu, config.source_family))
+    source = FAMILIES[config.source_family](mu, n_max).probs[1:]
+    if not source.any():  # mu = 0: no pulse is occupied, so the law is never drawn
+        source = np.eye(1, n_max)[0]
+    clicks = detection_matrix(config.idler_transmission, config.n_pixels, config.crosstalk, n_max).entries[1:]
+    states = np.arange(9)
+    # every term is a probability; the differences of _arm_law may round below 0
+    arms = np.maximum(_arm_law(config, np.arange(1, n_max + 1)[:, None], states), 0.0)
+    cut, alias = _alias((source[:, None, None] * clicks[:, :, None] * arms[:, None, :]).ravel())
+    accept = np.zeros(config.n_pixels + 1, dtype=bool)
+    accept[list(config.herald_selection.accepted_clicks)] = True
+    a, b = np.divmod(states, 3)
+    hbt = np.stack(((a == 2) + 2 * (b == 2), (a > 0) + 2 * (b > 0)), axis=1).astype(np.uint8)  # closed, open
+    return _Outcomes(
+        p_occ=mu / (1.0 + mu) if config.source_family == "thermal" else -math.expm1(-mu),
+        cut=cut,
+        alias=alias,
+        heralded=np.repeat(np.tile(accept, n_max), 9),
+        candidate=np.tile(a + b > 0, n_max * (config.n_pixels + 1)),
+        hbt=np.tile(hbt, (n_max * (config.n_pixels + 1), 1)).ravel(),
+    )
+
+
+def _draw_outcomes(rng: np.random.Generator, table: _Outcomes, count: int) -> np.ndarray:
+    """int32 outcome entries of ``count`` occupied pulses, one uniform each, ``_SLICE`` at a time."""
+    entry = np.empty(count, dtype=np.int32)
     for lo in range(0, count, _SLICE):
-        x = rng.random(min(_SLICE, count - lo)) * cdf[-1]
-        _count_edges(x, cdf[:-1], n[lo : lo + _SLICE])
-    return n
+        x = rng.random(min(_SLICE, count - lo))
+        x *= table.cut.size
+        i = x.astype(np.int32)
+        np.copyto(entry[lo : lo + _SLICE], np.where(x < table.cut[i], i, table.alias[i]))
+    return entry
 
 
-def _count_edges(x: np.ndarray, edges: np.ndarray, out: np.ndarray) -> None:
-    """Add to ``out`` the number of the sorted ``edges`` at or below each of the non-empty ``x``.
+def _ramp_hbt(config: ExperimentConfig, entry: np.ndarray, factor: np.ndarray, ramp: list) -> np.ndarray:
+    """``_Outcomes.hbt`` codes of open arrivals on a gate's ramp, where each photon passes with probability ``factor``.
 
-    An edge above ``x.max()`` adds nothing, so the search stops at the last
-    edge at or below it.
+    An arm clicks when one of the photons that reach it passes.  Each
+    arrival takes one uniform from each arm's ramp stream: A's decides A's
+    click, and B's B's click given A's.
     """
-    for edge in edges[: np.searchsorted(edges, x.max(), "right")]:
-        out += x >= edge
+    n, state = np.divmod(entry, 9)
+    n = n // (config.n_pixels + 1) + 1
+    one, z = np.ones_like(factor), 1.0 - factor
+    p, dark_a, dark_b, dark = _arm_law(config, n, state, np.stack((one, z, one, z)), np.stack((one, one, z, z)))
+    u_a, u_b = (rng.random(entry.size) for rng in ramp)
+    click_a = u_a * p >= dark_a
+    # B stays dark with probability dark / dark_a after no click at A, and (dark_b - dark) / (p - dark_a) after one
+    click_b = np.where(click_a, u_b * (p - dark_a) >= dark_b - dark, u_b * dark_a >= dark)
+    return (click_a + 2 * click_b).astype(np.uint8)
 
 
-def _segment_counts(flags: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Number of set flags in each segment; segment i ends at index last[i]."""
-    totals = np.cumsum(flags, dtype=np.int32)[last]
-    return np.diff(totals, prepend=np.int32(0))
-
-
-def _signal_counts(v: np.ndarray, first: np.ndarray, pulses: np.ndarray, thresholds: tuple, sparse: bool,
-                   out: list) -> int:
-    """Reduce a photon slice to its pulses with a uniform below the top threshold; returns how many there are.
-
-    ``v`` holds the slice's per-photon uniforms, ``first`` the index of each
-    pulse's first photon and ``pulses`` the pulses themselves.  The rows of
-    ``out`` take, from their start, the pulses kept and then their uniforms
-    below each threshold.  With ``sparse`` only the photons below the top
-    threshold are reduced, each found in its pulse by a search into
-    ``first``; otherwise every photon is.  A top threshold of 1 or more is
-    above every uniform, so then every pulse is kept and its top count is
-    its photon number.
-    """
-    if sparse:
-        index = np.flatnonzero(v < thresholds[-1])
-        pulse = np.searchsorted(first, index, "right") - 1
-        v = v[index]
-        # where each pulse's candidates start, and past the last one's
-        edges = np.flatnonzero(np.diff(pulse, prepend=-1, append=first.size))
-        k = edges.size - 1
-        np.take(pulses, pulse[edges[:-1]], out=out[0][:k])
-        for row, threshold in zip(out[1:], thresholds[:-1]):
-            row[:k] = _segment_counts(v < threshold, edges[1:] - 1)
-        out[-1][:k] = np.diff(edges)
-        return k
-    last = np.append(first[1:], v.size) - 1
-    counts = [_segment_counts(v < threshold, last) for threshold in thresholds[:-1]]
-    if thresholds[-1] >= 1.0:
-        k = first.size
-        for row, values in zip(out, [pulses, *counts, np.diff(first, append=v.size)]):
-            row[:k] = values
-        return k
-    counts.append(_segment_counts(v < thresholds[-1], last))
-    keep = counts[-1] > 0
-    k = int(np.count_nonzero(keep))
-    for row, values in zip(out, [pulses, *counts]):
-        np.compress(keep, values, out=row[:k])
-    return k
-
-
-def _photon_slices(ends: np.ndarray):
-    """Photon slices of about ``_SLICE``, cut at pulse boundaries.
-
-    ``ends`` holds the photon index past each pulse's last photon.  Yields
-    the slice's pulses as (first, past the last), its photon count and the
-    index of each pulse's first photon within the slice.
-    """
-    cuts = np.searchsorted(ends, np.arange(_SLICE, ends[-1] if ends.size else 0, _SLICE), side="right")
-    cuts = np.unique(np.concatenate(([0], cuts, [ends.size])))
-    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        base = int(ends[lo - 1]) if lo else 0
-        first = np.empty(hi - lo, dtype=np.int64)
-        first[0] = 0
-        np.subtract(ends[lo : hi - 1], base, out=first[1:])
-        yield lo, hi, int(ends[hi - 1]) - base, first
-
-
-def _simulate_batch(config: ExperimentConfig, batch_index: int, start: int, size: int) -> _Batch:
-    """All random draws for pulses [start, start + size); no gate logic here.
-
-    Photons are laid out contiguously per occupied pulse, and every occupied
-    pulse holds at least one, so no segment is empty.  The per-photon draws
-    are taken and reduced one photon slice at a time, in photon order, so
-    the working set is set by the occupied pulses, not the photons.
-    """
+def _simulate_batch(config: ExperimentConfig, table: _Outcomes, batch_index: int, start: int, size: int) -> _Batch:
+    """All random draws for pulses [start, start + size); no gate logic here."""
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, batch_index)))
-    n_pix = config.n_pixels
-    mu = config.mean_pairs_per_pulse
-    p_occ = mu / (1.0 + mu) if config.source_family == "thermal" else -math.expm1(-mu)
-    occ = _occupied_pulses(rng, p_occ, size)
-    ends = np.cumsum(_photon_numbers(rng, config, occ.size))
-
-    # idler arm: a photon survives iff u < T, and then u / T is uniform on
-    # [0, 1) and picks its pixel; index n_pix marks a lost photon
-    t_idler = config.idler_transmission
-    pixel_bit = np.zeros(n_pix + 1, dtype=np.uint16)
-    pixel_bit[:n_pix] = 1 << np.arange(n_pix)
-    fired = np.empty(occ.size, dtype=np.uint16)
-    for lo, hi, n_photons, first in _photon_slices(ends):
-        u = rng.random(n_photons)
-        if t_idler > 0.0:
-            u /= t_idler
-            np.minimum(u, 1.0, out=u)
-        else:
-            u.fill(1.0)
-        u *= n_pix
-        fired[lo:hi] = np.bitwise_or.reduceat(pixel_bit[u.astype(np.uint8)], first)
-    clicks = np.bitwise_count(fired)
-    del fired
-    for lo in range(0, clicks.size, _SLICE):
-        part = clicks[lo : lo + _SLICE]
-        part += (part >= 1) & (part <= n_pix - 1) & (rng.random(part.size) < config.crosstalk)
-
-    click_hist = np.bincount(clicks, minlength=n_pix + 1)
+    occ = _occupied_pulses(rng, table.p_occ, size)
+    entry = _draw_outcomes(rng, table, occ.size)
+    click_hist = np.bincount(entry, minlength=table.cut.size).reshape(-1, config.n_pixels + 1, 9).sum(axis=(0, 2))
     click_hist[0] += size - occ.size
 
-    # signal arm, counted for both gate outcomes; the stitch pass picks one.
-    # v < q_a reaches A, and given that v / q_a is uniform, so v < q_a * leak
-    # also passes a closed gate; B takes [q_a, q_a + q_b) the same way.
-    q_a = config.signal_transmission * config.hbt_efficiency * config.hbt_splitting
-    q_b = config.signal_transmission * config.hbt_efficiency * (1.0 - config.hbt_splitting)
-    leak = config.leakage
-    thresholds = (q_a * leak, q_a, q_a + q_b * leak, q_a + q_b)
-    sparse = thresholds[-1] < _SPARSE_SIGNAL
-    # candidates (pulses with a photon below q_a + q_b) and their photons
-    # below each threshold, for the candidates found so far
-    cand = np.empty(occ.size, dtype=np.int32)
-    below = np.empty((4, occ.size), dtype=np.int32)
-    n_cand = 0
-    for lo, hi, n_photons, first in _photon_slices(ends):
-        v = rng.random(n_photons)
-        rows = [cand[n_cand:], *below[:, n_cand:]]
-        n_cand += _signal_counts(v, first, occ[lo:hi], thresholds, sparse, rows)
-    del ends
-    cand_pulse = cand[:n_cand].astype(np.int64)
+    cand = table.candidate[entry]
+    cand_pulse = _select(cand, occ).astype(np.int64)
     cand_pulse += start
-    del cand
-    # the B thresholds count the photons at A too
-    photons = below[:, :n_cand]
-    photons[2:] -= photons[1]
-
-    # the heralds draw nothing, so they are picked after the signal arm;
-    # held through its slices, they would raise the batch's peak memory
-    accept = np.zeros(n_pix + 1, dtype=bool)
-    accept[list(config.herald_selection.accepted_clicks)] = True
-    herald_occ = _select(accept[clicks], occ)
-    del clicks
-    if accept[0]:
+    cand_entry = _select(cand, entry)
+    herald_occ = _select(table.heralded[entry], occ)
+    del cand, entry
+    if table.heralded[0]:  # no click is a herald, so every empty pulse is one
         empty = np.setdiff1d(np.arange(size, dtype=np.int32), occ, assume_unique=True)
         herald_occ = np.sort(np.concatenate([herald_occ, empty]))
     herald_pulse = herald_occ.astype(np.int64)
@@ -786,10 +756,10 @@ def _simulate_batch(config: ExperimentConfig, batch_index: int, start: int, size
     t0 = start * config.rep_period
     lam = config.dark_rate * span * 1e-12
     darks = tuple(t0 + rng.integers(0, span, rng.poisson(lam), dtype=np.int64) for _ in range(2))
-    return _Batch(herald_pulse, cand_pulse, photons, click_hist, darks)
+    return _Batch(herald_pulse, cand_pulse, cand_entry, click_hist, darks)
 
 
-def _batches(config: ExperimentConfig, threads: int, batch_size: int, n_batches: int):
+def _batches(config: ExperimentConfig, table: _Outcomes, threads: int, batch_size: int, n_batches: int):
     """The run's batches in order, with at most ``threads`` + 1 of them drawn and not yet stitched.
 
     ``ThreadPoolExecutor.map`` would submit every batch up front, so the
@@ -798,24 +768,24 @@ def _batches(config: ExperimentConfig, threads: int, batch_size: int, n_batches:
     jobs = ((i, i * batch_size, min(batch_size, config.n_pulses - i * batch_size)) for i in range(n_batches))
     if threads == 1 or n_batches <= 1:
         for job in jobs:
-            yield _simulate_batch(config, *job)
+            yield _simulate_batch(config, table, *job)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         ahead = deque()
         for job in jobs:
-            ahead.append(pool.submit(_simulate_batch, config, *job))
+            ahead.append(pool.submit(_simulate_batch, config, table, *job))
             if len(ahead) > threads:
                 yield ahead.popleft().result()
         while ahead:
             yield ahead.popleft().result()
 
 
-def _segments(config: ExperimentConfig, threads: int, batch_size: int, n_batches: int):
+def _segments(config: ExperimentConfig, table: _Outcomes, threads: int, batch_size: int, n_batches: int):
     """Stitch the run batch by batch; yields one segment per batch and returns the _Counters.
 
     A segment ends at the next batch's first pulse time, which every herald
     and dark count of its batch lies below.  Signal arrivals at or past that
-    cut wait, with their photon counts, for a later segment, because a later
+    cut wait, with their outcomes, for a later segment, because a later
     herald's gate may still cover them.  Carried from one segment to the
     next are the merged gates that reach the cut and, for the retrigger
     filter, the kept heralds whose gates reach past it.
@@ -828,12 +798,12 @@ def _segments(config: ExperimentConfig, threads: int, batch_size: int, n_batches
     ramp = [np.random.default_rng(np.random.SeedSequence((config.seed, _RAMP_STREAM_TAG, int(ch)))) for ch in hbt]
     empty = np.empty(0, dtype=np.int64)
     kept_tail = starts = ends = empty  # kept_tail holds pulses, the gates times
-    waiting = (empty, np.empty((4, 0), dtype=np.int32))  # arrivals and their photons
+    waiting = (empty, np.empty(0, dtype=np.int32))  # arrivals and their outcome entries
     click_counts = np.zeros(config.n_pixels + 1, dtype=np.int64)
     accepted = emitted = 0
     channel_counts = dict.fromkeys(Channel, 0)
 
-    batches = _batches(config, threads, batch_size, n_batches)
+    batches = _batches(config, table, threads, batch_size, n_batches)
     for index in range(n_batches):
         batch = next(batches)
         click_counts += batch.click_hist
@@ -857,26 +827,22 @@ def _segments(config: ExperimentConfig, threads: int, batch_size: int, n_batches
         arrivals += delay
         # the waiting arrivals all come before this batch's, and either part
         # may reach past the cut
-        parts = [waiting, (arrivals, batch.photons)]
+        parts = [waiting, (arrivals, batch.cand_entry)]
         cut = None if index == n_batches - 1 else (index + 1) * batch_size * rep
         n_now = [part[0].size if cut is None else int(np.searchsorted(part[0], cut)) for part in parts]
         picked = []  # per part, the arrivals with a click at A and at B
         for part, n in zip(parts, n_now):
-            arrivals, photons = (column[..., :n] for column in part)
+            arrivals, entry = (column[:n] for column in part)
             open_gate, gate_counts = _open_mask(arrivals, starts, ends)
-            counts = np.where(open_gate, photons[1::2], photons[0::2])
+            code = table.hbt[2 * entry + open_gate]
             if config.gate_rise_time > 0:
                 partial, factor = _on_ramp(arrivals, open_gate, starts, gate_counts, config.gate_rise_time)
-                for arm, ramp_rng in enumerate(ramp):
-                    counts[arm, partial] = ramp_rng.binomial(counts[arm, partial], factor)
-            # the counts go before the picks, which set the run's peak memory
-            clicked = counts > 0
-            del gate_counts, counts
-            picked.append([_select(row, arrivals) for row in clicked])
-        waiting = tuple(np.concatenate((early[..., n_now[0] :], late[..., n_now[1] :]), axis=-1)
-                        for early, late in zip(*parts))
+                code[partial] = _ramp_hbt(config, entry[partial], factor, ramp)
+            del open_gate, gate_counts
+            picked.append([_select(clicked.view(bool), arrivals) for clicked in (code & 1, code >> 1)])
+        waiting = tuple(np.concatenate((early[n_now[0] :], late[n_now[1] :])) for early, late in zip(*parts))
         darks = batch.darks
-        del batch, parts, part, arrivals, photons, open_gate, clicked
+        del batch, parts, part, arrivals, entry, code
         segment = {Channel.HERALD_TRIGGER: heralds}
         for ch, tags, dark in zip(hbt, zip(*picked), darks):
             segment[ch] = _with_darks(np.concatenate(tags), dark)
@@ -919,13 +885,16 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
         raise ParameterError("timestamp range overflows 64-bit picoseconds; reduce n_pulses")
     if config.dark_rate * (min(batch_size, config.n_pulses) * config.rep_period) * 1e-12 > _POISSON_MAX_MEAN:
         raise ParameterError(f"dark_rate {config.dark_rate!r} gives more dark counts per batch than can be drawn")
-    if config.mean_pairs_per_pulse * min(batch_size, config.n_pulses) > _PHOTON_BUDGET:
+    n_max = max(1, required_n_max(config.mean_pairs_per_pulse, config.source_family))
+    if n_max * (config.n_pixels + 1) * 9 > _TABLE_BUDGET:
         raise ParameterError(f"mean_pairs_per_pulse {config.mean_pairs_per_pulse!r} expects more than "
-                             f"{_PHOTON_BUDGET} photons in a batch of up to batch_size={batch_size} pulses")
+                             f"{_TABLE_BUDGET} outcomes of a pulse, with {config.n_pixels} pixels")
     # a run of zero pulses still makes one empty batch, which gives every
     # channel its dtype
     n_batches = max(1, (config.n_pulses + batch_size - 1) // batch_size)
     if n_batches >= _RAMP_STREAM_TAG:
         raise ParameterError("too many batches")
-    stream = TagStream(None, config.duration, functools.partial(_segments, config, threads, batch_size, n_batches))
+    table = _outcomes(config)
+    stream = TagStream(None, config.duration, functools.partial(_segments, config, table, threads, batch_size,
+                                                                 n_batches))
     return stream, RunSummary(config, stream)

@@ -335,7 +335,8 @@ def write_csv(stream: TagStream, path) -> str:
 def _csv_row_ok(line: str) -> bool:
     if not re.fullmatch(_CSV_RECORD, line):
         return False
-    return -(2**63) <= int(line.split(",")[1]) < 2**63
+    # int() strips less than \s matches: not the separators U+001C to U+001F
+    return -(2**63) <= int(line.split(",")[1].strip()) < 2**63
 
 
 def _windows(raw: np.ndarray, width: int) -> np.ndarray:
@@ -450,7 +451,7 @@ def _csv_convert(path, buf: np.ndarray, lo: int, hi: int, line: int) -> tuple:
             raise FormatError(f"{path}:{line + i}: bad record {row!r}")
         name, value = row.split(",")
         codes[i] = CHANNELS_BY_NAME[name]
-        times[i] = int(value)
+        times[i] = int(value.strip())
     if empty.any():
         codes, times = codes[~empty], times[~empty]
     return codes, times, n_lines

@@ -249,6 +249,25 @@ seed = 31415
         assert "Traceback" not in result.stderr
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("pixels", ["100000000", str(2**63)])
+    @pytest.mark.parametrize("selection", ["any", "2+"])
+    def test_pixel_count_checked_before_the_selection(self, tmp_path, pixels, selection):
+        # `k+` lists every click count from k to the pixel count, which at
+        # 1e8 pixels takes gigabytes; the child caps its own address space,
+        # so such a list fails as a MemoryError rather than exhausting the host
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.CONFIG.replace("pixels = 4", f"pixels = {pixels}")
+                       .replace("selection = 1", f"selection = {selection}"))
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "from heraldsim.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        result = subprocess.run([sys.executable, "-c", child, "simulate", "--config", str(cfg),
+                                 "--out", str(tmp_path / "x.tags")], capture_output=True, text=True)
+        assert result.returncode == 2, result.stderr
+        assert "n_pixels must lie in 1..16" in result.stderr
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_perfect_extinction(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text(self.CONFIG.replace("extinction_db = 10.2", "extinction_db = inf"))
@@ -387,29 +406,29 @@ PINNED_CONFIGS = {
 
 #: SHA-256 of the tag file and of the run summary, per config and tag format;
 #: the summary does not depend on the format.
-DENSE_SUMMARY = "c58ac8f4e0139416d01b2ee35798461111af8e04bb8d278d75535002bb77c648"
-RAMP_SUMMARY = "96769621cb2f029b5b41dc4539216a4346916bde7d64e8854ca38aa801aa9c97"
-SPARSE_SUMMARY = "7428da3f0a73708aba91dd13f2eaa2c3a52a5dd11c3b92a7104201c3d7ddb8dd"
+DENSE_SUMMARY = "093d83b3371c982ea3857d229298bd51c86b3c699ed2c770175683709fe53c66"
+RAMP_SUMMARY = "bb9123a028fb3b99d1911378aac6b3e4a7f9f38720b04e8e5d74a1c6421adf2b"
+SPARSE_SUMMARY = "adfba44d8eeee4099eee4d69a418da773f7e1596b115d749984d0cea00119755"
 PINNED_DIGESTS = {
-    ("dense", ".tags"): ("ebd638b81d189a60f36846b2adf1cce4f4cf24059b47a1f8296e8073d616da07", DENSE_SUMMARY),
-    ("dense", ".csv"): ("6500d62d15133ab83413c3dbbe034b30f410426489bb29fb33fb32f907afbc21", DENSE_SUMMARY),
-    ("ramp-ignore-dark", ".tags"): ("ffee153744e7c371d3f7869b16681c1db3ae66aa1febee328fff6042e608235f", RAMP_SUMMARY),
-    ("ramp-ignore-dark", ".csv"): ("e501477fcc680a845b9aa589a0ebe5a3c3e46e58c266615b014cbecbc5b29ba3", RAMP_SUMMARY),
-    ("thermal-ignore-sparse", ".tags"): ("dc337fee583c8e4d9d923ae7464ac6212c521dc57870086830bf427156ece93f",
+    ("dense", ".tags"): ("df2589cdad59ede783391dfa04b8cf699df7027267d079bd850c857d9bb62732", DENSE_SUMMARY),
+    ("dense", ".csv"): ("dc96db5f3c75dc4a91291dbc6be14299f6943a83e143571d62d9850bea989c7e", DENSE_SUMMARY),
+    ("ramp-ignore-dark", ".tags"): ("172d73d52a2de3a76049f2078473647800dcd2552e09235e25895ca62ae57a83", RAMP_SUMMARY),
+    ("ramp-ignore-dark", ".csv"): ("b038b9fdd237e57126a75e6783c15407c66b3e7eae25d55b643d4d9e7439fb38", RAMP_SUMMARY),
+    ("thermal-ignore-sparse", ".tags"): ("dbb981818d8fe51b228595097da4432924e5d9fca1b16de7d3396eede78ef41e",
                                         SPARSE_SUMMARY),
-    ("thermal-ignore-sparse", ".csv"): ("81a57827e10f7fdb28ef97f50edaab7051e3309830e29876521a2fb935f637a9",
+    ("thermal-ignore-sparse", ".csv"): ("29106702574dd74ce32d4a2477f03677fe725f07ab34424aa600ca3dfc98e802",
                                        SPARSE_SUMMARY),
 }
 
 #: SHA-256 of `analyze --pair herald_trigger,hbt_a` outputs (hist.csv, peaks.csv)
 #: for each config's tag file, read in either format with the duration it infers.
 PINNED_ANALYSIS = {
-    "dense": ("67e2a417648180d221f1ed5f8795caac6b2b0e314be89b6606d49be95622fbe3",
-              "0173901eb35c186457a2a6e6f86f7133d88674dc1b0586f0a369539b5dfb5025"),
-    "ramp-ignore-dark": ("94564eb0a41cd8095070da52fe496328f83c197b9874417f049942e075a24d5f",
-                         "4b5dff592d67bff66bf710e12614914b76c6d259ccbc9a97a907d1c5d4a32319"),
-    "thermal-ignore-sparse": ("1b1554a1a43cfa5d0e5421ffc0f0ffba7b265cd2f9682c0a6ba5cde36f89b69d",
-                              "8666ec473f1046d5807cd522f9a082f50dfc66dac853f524487a5ced917c2c65"),
+    "dense": ("bcf0d7368dd51d2e7cf0dba4c15322e105939174c67701a90b553b53cff1abb3",
+              "aa38f75c3c599238ed2163f1311730a9ff366e33757c91672e0e78ca8e9d3af0"),
+    "ramp-ignore-dark": ("cef956b5bf5c40d7122043ea4c0b25809675126084537110be337f2c1a466a1b",
+                         "a9f1a6d731cb8d05523b3b1f1fd943189c7febdea48bea1c3fc58687feef2279"),
+    "thermal-ignore-sparse": ("0407c5f389a8b14dafbac1a299b3c2ba0421c3eabd87e81504a105904fd644f1",
+                              "c2f8337f090588636d865eb8577cf1f11347828969316e55b9cebe050a89f6ad"),
 }
 
 

@@ -424,6 +424,15 @@ class TestCsvFormat:
         assert loaded.channels[Channel.HBT_B].tolist() == [-3]
         assert loaded.channels[Channel.HERALD_TRIGGER].tolist() == [2**63 - 1]
 
+    @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separator_whitespace_around_the_timestamp(self, tmp_path, separator):
+        # \s and str.isspace() count U+001C..U+001F as whitespace, int() does not strip them
+        path = tmp_path / "separators.csv"
+        path.write_text(f"channel,timestamp_ps\nhbt_a,{separator}200\nhbt_b,7{separator}\n", encoding="utf-8")
+        loaded = tagio.read_csv(path)
+        assert loaded.channels[Channel.HBT_A].tolist() == [200]
+        assert loaded.channels[Channel.HBT_B].tolist() == [7]
+
     @pytest.mark.parametrize(
         "body",
         [
