@@ -1,10 +1,15 @@
 """Offline analysis of time-tag streams.
 
+Both analyses take a stream one segment at a time (``_chunks``): each
+chunk is a run of first-channel tags, handed out once no later segment can
+add a partner, with the tags of the other channels those tags can reach.
+What a later tag may still need is carried across a segment's end, so
+memory is set by a segment and the reach, not by the run.
+
 Cross-correlation histograms (``correlate``) count every pair of tags whose
-time difference t_b - t_a falls in [-range_ps, range_ps).  For each block of
-first-channel tags, merges with the part of the second channel the block can
-reach give each tag's run of second-channel tags inside the window, so the
-cost is O(tags + pairs in range), never all-pairs.  The
+time difference t_b - t_a falls in [-range_ps, range_ps).  In each chunk,
+merges with the second channel's tags in reach give each tag's run of
+partners, so the cost is O(tags + pairs in range), never all-pairs.  The
 pairs are gathered in windows of at most ``_PAIR_BUDGET``, cut along the
 cumulative pair count: a window may end inside one tag's run, so memory
 stays bounded however wide the range or however dense the stream.
@@ -41,13 +46,14 @@ So the estimator counts in-window B tags per slot and reads those counts at
 j + k for every herald and every HBT-A tag at a heralded slot.  This holds
 only when all herald slots share one phase modulo rep_period (the
 alignment contract); a herald off that grid raises ``ParameterError``.
-The slots are taken ``_SLOT_SPAN`` at a time in reused per-slot buffers
-whose touched entries are reset after use, so neither memory nor time
-grows with the empty stretches of a run.
+A chunk of heralds spans at most ``_SLOT_SPAN`` slots, counted in reused
+per-slot buffers whose touched entries are reset after use, so neither
+memory nor time grows with the empty stretches of a run.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +67,7 @@ DEFAULT_RANGE = 100_000
 DEFAULT_PEAK_HALFWIDTH = 1_000
 
 _MAX_BINS = 1 << 27  # 1 GiB of int64 counts
-_TAG_BLOCK = 1 << 16  # first-channel tags per binary search in correlate
+_TAG_BLOCK = 1 << 16  # first-channel tags per chunk of the segment walk
 _PAIR_BUDGET = 1 << 17  # pairs gathered at once in correlate
 _SLOT_SPAN = 1 << 18  # pulse slots per chunk of the heralded estimator
 
@@ -113,26 +119,76 @@ def _check_binning(bin_width: int, range_ps: int) -> None:
         raise ParameterError(f"a histogram of {n_bins} bins cannot be allocated (the limit is {_MAX_BINS})")
 
 
-def _correlate_times(a: np.ndarray, b: np.ndarray, bin_width: int, range_ps: int) -> np.ndarray:
-    """Counts per bin of t_b - t_a; the binning must have passed _check_binning."""
+def _chunks(stream: TagStream, lead: Channel, reach: dict, span: int | None = None):
+    """Walk the stream's segments in chunks of ``lead`` tags; yields ``(tags, near)``.
+
+    Each ``lead`` tag comes in one chunk, in time order, and ``near`` maps
+    each channel of ``reach`` to its tags in [tags[0] + lo, tags[-1] + hi),
+    ``(lo, hi) = reach[channel]``.  A tag t waits until a segment ends at or
+    past t + hi, since no later tag lies before a segment's last time; the
+    waiting tags, and the tags that they or later ones can reach, are
+    carried across the cut.  A chunk holds at most ``_TAG_BLOCK`` tags, more
+    only where one time repeats, all below its first plus ``span``.
+    """
+    reach_hi = max(hi for _, hi in reach.values())
+    waiting = np.empty(0, dtype=np.int64)
+    held = dict.fromkeys(reach, waiting)
+    for segment in itertools.chain(stream.segments(), [None]):
+        if segment is None:  # the stream has ended
+            ready = waiting.size
+        else:
+            waiting = np.concatenate((waiting, segment[lead])) if waiting.size else segment[lead]
+            held = {ch: np.concatenate((times, segment[ch])) if times.size else segment[ch]
+                    for ch, times in held.items()}
+            end = max((int(times[-1]) for times in segment.values() if times.size), default=None)
+            if end is None:
+                continue
+            ready = int(np.searchsorted(waiting, end - reach_hi, side="right"))
+        start = 0
+        while start < ready:
+            stop = int(np.searchsorted(waiting[:ready], waiting[min(start + _TAG_BLOCK, ready) - 1], side="right"))
+            if span is not None:
+                stop = min(stop, int(np.searchsorted(waiting[:ready], int(waiting[start]) + span)))
+            tags = waiting[start:stop]
+            first, last = int(tags[0]), int(tags[-1])
+            yield tags, {ch: held[ch][np.searchsorted(held[ch], first + lo) : np.searchsorted(held[ch], last + hi)]
+                         for ch, (lo, hi) in reach.items()}
+            start = stop
+        waiting = waiting[ready:]
+        if segment is not None:
+            # later lead tags lie at or after the segment's end
+            first = min(int(waiting[0]), end) if waiting.size else end
+            held = {ch: held[ch][np.searchsorted(held[ch], first + lo) :] for ch, (lo, _) in reach.items()}
+
+
+def correlate(
+    stream: TagStream,
+    pair: tuple,
+    bin_width: int = DEFAULT_BIN_WIDTH,
+    range_ps: int = DEFAULT_RANGE,
+) -> CoincidenceHistogram:
+    """Histogram of time differences t_b - t_a for a channel pair."""
+    ch_a, ch_b = pair
+    for ch in (ch_a, ch_b):
+        if ch not in CHANNEL_NAMES:
+            raise ParameterError(f"stream has no channel {ch!r}")
+    if ch_a == ch_b:
+        # every tag would pair with itself at zero delay
+        raise ParameterError(f"a channel pair needs two different channels, got {CHANNEL_NAMES[ch_a]} twice")
+    _check_binning(bin_width, range_ps)
     n_bins = (2 * range_ps) // bin_width
     try:
         counts = np.zeros(n_bins, dtype=np.int64)
     except MemoryError:
         raise ParameterError(f"a histogram of {n_bins} bins cannot be allocated") from None
     ramp = np.arange(0)
-    for lo in range(0, a.size, _TAG_BLOCK):
-        tags = a[lo : lo + _TAG_BLOCK]
-        # both run bounds of every tag come from merges with the part of b
-        # the block can reach
-        offset = int(np.searchsorted(b, tags[0] - range_ps))
-        reach = b[offset : np.searchsorted(b, tags[-1] + range_ps)]
-        first = _rank(tags - range_ps, reach)
+    for tags, near in _chunks(stream, ch_a, {ch_b: (-range_ps, range_ps)}):
+        b = near[ch_b]
         # pairs are numbered p = 0, 1, ... in tag order; pair p of tag i, with
         # bounds[i] <= p < bounds[i + 1], is b[first[i] + p] once first is shifted
+        first = _rank(tags - range_ps, b)
         bounds = np.zeros(tags.size + 1, dtype=np.int64)
-        np.cumsum(_rank(tags + range_ps, reach) - first, out=bounds[1:])
-        first += offset
+        np.cumsum(_rank(tags + range_ps, b) - first, out=bounds[1:])
         first -= bounds[:-1]
         total = int(bounds[-1])
         for p0 in range(0, total, _PAIR_BUDGET):
@@ -148,33 +204,13 @@ def _correlate_times(a: np.ndarray, b: np.ndarray, bin_width: int, range_ps: int
             tau -= np.repeat(tags[t0:t1] - range_ps, lens)
             tau //= bin_width
             counts += np.bincount(tau, minlength=n_bins)
-    return counts
-
-
-def correlate(
-    stream: TagStream,
-    pair: tuple,
-    bin_width: int = DEFAULT_BIN_WIDTH,
-    range_ps: int = DEFAULT_RANGE,
-) -> CoincidenceHistogram:
-    """Histogram of time differences t_b - t_a for a channel pair."""
-    ch_a, ch_b = pair
-    for ch in (ch_a, ch_b):
-        if ch not in stream.channels:
-            raise ParameterError(f"stream has no channel {ch!r}")
-    if ch_a == ch_b:
-        # every tag would pair with itself at zero delay
-        raise ParameterError(f"a channel pair needs two different channels, got {CHANNEL_NAMES.get(ch_a, ch_a)} twice")
-    _check_binning(bin_width, range_ps)
-    a = stream.channels[ch_a]
-    b = stream.channels[ch_b]
-    counts = _correlate_times(a, b, bin_width, range_ps)
+    singles = stream.counts()  # of the replay just walked
     return CoincidenceHistogram(
         bin_width=bin_width,
         range_ps=range_ps,
         counts=counts,
         channel_pair=(ch_a, ch_b),
-        total_singles=(int(a.size), int(b.size)),
+        total_singles=(singles[ch_a], singles[ch_b]),
         duration=stream.duration,
     )
 
@@ -295,23 +331,16 @@ def heralded_coincidence_counts(
     range_ps: int = DEFAULT_RANGE,
     peak_halfwidth: int = DEFAULT_PEAK_HALFWIDTH,
 ) -> HeraldedCounts:
-    """Count triggers, slot-conditioned singles and slot pair coincidences.
+    """Count triggers, slot-conditioned singles and slot pair coincidences on the pulse grid.
 
-    A pulse's signal-arrival slot is its herald time plus the resolved
-    signal delay.  HBT-A tags count at a slot only when they sit on it
-    exactly; HBT-B tags count at slot + d when they fall in the peak window
-    of offset d, the same window ``integrate_peaks`` sums on a histogram of
-    the two channels.  The heralds must share one phase modulo rep_period;
-    the first herald off that grid raises ParameterError.
+    A herald's slot is its time plus the resolved signal delay.  HBT-A tags
+    count at a slot they sit on exactly, HBT-B tags at slot + d when they
+    fall in the peak window of offset d, the window ``integrate_peaks`` sums.
+    The first herald off the grid of the first one raises ParameterError.
     """
     _check_binning(bin_width, range_ps)
     rep = config.rep_period
     lo, hi, offsets = _peak_window(bin_width, range_ps, rep, peak_halfwidth)
-    heralds = stream.channels[Channel.HERALD_TRIGGER]
-    if heralds.size == 0:
-        raise EmptyEnsembleError("stream contains no herald tags")
-    a = stream.channels[Channel.HBT_A]
-    b = stream.channels[Channel.HBT_B]
     delay = config.resolved_signal_delay
     n_k = len(offsets)
     # Slot j of a chunk is the signal-arrival time first + delay + j * rep.
@@ -323,21 +352,19 @@ def heralded_coincidence_counts(
     pair_counts = np.zeros(n_k, dtype=np.int64)
     b_counts = np.zeros(n_k, dtype=np.int64)
     n_a_slot = 0
-    origin = int(heralds[0])
-    start = 0
-    while start < heralds.size:
-        first = int(heralds[start])
-        stop = int(np.searchsorted(heralds, first + _SLOT_SPAN * rep, side="left"))
-        chunk = heralds[start:stop]
+    origin = None
+    # a herald reaches the A tags on its slot, and the B tags from the start
+    # of its first window to the end of the period of its last
+    b_start = delay + lo + offsets.start * rep
+    reach = {Channel.HBT_A: (delay, delay + 1), Channel.HBT_B: (b_start, b_start + n_k * rep)}
+    for chunk, near in _chunks(stream, Channel.HERALD_TRIGGER, reach, _SLOT_SPAN * rep):
+        first = int(chunk[0])
+        origin = first if origin is None else origin
         _check_on_grid(chunk, origin, rep)
         slot = (chunk - first) // rep
-        last = int(slot[-1])
-        arrival = first + delay
-        # B tags from the start of slot 0's first window to the end of slot
-        # `last`'s last window; b_slot counts whole periods from that start,
-        # and the remainder must fall inside the window
-        base = arrival + lo + offsets.start * rep
-        since = b[np.searchsorted(b, base) : np.searchsorted(b, base + (last + n_k) * rep)] - base
+        # b_slot counts whole periods from slot 0's first window, and the
+        # remainder must fall inside the window
+        since = near[Channel.HBT_B] - (first + b_start)
         b_slot = since // rep
         b_slot, per_slot = _runs(b_slot[since - b_slot * rep < hi - lo])
         in_window[b_slot] = per_slot
@@ -345,7 +372,7 @@ def heralded_coincidence_counts(
         b_counts += _summed_rows(rows, slot, largest)
         # A tags exactly on a heralded slot of this chunk
         heralded[slot] = True
-        since = a[np.searchsorted(a, arrival) : np.searchsorted(a, arrival + (last + 1) * rep)] - arrival
+        since = near[Channel.HBT_A] - (first + delay)
         a_slot = since // rep
         a_slot = a_slot[a_slot * rep == since]
         a_slot = a_slot[heralded[a_slot]]
@@ -353,9 +380,10 @@ def heralded_coincidence_counts(
         pair_counts += _summed_rows(rows, a_slot, largest)
         heralded[slot] = False
         in_window[b_slot] = 0
-        start = stop
+    if origin is None:
+        raise EmptyEnsembleError("stream contains no herald tags")
     return HeraldedCounts(
-        n_triggers=int(heralds.size),
+        n_triggers=stream.counts()[Channel.HERALD_TRIGGER],  # of the replay just walked
         n_a_slot=n_a_slot,
         pair_counts=dict(zip(offsets, pair_counts.tolist())),
         b_counts=dict(zip(offsets, b_counts.tolist())),
@@ -369,14 +397,9 @@ def heralded_g2(
     range_ps: int = DEFAULT_RANGE,
     peak_halfwidth: int = DEFAULT_PEAK_HALFWIDTH,
 ):
-    """Trigger-conditioned g2 per pulse offset for a feedforward run.
+    """Trigger-conditioned g2(d) per pulse offset d, as the module docstring gives it.
 
-    For each offset d,
-
-        g2(d) = N(A at slot, B at slot + d) * N_triggers
-                / (N(A at slot) * N(B at slot + d)),
-
-    restricted to offsets with non-zero conditioned singles.  The offset-0
+    Only offsets with non-zero conditioned singles are listed.  The offset-0
     entry estimates the heralded g2(0) of the modulated signal mode.
     """
     counts = heralded_coincidence_counts(stream, config, bin_width, range_ps, peak_halfwidth)

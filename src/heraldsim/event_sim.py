@@ -249,21 +249,20 @@ class ExperimentConfig:
 
 
 class TagStream:
-    """Per-channel time-tag arrays (int64 ps, sorted).
+    """A replayable source of time tags, handed out in segments.
 
-    ``duration`` spans the pulses: every herald lies below it, while HBT tags
-    lag their pulse by the signal delay and may lie up to that delay past it.
-    Given ``channels``, a missing Channel becomes empty, a channel whose
-    times decrease is sorted, and any other key is refused.
-
-    A stream that ``run`` returns holds nothing of the run.  Each
-    ``segments()`` draws the run anew and hands out its tags as per-channel
-    dicts over disjoint, ascending spans of time, so a writer that takes
-    them holds one segment at a time.  ``channels`` draws the run once and
-    joins it; ``counters()`` drains a draw unless one has finished.
+    A segment is a dict of one sorted int64 array (ps) per Channel, and no
+    tag of a later segment lies before the segment's last time.  Given
+    ``channels``, the stream is that one segment: a missing Channel becomes
+    empty, a channel whose times decrease is sorted, and any other key is
+    refused.  Otherwise ``source()`` starts a new generator of the segments,
+    such as ``run``'s draw or a reader's record blocks, which may return the
+    run's _Counters.  ``duration`` spans the pulses: every herald lies below
+    it, while HBT tags lag their pulse by the signal delay and may lie up to
+    that delay past it.
     """
 
-    def __init__(self, channels: dict | None, duration: int, draw=None):
+    def __init__(self, channels: dict | None, duration: int, source=None):
         if channels is not None:
             if set(channels).difference(Channel):
                 raise ParameterError(f"TagStream channels must be Channel members, got {list(channels)}")
@@ -271,46 +270,43 @@ class TagStream:
             for ch, times in channels.items():
                 if np.any(times[1:] < times[:-1]):
                     channels[ch] = np.sort(times)
-        self._channels = channels
+            source = functools.partial(iter, [channels])
         self.duration = duration
-        # draw() starts a generator of the run's segments that returns its _Counters
-        self._draw_segments = draw
-        self._counters = None
-
-    @classmethod
-    def _of_sorted(cls, channels: dict, duration: int) -> TagStream:
-        """A stream of int64 arrays, one per Channel member, that are known to be sorted, taken as they are."""
-        stream = cls(None, duration)
-        stream._channels = channels
-        return stream
-
-    def _draw(self):
-        self._counters = yield from self._draw_segments()
+        self._source = source
+        self._ended = None  # (counts, counters) of the last replay taken to its end
 
     @property
     def channels(self) -> dict:
-        if self._channels is None:
-            segments = list(self._draw())
-            self._channels = {ch: np.concatenate([segment[ch] for segment in segments]) for ch in Channel}
-        return self._channels
+        """Every tag, joined into one array per channel from a new replay."""
+        segments = [dict.fromkeys(Channel, np.empty(0, dtype=np.int64))] + list(self.segments())
+        return {ch: np.concatenate([segment[ch] for segment in segments]) for ch in Channel}
 
     def segments(self):
-        """The tags as per-channel dicts over disjoint spans of time, in time order."""
-        if self._channels is None:
-            return self._draw()
-        return iter([self._channels])
-
-    def counters(self) -> _Counters:
-        """The run's counters, from a draw that has finished or, dropping its segments, from a new one."""
-        if self._counters is None:
-            for _ in self._draw():
-                pass
-        return self._counters
+        """The segments in time order, from a new replay of the source."""
+        counts = dict.fromkeys(Channel, 0)
+        replay = self._source()
+        while True:
+            try:
+                segment = next(replay)
+            except StopIteration as end:
+                self._ended = counts, end.value
+                return
+            for ch in Channel:
+                counts[ch] += segment[ch].size
+            yield segment
+            del segment  # let go of it before the next one is drawn
 
     def counts(self) -> dict:
-        if self._channels is None:
-            return dict(self.counters().channel_counts)
-        return {ch: int(arr.size) for ch, arr in self._channels.items()}
+        """Tags per channel, from the last replay taken to its end or, dropping its segments, a new one."""
+        if self._ended is None:
+            for _ in self.segments():
+                pass
+        return dict(self._ended[0])
+
+    def counters(self) -> _Counters | None:
+        """The run's counters, from the replay ``counts()`` reads; None for a stream that is not a run."""
+        self.counts()
+        return self._ended[1]
 
 
 class _Counters(NamedTuple):
@@ -319,7 +315,6 @@ class _Counters(NamedTuple):
     click_counts: np.ndarray
     heralds_accepted: int
     heralds_emitted: int
-    channel_counts: dict
 
 
 def _counter(name: str):
@@ -336,7 +331,7 @@ class RunSummary:
     n_pulses = property(lambda self: self.config.n_pulses)
     seed = property(lambda self: self.config.seed)
     duration = property(lambda self: self.config.duration)
-    channel_counts = _counter("channel_counts")
+    channel_counts = property(lambda self: self._stream.counts())
     click_counts = _counter("click_counts")  # pulses per idler click outcome 0..n_pixels
     heralds_accepted = _counter("heralds_accepted")  # pulses whose click outcome is in the selection
     heralds_emitted = _counter("heralds_emitted")  # trigger tags after the retrigger policy
@@ -801,7 +796,6 @@ def _segments(config: ExperimentConfig, table: _Outcomes, threads: int, batch_si
     waiting = (empty, np.empty(0, dtype=np.int32))  # arrivals and their outcome entries
     click_counts = np.zeros(config.n_pixels + 1, dtype=np.int64)
     accepted = emitted = 0
-    channel_counts = dict.fromkeys(Channel, 0)
 
     batches = _batches(config, table, threads, batch_size, n_batches)
     for index in range(n_batches):
@@ -847,8 +841,6 @@ def _segments(config: ExperimentConfig, table: _Outcomes, threads: int, batch_si
         for ch, tags, dark in zip(hbt, zip(*picked), darks):
             segment[ch] = _with_darks(np.concatenate(tags), dark)
         del picked, tags, dark
-        for ch in Channel:
-            channel_counts[ch] += segment[ch].size
         yield segment
         del segment, heralds, darks
 
@@ -860,7 +852,7 @@ def _segments(config: ExperimentConfig, table: _Outcomes, threads: int, batch_si
             reach_cut = (cut - latency - gate_length) // rep
             kept_tail = kept_tail[np.searchsorted(kept_tail, reach_cut, side="right") :].copy()
             del new_starts, new_ends
-    return _Counters(click_counts, accepted, emitted, channel_counts)
+    return _Counters(click_counts, accepted, emitted)
 
 
 def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BATCH_SIZE):

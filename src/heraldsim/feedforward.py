@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector_model import DetectionMatrix
+from .detector_model import _MAX_ENTRIES, DetectionMatrix
 from .errors import EmptyEnsembleError, InconsistentRatesError, ParameterError
 from .photon_stats import FAMILIES, PhotonNumberDistribution, as_distribution, g2_zero
 
@@ -52,6 +52,8 @@ class HeraldSelection:
 
     @classmethod
     def at_least(cls, k: int, n_pixels: int) -> "HeraldSelection":
+        if n_pixels >= _MAX_ENTRIES:  # no detection matrix holds that many click counts
+            raise ParameterError(f"{n_pixels} pixels give more click counts than a detection matrix can hold")
         return cls(frozenset(range(k, n_pixels + 1)), label=f"{k}+")
 
     @classmethod

@@ -247,14 +247,15 @@ def test_criterion_5_suppression_ratio_and_peak_ordering():
             herald_selection=HeraldSelection.at_least(1, 4),
         )
         stream, _ = run(config, threads=4)
+        channels = stream.channels
         # post-select triggers with no neighbour inside the analysis span so
         # no foreign gate contaminates the closed peaks of the histogram
-        heralds = isolated_times(stream.channels[Channel.HERALD_TRIGGER], 16 * REP)
+        heralds = isolated_times(channels[Channel.HERALD_TRIGGER], 16 * REP)
         isolated = TagStream(
             channels={
                 Channel.HERALD_TRIGGER: heralds,
-                Channel.HBT_A: stream.channels[Channel.HBT_A],
-                Channel.HBT_B: stream.channels[Channel.HBT_B],
+                Channel.HBT_A: channels[Channel.HBT_A],
+                Channel.HBT_B: channels[Channel.HBT_B],
             },
             duration=stream.duration,
         )

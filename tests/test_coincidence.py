@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heraldsim import (
@@ -28,6 +28,9 @@ from heraldsim import (
 )
 from heraldsim import coincidence
 from heraldsim.coincidence import DEFAULT_BIN_WIDTH, DEFAULT_PEAK_HALFWIDTH, DEFAULT_RANGE
+from whole_channel import correlate_times as whole_correlate_times
+from whole_channel import cut_stream
+from whole_channel import heralded_coincidence_counts as whole_heralded_counts
 
 REP = 12_500
 
@@ -535,13 +538,19 @@ class TestPeakWindows:
 sorted_times = st.lists(st.integers(-200, 200), max_size=60).map(lambda v: np.asarray(sorted(v), dtype=np.int64))
 
 
+def correlate_times(a, b, bin_width, range_ps):
+    """correlate's counts for HBT-A tags ``a`` and HBT-B tags ``b``."""
+    stream = make_stream(hbt_a=a, hbt_b=b)
+    return correlate(stream, (Channel.HBT_A, Channel.HBT_B), bin_width, range_ps).counts
+
+
 class TestPairBudget:
     @given(sorted_times, sorted_times, st.integers(1, 8), st.integers(1, 80))
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, a, b, bin_width, half_range):
         range_ps = bin_width * half_range
         np.testing.assert_array_equal(
-            coincidence._correlate_times(a, b, bin_width, range_ps),
+            correlate_times(a, b, bin_width, range_ps),
             reference_correlate_times(a, b, bin_width, range_ps),
         )
 
@@ -554,7 +563,7 @@ class TestPairBudget:
         with mock.patch.object(coincidence, "_PAIR_BUDGET", budget), mock.patch.object(
             coincidence, "_TAG_BLOCK", block
         ):
-            counts = coincidence._correlate_times(a, b, bin_width, range_ps)
+            counts = correlate_times(a, b, bin_width, range_ps)
         np.testing.assert_array_equal(counts, reference_correlate_times(a, b, bin_width, range_ps))
 
     def test_peak_memory_bounded_at_wide_range(self):
@@ -571,3 +580,78 @@ class TestPairBudget:
             tracemalloc.stop()
         assert hist.counts.sum() > 10 * coincidence._PAIR_BUDGET
         assert peak < 16 * 2**20
+
+
+def cut_lists(lo, hi):
+    """Cuts for ``cut_stream`` at times in [lo, hi], repeats allowed."""
+    return st.lists(st.tuples(st.integers(lo, hi), st.tuples(*[st.integers(0, 3)] * len(Channel))), max_size=8)
+
+
+def times_span(stream):
+    tops = [times for times in stream.channels.values() if times.size]
+    return (int(min(t[0] for t in tops)) - 2, int(max(t[-1] for t in tops)) + 2) if tops else (0, 1)
+
+
+@st.composite
+def cut_correlate_cases(draw):
+    stream = make_stream(herald=draw(sorted_times), hbt_a=draw(sorted_times), hbt_b=draw(sorted_times))
+    bin_width = draw(st.integers(1, 8))
+    range_ps = bin_width * draw(st.integers(1, 80))
+    return stream, draw(cut_lists(*times_span(stream))), bin_width, range_ps
+
+
+@st.composite
+def cut_grid_cases(draw):
+    stream, config, binning = draw(grid_cases())
+    return stream, config, binning, draw(cut_lists(*times_span(stream)))
+
+
+NO_TIES = (0, 0, 0)
+
+
+class TestSegmentWalk:
+    """The walk over a stream's segments against the whole-channel analyses, over any cuts of the stream."""
+
+    # a repeated cut leaves an empty segment; at 10 the herald and HBT-B tags
+    # end one segment and the HBT-A tag begins the next; the cut at 6 falls
+    # inside the window of the HBT-A tag at 0, between its partners 5 and 12
+    @example(case=(make_stream(herald=[10], hbt_a=[0, 10], hbt_b=[5, 10, 12]),
+                   [(6, NO_TIES), (6, NO_TIES), (10, (1, 0, 1))], 1, 8), block=1)
+    @example(case=(make_stream(hbt_a=[3, 3, 3], hbt_b=[3, 3]), [(3, (0, 1, 1)), (3, (0, 2, 2))], 2, 4), block=2)
+    @given(case=cut_correlate_cases(), block=st.sampled_from([1, 2, 3, 1 << 16]))
+    @settings(max_examples=300, deadline=None)
+    def test_correlate_matches_whole_channels(self, case, block):
+        stream, cuts, bin_width, range_ps = case
+        pair = (Channel.HBT_A, Channel.HBT_B)
+        with mock.patch.object(coincidence, "_TAG_BLOCK", block):
+            hist = correlate(cut_stream(stream, cuts), pair, bin_width, range_ps)
+        channels = stream.channels
+        expected = whole_correlate_times(channels[Channel.HBT_A], channels[Channel.HBT_B], bin_width, range_ps)
+        np.testing.assert_array_equal(hist.counts, expected)
+        assert hist.total_singles == (channels[Channel.HBT_A].size, channels[Channel.HBT_B].size)
+
+    # the B windows of the herald at REP reach from -62.5 to 137.5 ns, and the
+    # cuts at 30 and 60 ns fall inside them, one of them between two B tags
+    @example(case=(make_stream(herald=[0, REP], hbt_a=[25_000, 37_500], hbt_b=[12_500, 37_500, 45_000, 75_000]),
+                   reference_config(), (DEFAULT_BIN_WIDTH, DEFAULT_RANGE, DEFAULT_PEAK_HALFWIDTH),
+                   [(30_000, NO_TIES), (37_500, (1, 0, 1)), (60_000, NO_TIES)]), block=1, span=1)
+    @given(case=cut_grid_cases(), block=st.sampled_from([1, 2, 1 << 16]), span=st.sampled_from([1, 3, 1 << 18]))
+    @settings(max_examples=300, deadline=None)
+    def test_heralded_counts_match_whole_channels(self, case, block, span):
+        stream, config, binning, cuts = case
+        with mock.patch.object(coincidence, "_TAG_BLOCK", block), mock.patch.object(coincidence, "_SLOT_SPAN", span):
+            counts = heralded_coincidence_counts(cut_stream(stream, cuts), config, *binning)
+        assert counts == whole_heralded_counts(stream, config, *binning)
+
+    def test_simulated_run_matches_whole_channels(self):
+        # a run's segments end at its batch edges
+        cfg = reference_config(mean_pairs_per_pulse=0.5, n_pulses=60_000, seed=8, dark_rate=1e6,
+                               herald_selection=HeraldSelection.exactly(1))
+        stream, _ = run(cfg, batch_size=7_000)
+        channels = stream.channels
+        for pair in ((Channel.HERALD_TRIGGER, Channel.HBT_A), (Channel.HBT_B, Channel.HBT_A)):
+            np.testing.assert_array_equal(correlate(stream, pair).counts,
+                                          whole_correlate_times(channels[pair[0]], channels[pair[1]],
+                                                                DEFAULT_BIN_WIDTH, DEFAULT_RANGE))
+        binning = (DEFAULT_BIN_WIDTH, DEFAULT_RANGE, DEFAULT_PEAK_HALFWIDTH)
+        assert heralded_coincidence_counts(stream, cfg, *binning) == whole_heralded_counts(stream, cfg, *binning)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -192,6 +194,21 @@ class TestHeraldSelection:
         assert HeraldSelection.parse("1,2", 4).accepted_clicks == frozenset({1, 2})
         assert HeraldSelection.parse("3+", 4).accepted_clicks == frozenset({3, 4})
         assert HeraldSelection.parse("any", 4).accepted_clicks == frozenset({1, 2, 3, 4})
+
+    @pytest.mark.parametrize("text, pixels", [("any", 10**8), ("2+", 10**8), ("any", 2**63)])
+    def test_pixel_count_checked_before_the_set(self, text, pixels):
+        # `k+` lists every click count from k to the pixel count, which at
+        # 1e8 pixels takes gigabytes; the child caps its own address space,
+        # so such a list fails as a MemoryError rather than exhausting the host
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "from heraldsim import HeraldSelection, ParameterError\n"
+                 "try:\n"
+                 f"    HeraldSelection.parse({text!r}, {pixels})\n"
+                 "except ParameterError as exc:\n"
+                 "    sys.exit(f'refused: {exc}')\n")
+        result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+        assert result.stderr.strip() == f"refused: {pixels} pixels give more click counts than a detection matrix can hold"
 
     def test_composite_selection(self):
         # "more than 1 click AND NOT 2 clicks" on a 4-pixel device

@@ -1,12 +1,14 @@
 import io
+import os
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heraldsim import Channel, ExperimentConfig, FormatError, HeraldSelection, ParameterError, TagStream, run
+from heraldsim import (Channel, ExperimentConfig, FormatError, HeraldSelection, ParameterError, TagStream, correlate,
+                       heralded_g2, run)
 from heraldsim import tagio
 from heraldsim.event_sim import CHANNEL_NAMES, CHANNELS_BY_NAME
 
@@ -65,7 +67,7 @@ def _loadtxt_bad_row_error(path, cause):
 
 def reference_stream_from(path, codes, times, duration):
     """The channel split by one stable argsort of the channel ids, which the
-    readers' shared block split replaces."""
+    readers' per-block split replaces."""
     counts = np.bincount(codes, minlength=len(Channel))
     unknown = np.nonzero(counts[len(Channel) :])[0] + len(Channel)
     if unknown.size:
@@ -189,8 +191,7 @@ def whole_file_read_csv(path, duration=None):
         times[i] = int(value)
     if empty.any():
         codes, times = codes[~empty], times[~empty]
-    counts = np.array([np.count_nonzero(codes == ch) for ch in Channel])
-    return tagio._split(path, counts, [(codes, times)], duration)
+    return reference_stream_from(path, codes, times, duration)
 
 
 def reference_read_binary(path, duration=None):
@@ -904,6 +905,68 @@ def test_block_reader_round_trip(tmp_path_factory, stream, block, given_duration
     if not isinstance(expected[0], type):
         for ch in Channel:
             assert sorted(expected[1][int(ch)]) == sorted(stream.channels[ch].tolist())
+
+
+# a time shared by the herald and HBT-A channels on both sides of the edge
+# after record 2, and an empty HBT-B channel
+@example(stream=stream_of({Channel.HERALD_TRIGGER: [5, 10], Channel.HBT_A: [10, 10]}), block=2)
+@example(stream=stream_of({}), block=1)
+@given(stream=st.one_of(tag_streams, tied_streams), block=st.integers(1, 7))
+@settings(max_examples=200, deadline=None)
+def test_binary_segments_are_the_record_blocks(tmp_path_factory, stream, block):
+    path = tmp_path_factory.mktemp("segments") / "tags.bin"
+    tagio.write_binary(stream, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tagio, "_READ_BLOCK", block)
+        segments = list(tagio.read_binary(path).segments())
+    records = np.fromfile(path, dtype=tagio.RECORD_DTYPE, offset=tagio.HEADER_SIZE)
+    codes, times = records["channel"], records["timestamp"].view(np.int64)
+    assert len(segments) == -(-records.size // block)
+    for lo, segment in zip(range(0, records.size, block), segments):
+        for ch in Channel:
+            np.testing.assert_array_equal(segment[ch], times[lo : lo + block][codes[lo : lo + block] == ch])
+    joined = {ch: np.concatenate([np.empty(0, dtype=np.int64)] + [segment[ch] for segment in segments]) for ch in Channel}
+    for ch in Channel:
+        assert joined[ch].dtype == np.int64
+        np.testing.assert_array_equal(joined[ch], times[codes == ch])
+
+
+@pytest.mark.parametrize("change", ["size", "mtime"])
+def test_binary_file_changed_before_a_replay(tmp_path, change):
+    path = tmp_path / "tags.bin"
+    tagio.write_binary(stream_of({Channel.HERALD_TRIGGER: [0, 12_500], Channel.HBT_A: [25_000]}), path)
+    stream = tagio.read_binary(path)
+    assert stream.counts()[Channel.HERALD_TRIGGER] == 2
+    if change == "size":
+        with open(path, "ab") as fh:
+            fh.write(bytes(tagio.RECORD_DTYPE.itemsize))
+    else:
+        info = path.stat()
+        os.utime(path, ns=(info.st_atime_ns, info.st_mtime_ns + 1_000_000_000))
+    with pytest.raises(FormatError, match="tags.bin: the file changed after it was read"):
+        stream.channels
+
+
+def test_correlate_holds_one_block_of_a_binary_file(tmp_path):
+    import tracemalloc
+
+    cfg = ExperimentConfig(mean_pairs_per_pulse=0.5, n_pulses=2_000_000, seed=3,
+                           herald_selection=HeraldSelection.exactly(1))
+    path = tmp_path / "dense.tags"
+    tagio.write_binary(run(cfg)[0], path)
+    tracemalloc.start()
+    try:
+        stream = tagio.read_binary(path)
+        correlate(stream, (Channel.HERALD_TRIGGER, Channel.HBT_A))
+        heralded_g2(stream, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    decoded = sum(stream.counts().values()) * 8
+    assert decoded > 10e6
+    # a block of records and its split, the pair gathers and the per-slot
+    # buffers, whatever the run's length
+    assert peak <= 8 * 2**20
 
 
 def _faulted_file(path, n, fault, at):
