@@ -18,8 +18,8 @@ takes the sections and keys of ``event_sim.CONFIG_KEYS``, and its manifest's
 manifest's ``seed``.
 
 Parameter ranges, integer ones included, are checked by the library, whose
-``ParameterError`` ends the command with exit code 2.  A config file that
-``configparser`` or UTF-8 decoding refuses ends it the same way.
+errors end the command with exit code 2, as does a config file that
+``configparser`` or UTF-8 decoding refuses; its values are read as written.
 
 Durations accept ``ps`` and ``ns`` suffixes (bare numbers are picoseconds).
 """
@@ -42,14 +42,8 @@ from .coincidence import (DEFAULT_BIN_WIDTH, DEFAULT_PEAK_HALFWIDTH, DEFAULT_RAN
                           correlate, g2_tau, integrate_peaks, write_histogram_csv, write_peaks_csv)
 from .detector_model import (REFERENCE_CROSSTALK, REFERENCE_N_PIXELS, REFERENCE_TRANSMISSION, detection_matrix,
                              write_matrix_csv)
-from .discriminator import AmplitudeModel, threshold_sweep, write_surface_csv
-from .errors import (
-    EmptyEnsembleError,
-    FormatError,
-    InconsistentRatesError,
-    ParameterError,
-    UndefinedStatisticError,
-)
+from .discriminator import _MAX_SURFACE, AmplitudeModel, threshold_sweep, write_surface_csv
+from .errors import HeraldsimError, ParameterError
 from .event_sim import CHANNELS_BY_NAME, CONFIG_KEYS, Channel, ExperimentConfig, _check_pixels, run
 from .feedforward import (DEFAULT_MEAN_GRID_POINTS, DEFAULT_MEAN_GRID_RANGE, HeraldSelection, default_mean_grid,
                           g2_sweep, write_sweep_csv)
@@ -110,10 +104,6 @@ def _write_manifest(primary_out: str, command: str, config: dict, outputs: dict,
         fh.write("\n")
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 # ----------------------------------------------------------------------
 # simulate: config file handling
 
@@ -132,7 +122,7 @@ def _selection(text: str, kwargs: dict) -> HeraldSelection:
 
 def load_config_file(path: str) -> dict:
     """Read the flat sectioned key-value config file into constructor kwargs."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         if not parser.read(path, encoding="utf-8"):
             raise ParameterError(f"cannot read config file {path!r}")
@@ -208,7 +198,7 @@ def _cmd_simulate(args, out: str) -> tuple[dict, dict]:
     if missing:
         raise ParameterError(f"missing required simulate parameters: {', '.join(missing)}")
     config = ExperimentConfig(**kwargs)
-    threads = args.threads if args.threads is not None else _default_threads()
+    threads = args.threads if args.threads is not None else os.cpu_count() or 1
     stream, summary = run(config, threads=threads)
     digest = write_csv(stream, out) if out.endswith(".csv") else write_binary(stream, out)
     summary_path = out + ".summary.txt"
@@ -248,6 +238,8 @@ def _threshold_grid(args, name: str) -> np.ndarray:
     lo, hi, steps = (getattr(args, f"{name}_{end}") for end in ("min", "max", "steps"))
     if steps < 1:
         raise ParameterError(f"--{name}-steps must be >= 1, got {steps}")
+    if steps > _MAX_SURFACE:  # a longer grid makes a larger surface than threshold_sweep takes
+        raise ParameterError(f"--{name}-steps must be <= {_MAX_SURFACE}, got {steps}")
     if lo is None and hi is None:
         return np.asarray([np.inf])
     for end, value, other in (("min", lo, "max"), ("max", hi, "min")):
@@ -352,16 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CLI_ERRORS = (
-    ParameterError,
-    FormatError,
-    EmptyEnsembleError,
-    UndefinedStatisticError,
-    InconsistentRatesError,
-    OSError,
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -369,7 +351,7 @@ def main(argv=None) -> int:
     try:
         config, outputs = args.func(args, args.out)
         _write_manifest(args.out, args.command, config, outputs, started)
-    except _CLI_ERRORS as exc:
+    except (HeraldsimError, OSError) as exc:
         print(f"heraldsim {args.command}: error: {exc}", file=sys.stderr)
         return 2
     return 0

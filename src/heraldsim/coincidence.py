@@ -102,10 +102,6 @@ class CoincidenceHistogram:
     def bin_centers(self) -> np.ndarray:
         return -self.range_ps + (np.arange(self.n_bins) + 0.5) * self.bin_width
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.duration * 1e-12
-
 
 def _check_binning(bin_width: int, range_ps: int) -> None:
     if bin_width <= 0 or range_ps <= 0:
@@ -265,7 +261,7 @@ def g2_tau(hist: CoincidenceHistogram, rep_period: int, peak_halfwidth: int = DE
         raise UndefinedStatisticError("g2 is undefined with zero singles on a channel")
     if hist.duration <= 0:
         raise ParameterError("histogram carries no acquisition duration")
-    norm = 1e12 / rep_period * hist.duration_seconds / (c_a * c_b)
+    norm = 1e12 / rep_period * (hist.duration * 1e-12) / (c_a * c_b)
     return [(k, counts * norm) for k, counts in integrate_peaks(hist, rep_period, peak_halfwidth)]
 
 

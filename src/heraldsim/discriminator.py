@@ -33,6 +33,10 @@ PLATEAU_REL_FLATNESS = 1e-3
 PLATEAU_MIN_RUN = 3
 PLATEAU_LEVEL_FLOOR = 1e-6
 
+#: Most threshold pairs a surface may hold: 8 MiB of rates, and a sweep takes
+#: a few times that in temporaries.
+_MAX_SURFACE = 1 << 20
+
 
 @dataclass(frozen=True)
 class AmplitudeModel:
@@ -63,7 +67,8 @@ def _at_least(thresholds, level: float, sigma: float) -> np.ndarray:
     thresholds = np.asarray(thresholds, dtype=float)
     if sigma == 0.0:
         return (level >= thresholds).astype(float)
-    return np.array([0.5 * math.erfc((t - level) / (sigma * math.sqrt(2.0))) for t in thresholds])
+    # Python floats overflow to an infinite z without a warning, and erfc takes it
+    return np.array([0.5 * math.erfc((t - level) / (sigma * math.sqrt(2.0))) for t in thresholds.tolist()])
 
 
 def click_number_rates(source, det: DetectionMatrix) -> np.ndarray:
@@ -88,6 +93,8 @@ def threshold_sweep(source, det: DetectionMatrix, model: AmplitudeModel, rep_rat
     high_grid = np.asarray(high_grid, dtype=float)
     if low_grid.ndim != 1 or high_grid.ndim != 1 or low_grid.size == 0 or high_grid.size == 0:
         raise ParameterError("threshold grids must be non-empty 1-D vectors")
+    if low_grid.size * high_grid.size > _MAX_SURFACE:
+        raise ParameterError(f"a surface of {low_grid.size} x {high_grid.size} thresholds exceeds {_MAX_SURFACE}")
     if np.isnan(low_grid).any() or np.isnan(high_grid).any():
         raise ParameterError("threshold grids must not hold NaN")
     if np.any(np.diff(low_grid) < 0) or np.any(np.diff(high_grid) < 0):

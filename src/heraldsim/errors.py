@@ -1,11 +1,15 @@
 """Exception types shared across the package.
 
-All of them subclass ValueError so callers that do not care about the
-distinction can catch a single type.
+All of them subclass HeraldsimError, a ValueError, so one type catches them
+all; the command line reports each of them with exit code 2.
 """
 
 
-class ParameterError(ValueError):
+class HeraldsimError(ValueError):
+    """An error of this package's own."""
+
+
+class ParameterError(HeraldsimError):
     """A parameter is outside its physical or numerical domain."""
 
 
@@ -21,17 +25,17 @@ class TruncationError(ParameterError):
         self.required_n_max = required_n_max
 
 
-class UndefinedStatisticError(ValueError):
+class UndefinedStatisticError(HeraldsimError):
     """A statistic is mathematically undefined for the given input."""
 
 
-class EmptyEnsembleError(ValueError):
+class EmptyEnsembleError(HeraldsimError):
     """Conditioning or normalization was attempted on zero probability mass."""
 
 
-class InconsistentRatesError(ValueError):
+class InconsistentRatesError(HeraldsimError):
     """Observed count rates contradict the assumed detector model."""
 
 
-class FormatError(ValueError):
+class FormatError(HeraldsimError):
     """A time-tag file does not match the documented wire format."""

@@ -88,8 +88,9 @@ _RETRIGGER_BLOCK = 1 << 16
 #: blocks, numpy 2.4), and the counts take 8 bytes per pulse.
 _GRID_SPAN = 6
 
-#: Largest mean ``Generator.poisson`` draws: the int64 range less a 10-sigma margin.
-_POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+#: Most dark counts a batch may expect at one HBT channel: their times take
+#: 32 MB, and the Poisson mean stays far inside the int64 range.
+_DARK_BUDGET = 1 << 22
 
 #: Most entries the table of pulse outcomes may hold; each costs about 30
 #: bytes.  Thermal mu = 128 with 16 pixels takes about 4e5.
@@ -248,6 +249,18 @@ class ExperimentConfig:
         return values
 
 
+def _falling_channels(segments) -> set:
+    """The channels whose times decrease within or across these segments, taken in turn."""
+    last, falling = {}, set()
+    for segment in segments:
+        for ch, times in segment.items():
+            if times.size:
+                if times[0] < last.get(ch, times[0]) or np.any(times[1:] < times[:-1]):
+                    falling.add(ch)
+                last[ch] = times[-1]
+    return falling
+
+
 class TagStream:
     """A replayable source of time tags, handed out in segments.
 
@@ -267,9 +280,8 @@ class TagStream:
             if set(channels).difference(Channel):
                 raise ParameterError(f"TagStream channels must be Channel members, got {list(channels)}")
             channels = {ch: np.asarray(channels.get(ch, ()), dtype=np.int64) for ch in Channel}
-            for ch, times in channels.items():
-                if np.any(times[1:] < times[:-1]):
-                    channels[ch] = np.sort(times)
+            for ch in _falling_channels([channels]):
+                channels[ch] = np.sort(channels[ch])
             source = functools.partial(iter, [channels])
         self.duration = duration
         self._source = source
@@ -277,7 +289,7 @@ class TagStream:
 
     @property
     def channels(self) -> dict:
-        """Every tag, joined into one array per channel from a new replay."""
+        """Every tag in one array per channel from a new replay: the one join, for tests and the benchmark only."""
         segments = [dict.fromkeys(Channel, np.empty(0, dtype=np.int64))] + list(self.segments())
         return {ch: np.concatenate([segment[ch] for segment in segments]) for ch in Channel}
 
@@ -875,8 +887,8 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
     horizon = config.duration + delay + config.latency + config.gate_length
     if horizon >= 2**63:
         raise ParameterError("timestamp range overflows 64-bit picoseconds; reduce n_pulses")
-    if config.dark_rate * (min(batch_size, config.n_pulses) * config.rep_period) * 1e-12 > _POISSON_MAX_MEAN:
-        raise ParameterError(f"dark_rate {config.dark_rate!r} gives more dark counts per batch than can be drawn")
+    if config.dark_rate * (min(batch_size, config.n_pulses) * config.rep_period) * 1e-12 > _DARK_BUDGET:
+        raise ParameterError(f"dark_rate {config.dark_rate!r} gives more dark counts per batch than {_DARK_BUDGET}")
     n_max = max(1, required_n_max(config.mean_pairs_per_pulse, config.source_family))
     if n_max * (config.n_pixels + 1) * 9 > _TABLE_BUDGET:
         raise ParameterError(f"mean_pairs_per_pulse {config.mean_pairs_per_pulse!r} expects more than "

@@ -27,6 +27,10 @@ from .photon_stats import FAMILIES, PhotonNumberDistribution, as_distribution, g
 #: Default sweep grid for heralded g2(0) vs source brightness.
 DEFAULT_MEAN_GRID_POINTS = 30
 DEFAULT_MEAN_GRID_RANGE = (1e-4, 1.0)
+#: Most points a sweep grid may hold: each takes about 80 us and 140 bytes of results.
+_MAX_GRID_POINTS = 1 << 16
+#: Most click counts a ``k+`` selection may list: each takes about 60 bytes of set.
+_MAX_LISTED = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,8 @@ class HeraldSelection:
     def at_least(cls, k: int, n_pixels: int) -> "HeraldSelection":
         if n_pixels >= _MAX_ENTRIES:  # no detection matrix holds that many click counts
             raise ParameterError(f"{n_pixels} pixels give more click counts than a detection matrix can hold")
+        if n_pixels - k >= _MAX_LISTED:
+            raise ParameterError(f"'{k}+' lists more than {_MAX_LISTED} click counts of {n_pixels} pixels")
         return cls(frozenset(range(k, n_pixels + 1)), label=f"{k}+")
 
     @classmethod
@@ -114,8 +120,10 @@ def default_mean_grid(
     """Log-spaced grid of mean photon numbers for sweeps."""
     if n_points < 1:
         raise ParameterError(f"n_points must be >= 1, got {n_points}")
-    if not (0 < low < high):
-        raise ParameterError("grid bounds must satisfy 0 < low < high")
+    if n_points > _MAX_GRID_POINTS:
+        raise ParameterError(f"n_points must be <= {_MAX_GRID_POINTS}, got {n_points}")
+    if not (0 < low < high < float("inf")):
+        raise ParameterError("grid bounds must satisfy 0 < low < high, with high finite")
     return np.geomspace(low, high, n_points)
 
 

@@ -13,13 +13,14 @@ bytes it wrote.  The binary writer refuses a stream with a negative time,
 which the format cannot hold.
 
 The binary reader checks the whole file in one pass over fixed blocks of
-``_READ_BLOCK`` records in one reused buffer: it refuses non-zero reserved
-bytes, timestamps of 2**63 ps or more, which do not fit the signed 64-bit
-times of a TagStream, unknown channels, and records out of global time
-order.  The stream it returns holds no tags.  Each of its replays reads the
-file again and hands out every block as one segment, split into channels,
-so an analysis holds one block at a time; a file whose size or modification
-time changed since the check is refused then.
+``_READ_BLOCK`` records: it refuses non-zero reserved bytes, timestamps of
+2**63 ps or more, which do not fit the signed 64-bit times of a TagStream,
+unknown channels, and records out of global time order, naming a channel
+whose own times decrease if a replay finds one.  The stream it returns
+holds no tags.  Each of its replays reads the file again and hands out
+every block as one segment, split into channels, so an analysis holds one
+block at a time; a file whose size or modification time changed since the
+check is refused then.  The check and the replays share ``_record_blocks``.
 
 The CSV alternative is lossless: a ``channel,timestamp_ps`` header followed
 by one ``<name>,<signed decimal>`` row per record, in the same order, with
@@ -32,9 +33,10 @@ at a time and splits their rows into channels.  A CSV file may interleave
 channels out of global time order, so the reader joins each channel's
 pieces, and its stream is that one segment.
 
-Both readers reject a file in which a channel's timestamps decrease.
-Without a given duration, a stream read from a file lasts until one past
-its latest time.
+Both readers reject a channel whose times decrease, by the rule of
+``event_sim._falling_channels``, and neither joins a whole file: a
+TagStream's ``channels``, for tests and the benchmark, is the one join.
+Without a given duration, a stream lasts until one past its latest time.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import re
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .event_sim import CHANNEL_NAMES, CHANNELS_BY_NAME, Channel, TagStream
+from .event_sim import CHANNEL_NAMES, CHANNELS_BY_NAME, Channel, TagStream, _falling_channels
 
 MAGIC = b"HSIMTAGS"
 VERSION = 1
@@ -161,32 +163,32 @@ def write_binary(stream: TagStream, path) -> str:
     return out.digest.hexdigest()
 
 
-def _record_blocks(fh, block: np.ndarray, n_records: int):
-    """The file's records read into ``block`` a block at a time, each with the index of its first record."""
-    raw = block.view(np.uint8)
-    fh.seek(HEADER_SIZE)
-    for lo in range(0, n_records, block.size):
-        count = min(block.size, n_records - lo)
-        if fh.readinto(raw[: count * RECORD_DTYPE.itemsize]) != count * RECORD_DTYPE.itemsize:
-            raise FormatError(f"{fh.name}: truncated record payload")
-        yield lo, block[:count]
-
-
-def _replay(path, stamp: tuple, n_records: int, block_size: int):
-    """A new read of a checked binary file, handing out each block of records as a segment."""
+def _record_blocks(path, stamp: tuple, n_records: int, block_size: int):
+    """The records of a checked binary file, a block at a time in one reused buffer, with each block's first index."""
     block = np.empty(block_size, dtype=RECORD_DTYPE)
-    codes = np.empty(block_size, dtype=np.uint8)
-    times = np.empty(block_size, dtype=np.int64)
+    raw = block.view(np.uint8)
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
         if (st.st_size, st.st_mtime_ns) != stamp:
             raise FormatError(f"{path}: the file changed after it was read")
-        for _, records in _record_blocks(fh, block, n_records):
-            n = records.size
-            codes[:n] = records["channel"]
-            times[:n] = records["timestamp"].view(np.int64)
-            # np.compress takes a mask faster than indexing does
-            yield {ch: np.compress(codes[:n] == ch, times[:n]) for ch in Channel}
+        fh.seek(HEADER_SIZE)
+        for lo in range(0, n_records, block_size):
+            count = min(block_size, n_records - lo)
+            if fh.readinto(raw[: count * RECORD_DTYPE.itemsize]) != count * RECORD_DTYPE.itemsize:
+                raise FormatError(f"{path}: truncated record payload")
+            yield lo, block[:count]
+
+
+def _replay(path, stamp: tuple, n_records: int, block_size: int):
+    """A new read of a checked binary file, handing out each block of records as a segment."""
+    codes = np.empty(block_size, dtype=np.uint8)
+    times = np.empty(block_size, dtype=np.int64)
+    for _, records in _record_blocks(path, stamp, n_records, block_size):
+        n = records.size
+        codes[:n] = records["channel"]
+        times[:n] = records["timestamp"].view(np.int64)
+        # np.compress takes a mask faster than indexing does
+        yield {ch: np.compress(codes[:n] == ch, times[:n]) for ch in Channel}
 
 
 def _check_duration(path, duration: int | None, last_herald: int | None, last: int) -> int:
@@ -197,11 +199,11 @@ def _check_duration(path, duration: int | None, last_herald: int | None, last: i
     return last + 1 if duration is None else int(duration)
 
 
-def _check_order(path, channels: dict) -> None:
+def _check_order(path, segments) -> None:
     """Refuse a file in which a channel's times decrease, naming the first such channel by id."""
-    for ch, times in channels.items():
-        if np.any(times[1:] < times[:-1]):
-            raise FormatError(f"{path}: {CHANNEL_NAMES[ch]} timestamps are not in time order")
+    falling = _falling_channels(segments)
+    if falling:
+        raise FormatError(f"{path}: {CHANNEL_NAMES[min(falling)]} timestamps are not in time order")
 
 
 def read_binary(path, duration: int | None = None) -> TagStream:
@@ -216,46 +218,45 @@ def read_binary(path, duration: int | None = None) -> TagStream:
         if any(header[12:]):
             raise FormatError(f"{path}: reserved header word is not zero")
         st = os.fstat(fh.fileno())
-        stamp = (st.st_size, st.st_mtime_ns)
-        n_records, extra = divmod(st.st_size - HEADER_SIZE, RECORD_DTYPE.itemsize)
-        if extra:
-            raise FormatError(f"{path}: truncated record payload")
+    stamp = (st.st_size, st.st_mtime_ns)
+    n_records, extra = divmod(st.st_size - HEADER_SIZE, RECORD_DTYPE.itemsize)
+    if extra:
+        raise FormatError(f"{path}: truncated record payload")
 
-        block = np.empty(_READ_BLOCK, dtype=RECORD_DTYPE)
-        unknown = set()
-        bad_reserved = bad_time = bad_order = last_herald = None
-        before = -1  # the time of the record before the block
-        for lo, records in _record_blocks(fh, block, n_records):
-            # the first little-endian word of a record is channel | reserved << 8,
-            # so a valid record's word is its channel id
-            words = records.view("<u4")[::3]
-            top = int(words.max())
-            if bad_reserved is None and top > 0xFF:
-                bad_reserved = lo + int(np.argmax(words > 0xFF))
-            if top >= len(Channel):
-                codes = records["channel"]
-                unknown.update(np.unique(codes[codes >= len(Channel)]).tolist())
-            times = records["timestamp"].view(np.int64)  # 2**63 and above read as negative
-            if bad_time is None and times.min() < 0:
-                bad_time = lo + int(np.argmax(times < 0))
-            if bad_order is None:
-                earlier = np.flatnonzero(times < np.concatenate(([before], times[:-1])))
-                bad_order = lo + int(earlier[0]) if earlier.size else None
-            before = int(times[-1])
-            heralds = np.flatnonzero(words == Channel.HERALD_TRIGGER)
-            if heralds.size:
-                last_herald = int(times[heralds[-1]])
-        if bad_reserved is not None:
-            raise FormatError(f"{path}: record {bad_reserved} has non-zero reserved bytes")
-        if bad_time is not None:
-            raise FormatError(f"{path}: record {bad_time} has a timestamp of 2**63 ps or more")
-        if unknown:
-            raise FormatError(f"{path}: unknown channel ids {sorted(unknown)}")
-        replay = functools.partial(_replay, path, stamp, n_records, _READ_BLOCK)
-        if bad_order is not None:
-            # a file in time order has every channel in order; in any other, a
-            # channel whose own times decrease is named as such
-            _check_order(path, TagStream(None, 0, replay).channels)
+    unknown = set()
+    bad_reserved = bad_time = bad_order = last_herald = None
+    before = -1  # the time of the record before the block
+    for lo, records in _record_blocks(path, stamp, n_records, _READ_BLOCK):
+        # the first little-endian word of a record is channel | reserved << 8,
+        # so a valid record's word is its channel id
+        words = records.view("<u4")[::3]
+        top = int(words.max())
+        if bad_reserved is None and top > 0xFF:
+            bad_reserved = lo + int(np.argmax(words > 0xFF))
+        if top >= len(Channel):
+            codes = records["channel"]
+            unknown.update(np.unique(codes[codes >= len(Channel)]).tolist())
+        times = records["timestamp"].view(np.int64)  # 2**63 and above read as negative
+        if bad_time is None and times.min() < 0:
+            bad_time = lo + int(np.argmax(times < 0))
+        if bad_order is None:
+            earlier = np.flatnonzero(times < np.concatenate(([before], times[:-1])))
+            bad_order = lo + int(earlier[0]) if earlier.size else None
+        before = int(times[-1])
+        heralds = np.flatnonzero(words == Channel.HERALD_TRIGGER)
+        if heralds.size:
+            last_herald = int(times[heralds[-1]])
+    if bad_reserved is not None:
+        raise FormatError(f"{path}: record {bad_reserved} has non-zero reserved bytes")
+    if bad_time is not None:
+        raise FormatError(f"{path}: record {bad_time} has a timestamp of 2**63 ps or more")
+    if unknown:
+        raise FormatError(f"{path}: unknown channel ids {sorted(unknown)}")
+    replay = functools.partial(_replay, path, stamp, n_records, _READ_BLOCK)
+    if bad_order is not None:
+        # a file in time order has every channel in order; in any other, a
+        # channel whose own times decrease is named as such
+        _check_order(path, replay())
     # the heralds are in order, so the last in the file is the latest
     duration = _check_duration(path, duration, last_herald, before)
     if bad_order is not None:
@@ -448,6 +449,7 @@ def read_csv(path, duration: int | None = None) -> TagStream:
                 raise
             line += n_lines
             pieces.append({ch: np.compress(codes == ch, times) for ch in Channel})
+    _check_order(path, pieces)
     # the pieces are joined into one array, channel after channel: freeing one
     # large array, not one per channel, keeps glibc's mmap threshold above the
     # next read's block temporaries, which then reuse pages (about 10 % faster
@@ -455,7 +457,6 @@ def read_csv(path, duration: int | None = None) -> TagStream:
     parts = [[piece[ch] for piece in pieces] for ch in Channel]
     joined = np.concatenate([np.empty(0, dtype=np.int64)] + sum(parts, []))
     channels = dict(zip(Channel, np.split(joined, np.cumsum([sum(map(len, p)) for p in parts])[:-1])))
-    _check_order(path, channels)
     heralds = channels[Channel.HERALD_TRIGGER]
     last = max((int(times[-1]) for times in channels.values() if times.size), default=-1)
     duration = _check_duration(path, duration, int(heralds[-1]) if heralds.size else None, last)

@@ -25,6 +25,19 @@ def invoke_subprocess(*args):
     return subprocess.run([sys.executable, "-m", "heraldsim", *map(str, args)], capture_output=True, text=True)
 
 
+# A child that caps its own address space at 1 GiB before it runs the CLI, so
+# that an allocation that runs away fails as a MemoryError rather than
+# exhausting the host.
+CAPPED_CHILD = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from heraldsim.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+
+
+def invoke_capped(*args):
+    return subprocess.run([sys.executable, "-c", CAPPED_CHILD, *map(str, args)], capture_output=True, text=True)
+
+
 class TestParseDuration:
     def test_units(self):
         assert parse_duration("250ps") == 250
@@ -239,6 +252,13 @@ seed = 31415
         assert len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("value", ["5%", "%(seed)s"])
+    def test_percent_sign_read_as_written(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.CONFIG.replace("mean_pairs_per_pulse = 0.02", f"mean_pairs_per_pulse = {value}"))
+        assert invoke("simulate", "--config", cfg, "--out", tmp_path / "x.tags") == 2
+        assert f"{cfg}: bad value for [source] mean_pairs_per_pulse: {value!r}" in capsys.readouterr().err
+
     def test_mean_beyond_the_photon_budget_exit_code(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text(self.CONFIG.replace("mean_pairs_per_pulse = 0.02", "mean_pairs_per_pulse = 1e12")
@@ -253,19 +273,23 @@ seed = 31415
     @pytest.mark.parametrize("selection", ["any", "2+"])
     def test_pixel_count_checked_before_the_selection(self, tmp_path, pixels, selection):
         # `k+` lists every click count from k to the pixel count, which at
-        # 1e8 pixels takes gigabytes; the child caps its own address space,
-        # so such a list fails as a MemoryError rather than exhausting the host
+        # 1e8 pixels takes gigabytes
         cfg = tmp_path / "run.ini"
         cfg.write_text(self.CONFIG.replace("pixels = 4", f"pixels = {pixels}")
                        .replace("selection = 1", f"selection = {selection}"))
-        child = ("import resource, sys\n"
-                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-                 "from heraldsim.cli import main\n"
-                 "sys.exit(main(sys.argv[1:]))\n")
-        result = subprocess.run([sys.executable, "-c", child, "simulate", "--config", str(cfg),
-                                 "--out", str(tmp_path / "x.tags")], capture_output=True, text=True)
+        result = invoke_capped("simulate", "--config", cfg, "--out", tmp_path / "x.tags")
         assert result.returncode == 2, result.stderr
         assert "n_pixels must lie in 1..16" in result.stderr
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_dark_counts_checked_against_a_memory_budget(self, tmp_path):
+        # 1e14 counts per second over 1e5 pulses of 12.5 ns expect 1.25e11
+        # dark counts at each HBT channel, 931 GiB of times
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(self.CONFIG.replace("dark_rate = 100", "dark_rate = 1e14"))
+        result = invoke_capped("simulate", "--config", cfg, "--out", tmp_path / "x.tags")
+        assert result.returncode == 2, result.stderr
+        assert "dark_rate 100000000000000.0 gives more dark counts per batch" in result.stderr
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_perfect_extinction(self, tmp_path):
@@ -565,6 +589,24 @@ class TestThresholdsCommand:
 @pytest.mark.parametrize(
     "args, message",
     [
+        # 7.45 GiB of means, 7.45 GiB of thresholds and a 2.98 GiB surface
+        (("sweep", "--selection", "1", "--points", "1000000000"), "n_points must be <= 65536, got 1000000000"),
+        (("thresholds", "--low-steps", "1000000000"), "--low-steps must be <= 1048576, got 1000000000"),
+        (("thresholds", "--low-min", "0", "--low-max", "1", "--high-min", "0", "--high-max", "1",
+          "--low-steps", "20000", "--high-steps", "20000"),
+         "a surface of 20000 x 20000 thresholds exceeds 1048576"),
+    ],
+)
+def test_grid_size_checked_before_the_grid(tmp_path, args, message):
+    result = invoke_capped(*args, "--out", tmp_path / "x.csv")
+    assert result.returncode == 2, result.stderr
+    assert f"heraldsim {args[0]}: error: {message}" in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
         (("thresholds", "--rep-rate", "nan"), "rep_rate must be finite and > 0"),
         (("thresholds", "--rep-rate", "inf"), "rep_rate must be finite and > 0"),
         (("thresholds", "--noise-sigma", "nan"), "noise_sigma must be finite"),
@@ -580,6 +622,7 @@ class TestThresholdsCommand:
         (("simulate", "--mu", "0.1", "--pulses", "10", "--seed", "1", "--threads", "0"), "threads must be >= 1"),
         (("thresholds", "--low-steps", "-1"), "--low-steps must be >= 1, got -1"),
         (("thresholds", "--high-steps", "0"), "--high-steps must be >= 1, got 0"),
+        (("sweep", "--selection", "1", "--mu-max", "inf"), "grid bounds must satisfy 0 < low < high, with high finite"),
     ],
 )
 def test_non_finite_argument_exit_code(tmp_path, capsys, args, message):

@@ -53,6 +53,11 @@ class TestTriggerProbability:
         expected = stats.norm.sf(low, 2.0, 0.1)
         assert window_probability(2, low, math.inf, model) == pytest.approx(expected, rel=1e-12, abs=0)
 
+    def test_threshold_far_below_the_level(self):
+        # (t - level) / sigma overflows to -inf, and every pulse clears the threshold
+        model = AmplitudeModel(unit_amplitude=0.1, noise_sigma=0.005, baseline=1e308)
+        assert window_probability(1, -1e308, math.inf, model) == 1.0
+
     @pytest.mark.parametrize("field", ["unit_amplitude", "noise_sigma", "baseline"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_amplitude_model_rejected(self, field, value):

@@ -195,11 +195,11 @@ class TestHeraldSelection:
         assert HeraldSelection.parse("3+", 4).accepted_clicks == frozenset({3, 4})
         assert HeraldSelection.parse("any", 4).accepted_clicks == frozenset({1, 2, 3, 4})
 
-    @pytest.mark.parametrize("text, pixels", [("any", 10**8), ("2+", 10**8), ("any", 2**63)])
-    def test_pixel_count_checked_before_the_set(self, text, pixels):
-        # `k+` lists every click count from k to the pixel count, which at
-        # 1e8 pixels takes gigabytes; the child caps its own address space,
-        # so such a list fails as a MemoryError rather than exhausting the host
+    @staticmethod
+    def parse_refusal(text: str, pixels: int) -> str:
+        """What ``HeraldSelection.parse`` refuses, in a child that caps its own
+        address space, so that a list of gigabytes fails as a MemoryError
+        rather than exhausting the host."""
         child = ("import resource, sys\n"
                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
                  "from heraldsim import HeraldSelection, ParameterError\n"
@@ -207,8 +207,23 @@ class TestHeraldSelection:
                  f"    HeraldSelection.parse({text!r}, {pixels})\n"
                  "except ParameterError as exc:\n"
                  "    sys.exit(f'refused: {exc}')\n")
-        result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
-        assert result.stderr.strip() == f"refused: {pixels} pixels give more click counts than a detection matrix can hold"
+        return subprocess.run([sys.executable, "-c", child], capture_output=True, text=True).stderr.strip()
+
+    @pytest.mark.parametrize("text, pixels", [("any", 10**8), ("2+", 10**8), ("any", 2**63)])
+    def test_pixel_count_checked_before_the_set(self, text, pixels):
+        # `k+` lists every click count from k to the pixel count, which at
+        # 1e8 pixels takes gigabytes
+        assert self.parse_refusal(text, pixels) == \
+            f"refused: {pixels} pixels give more click counts than a detection matrix can hold"
+
+    @pytest.mark.parametrize("text, pixels, message", [
+        ("-100000000+", 4, "'-100000000+' lists more than 1048576 click counts of 4 pixels"),
+        ("any", 2**24 - 1, f"'1+' lists more than {2**20} click counts of {2**24 - 1} pixels"),
+    ])
+    def test_listed_click_counts_checked_before_the_set(self, text, pixels, message):
+        # 1e8 and 1.7e7 click counts, where a detection matrix of one row
+        # holds 2**24 - 1 pixels
+        assert self.parse_refusal(text, pixels) == f"refused: {message}"
 
     def test_composite_selection(self):
         # "more than 1 click AND NOT 2 clicks" on a 4-pixel device

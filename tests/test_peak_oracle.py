@@ -2,9 +2,10 @@
 
 The expectation comes from the per-pulse laws alone, not from any draw, so
 it checks the stitched histogram whatever the random stream.  Pulses are
-independent, and with ``retrigger = "extend"``, no dark counts and no gate
-ramp, the pair count of peak k holds the heralds of pulse p with an A click
-of pulse p + d, d = k - signal_delay / rep_period.  Let R be the pulse
+independent, and with ``retrigger = "extend"`` and no gate ramp, the pair
+count of peak k holds the heralds of pulse p with an A click of pulse
+p + d, d = k - signal_delay / rep_period, and the A dark counts in the
+window of the peak around each herald.  Let R be the pulse
 offsets whose arrival a herald's own gate covers.  Per pulse pair the count
 has the mean
 
@@ -16,7 +17,8 @@ has the mean
 
 with P(herald, A | gate) = sum_n p(n) P_sel(n) (1 - (1 - q)**n), P_sel from
 ``detection_matrix``, and q = q_a for an open gate and q_a * leakage for a
-closed one.
+closed one.  The dark counts add a flat background to every peak: the
+emitted heralds times ``dark_rate`` times the width of the peak window.
 """
 
 import math
@@ -34,6 +36,7 @@ from heraldsim import (
     poissonian,
     run,
 )
+from heraldsim.coincidence import DEFAULT_BIN_WIDTH, DEFAULT_PEAK_HALFWIDTH, DEFAULT_RANGE, _peak_window
 
 #: Largest |observed - expected| / sqrt(expected) a peak may show.  Over
 #: seeds 1 to 20 of the three configurations below, the largest of a seed's
@@ -42,8 +45,8 @@ from heraldsim import (
 Z_LIMIT = 5.0
 
 
-def expected_peaks(config: ExperimentConfig, offsets) -> dict:
-    """Expected pair count of each herald x HBT A peak offset."""
+def expected_peaks(config: ExperimentConfig, offsets, heralds: int) -> dict:
+    """Expected pair count of each herald x HBT A peak offset, given the number of emitted heralds."""
     rep = config.rep_period
     delay = config.resolved_signal_delay
     assert delay % rep == 0
@@ -66,12 +69,24 @@ def expected_peaks(config: ExperimentConfig, offsets) -> dict:
     w = (1.0 - p_h) ** (len(covered) - 1)
     (ha_open, a_open), (ha_closed, a_closed) = rates["open"], rates["closed"]
     mixture = ha_open + (1.0 - w) * (a_open - ha_open) + w * (a_closed - ha_closed)
+    lo, hi, _ = _peak_window(DEFAULT_BIN_WIDTH, DEFAULT_RANGE, rep, DEFAULT_PEAK_HALFWIDTH)
+    darks = heralds * config.dark_rate * (hi - lo) * 1e-12
     expected = {}
     for k in offsets:
         d = k - delay // rep
         per_pulse = ha_open if d == 0 else p_h * (a_open if d in covered else mixture)
-        expected[k] = (config.n_pulses - abs(d)) * per_pulse
+        expected[k] = (config.n_pulses - abs(d)) * per_pulse + darks
     return expected
+
+
+def assert_peaks_match(config: ExperimentConfig) -> None:
+    """Every herald x HBT A peak of a run of ``config`` lies within ``Z_LIMIT`` of its expected count."""
+    stream, summary = run(config, threads=1)
+    peaks = integrate_peaks(correlate(stream, (Channel.HERALD_TRIGGER, Channel.HBT_A)), config.rep_period)
+    expected = expected_peaks(config, [k for k, _ in peaks], summary.heralds_emitted)
+    assert len(peaks) == 15
+    z = {k: (count - expected[k]) / math.sqrt(expected[k]) for k, count in peaks}
+    assert max(map(abs, z.values())) < Z_LIMIT, {k: round(v, 2) for k, v in z.items()}
 
 
 @pytest.mark.parametrize(
@@ -81,11 +96,13 @@ def expected_peaks(config: ExperimentConfig, offsets) -> dict:
      (0.02, HeraldSelection.exactly(2), 20_000_000, 53)],
 )
 def test_every_peak_matches_the_per_pulse_laws(mu, selection, n_pulses, seed):
-    config = ExperimentConfig(mean_pairs_per_pulse=mu, n_pulses=n_pulses, seed=seed, herald_selection=selection,
-                              dark_rate=0.0)
-    stream, _ = run(config, threads=1)
-    peaks = integrate_peaks(correlate(stream, (Channel.HERALD_TRIGGER, Channel.HBT_A)), config.rep_period)
-    expected = expected_peaks(config, [k for k, _ in peaks])
-    assert len(peaks) == 15
-    z = {k: (count - expected[k]) / math.sqrt(expected[k]) for k, count in peaks}
-    assert max(map(abs, z.values())) < Z_LIMIT, {k: round(v, 2) for k, v in z.items()}
+    assert_peaks_match(ExperimentConfig(mean_pairs_per_pulse=mu, n_pulses=n_pulses, seed=seed,
+                                        herald_selection=selection, dark_rate=0.0))
+
+
+def test_dark_counts_add_a_flat_background():
+    # a 10 %-efficient HBT arm keeps the peaks low, so the darks add 8.1 to
+    # 12.7 standard deviations to each of them
+    assert_peaks_match(ExperimentConfig(mean_pairs_per_pulse=0.5, n_pulses=4_000_000, seed=54,
+                                        herald_selection=HeraldSelection.exactly(1), hbt_efficiency=0.1,
+                                        dark_rate=1e6))

@@ -969,6 +969,32 @@ def test_correlate_holds_one_block_of_a_binary_file(tmp_path):
     assert peak <= 8 * 2**20
 
 
+def test_refused_binary_file_holds_one_block(tmp_path):
+    import tracemalloc
+
+    cfg = ExperimentConfig(mean_pairs_per_pulse=0.5, n_pulses=2_000_000, seed=3,
+                           herald_selection=HeraldSelection.exactly(1))
+    path = tmp_path / "dense.tags"
+    tagio.write_binary(run(cfg)[0], path)
+    records = np.fromfile(path, dtype=tagio.RECORD_DTYPE, offset=tagio.HEADER_SIZE)
+    decoded = records.size * 8
+    # the last two HBT-A records swap times, so that channel's times fall near the file's end
+    swapped = np.flatnonzero(records["channel"] == Channel.HBT_A)[-2:]
+    records["timestamp"][swapped] = records["timestamp"][swapped[::-1]]
+    path.write_bytes(path.read_bytes()[: tagio.HEADER_SIZE] + records.tobytes())
+    del records
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="hbt_a timestamps are not in time order"):
+            tagio.read_binary(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decoded > 10e6
+    # the check pass and the replay that names the channel each hold one block
+    assert peak <= 8 * 2**20
+
+
 def _faulted_file(path, n, fault, at):
     """A valid file of n records with one fault at record ``at``."""
     records = np.zeros(n, dtype=tagio.RECORD_DTYPE)
