@@ -60,7 +60,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyEnsembleError, ParameterError, UndefinedStatisticError
-from .event_sim import CHANNEL_NAMES, Channel, ExperimentConfig, TagStream, _rank
+from .event_sim import CHANNEL_NAMES, EVENT_BUDGET, Channel, ExperimentConfig, TagStream, _rank
 
 DEFAULT_BIN_WIDTH = 250
 DEFAULT_RANGE = 100_000
@@ -68,7 +68,7 @@ DEFAULT_PEAK_HALFWIDTH = 1_000
 
 _MAX_BINS = 1 << 27  # 1 GiB of int64 counts
 _TAG_BLOCK = 1 << 16  # first-channel tags per chunk of the segment walk
-_PAIR_BUDGET = 1 << 17  # pairs gathered at once in correlate
+_PAIR_BUDGET = EVENT_BUDGET >> 2  # pairs gathered at once in correlate, about 1 MB of temporaries
 _SLOT_SPAN = 1 << 18  # pulse slots per chunk of the heralded estimator
 
 

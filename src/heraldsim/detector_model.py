@@ -38,7 +38,13 @@ REFERENCE_TRANSMISSION = 0.7
 REFERENCE_N_PIXELS = 4
 REFERENCE_CROSSTALK = 0.025
 
-_MAX_ENTRIES = 1 << 24  # 128 MiB of float64 entries
+_MAX_ENTRIES = 1 << 24  # 128 MiB of float64 entries: the largest table of probabilities
+
+#: Most entries a detection matrix may hold.  The build holds about 40 bytes
+#: per entry, and ``write_matrix_csv`` about 70 per entry of a row while it
+#: joins the row's text: ``heraldsim matrix`` of one row of 2**22 entries
+#: peaked at 391 MB, and of 2**24 at 1 468 MB.
+_MAX_MATRIX_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +86,10 @@ def detection_matrix(transmission: float, n_pixels: int, crosstalk: float, n_max
     if not 0.0 <= crosstalk < 1.0:
         raise ParameterError(f"crosstalk probability must lie in [0, 1), got {crosstalk!r}")
     size = (n_max + 1) * (n_pixels + 1)
-    if size > _MAX_ENTRIES:
-        raise ParameterError(f"a detection matrix of {size} entries cannot be allocated (the limit is {_MAX_ENTRIES})")
+    if size > _MAX_MATRIX_ENTRIES:
+        raise ParameterError(
+            f"a detection matrix of {size} entries cannot be allocated (the limit is {_MAX_MATRIX_ENTRIES})"
+        )
     t = float(transmission)
     k = np.arange(n_pixels + 1)
     stay = (1.0 - t) + t * (k / n_pixels)  # lost, or on one of the k fired pixels

@@ -56,7 +56,11 @@ class AmplitudeModel:
             raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
 
     def level(self, clicks: int) -> float:
-        return self.baseline + clicks * self.unit_amplitude
+        level = self.baseline + clicks * self.unit_amplitude
+        if not math.isfinite(level):
+            raise ParameterError(f"the {clicks}-click level {self.baseline!r} + {clicks} * {self.unit_amplitude!r} "
+                                 "is not finite")
+        return level
 
 
 def _at_least(thresholds, level: float, sigma: float) -> np.ndarray:

@@ -32,17 +32,25 @@ outcome.  Detectors register at most one click per pulse per channel, at the
 modulator-arrival time; dark counts are independent Poisson processes.
 
 Determinism: every random draw happens in per-batch streams keyed by
-(seed, batch index), and batches are fixed-size contiguous pulse ranges, so
-identical configs produce bit-identical streams for any thread count.  The
-gate-edge thinning of ``gate_rise_time`` draws from one stream per HBT
-channel, keyed (seed, _RAMP_STREAM_TAG, channel), in time order.
+(seed, batch index), and batches are contiguous pulse ranges whose size
+depends on the config alone, so identical configs produce bit-identical
+streams for any thread count.  The gate-edge thinning of ``gate_rise_time``
+draws from one stream per HBT channel, keyed (seed, _RAMP_STREAM_TAG,
+channel), in time order.
+
+A batch holds as many pulses as expect ``EVENT_BUDGET`` events, and at most
+``DEFAULT_BATCH_SIZE``: an event is an occupied pulse, or any pulse when an
+empty one heralds, or a dark count at either HBT channel.  So a batch's
+working set is set by the events it draws, not by how sparse they are, and
+a config with at most 1/8 event per pulse takes batches of
+``DEFAULT_BATCH_SIZE`` pulses.
 
 Gate state is resolved by a sequential stitching pass that takes the
 batches in order as they are drawn and turns each into one segment of the
-run, so memory is set by the batch size and the thread count, not by the
-run length.  A segment ends at the next batch's first pulse; what a later
-batch can still change (signal arrivals past the cut, the gates that reach
-it, and the kept heralds a retrigger filter needs) is carried over.
+run, so memory is set by the event budget and the thread count, not by
+the run length.  A segment ends at the next batch's first pulse; what a
+later batch can still change (signal arrivals past the cut, the gates that
+reach it, and the kept heralds a retrigger filter needs) is carried over.
 """
 
 from __future__ import annotations
@@ -63,7 +71,13 @@ from .errors import ParameterError
 from .feedforward import HeraldSelection
 from .photon_stats import FAMILIES, required_n_max
 
+#: Most pulses a batch holds.
 DEFAULT_BATCH_SIZE = 1 << 20
+
+#: Expected events a batch draws: a dense batch of them traced 4.1 MB, where
+#: one of 2**20 pulses traced 10.3 MB.  The tag writers' pieces and
+#: correlate's pair windows take their sizes from it.
+EVENT_BUDGET = 1 << 17
 
 #: Sub-stream tag of the gate-edge thinning draws, which take one stream per
 #: HBT channel, keyed (seed, tag, channel); batch indices stay below it.
@@ -88,8 +102,10 @@ _RETRIGGER_BLOCK = 1 << 16
 #: blocks, numpy 2.4), and the counts take 8 bytes per pulse.
 _GRID_SPAN = 6
 
-#: Most dark counts a batch may expect at one HBT channel: their times take
-#: 32 MB, and the Poisson mean stays far inside the int64 range.
+#: Most dark counts ``DEFAULT_BATCH_SIZE`` pulses, or an explicit batch, may
+#: expect at one HBT channel: their times take 32 MB, and the Poisson mean
+#: stays far inside the int64 range.  A batch sized by its events holds far
+#: fewer.
 _DARK_BUDGET = 1 << 22
 
 #: Most entries the table of pulse outcomes may hold; each costs about 30
@@ -766,6 +782,19 @@ def _simulate_batch(config: ExperimentConfig, table: _Outcomes, batch_index: int
     return _Batch(herald_pulse, cand_pulse, cand_entry, click_hist, darks)
 
 
+def _batch_pulses(config: ExperimentConfig, table: _Outcomes) -> int:
+    """Pulses per batch: as many as expect ``EVENT_BUDGET`` events, within [1, DEFAULT_BATCH_SIZE].
+
+    A pulse expects ``p_occ`` occupied pulses, or one herald when an empty
+    pulse heralds, and the dark counts of both HBT channels.
+    """
+    events = 1.0 if table.heralded[0] else table.p_occ
+    events += 2 * config.dark_rate * config.rep_period * 1e-12
+    if events * DEFAULT_BATCH_SIZE <= EVENT_BUDGET:
+        return DEFAULT_BATCH_SIZE
+    return max(1, int(EVENT_BUDGET // events))
+
+
 def _batches(config: ExperimentConfig, table: _Outcomes, threads: int, batch_size: int, n_batches: int):
     """The run's batches in order, with at most ``threads`` + 1 of them drawn and not yet stitched.
 
@@ -867,8 +896,8 @@ def _segments(config: ExperimentConfig, table: _Outcomes, threads: int, batch_si
     return _Counters(click_counts, accepted, emitted)
 
 
-def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BATCH_SIZE):
-    """Simulate the configured run.
+def run(config: ExperimentConfig, threads: int = 1, batch_size: int | None = None):
+    """Simulate the configured run, in batches of ``batch_size`` pulses or, by default, of ``_batch_pulses``.
 
     Returns:
         (TagStream, RunSummary) at once.  The run is drawn and stitched
@@ -877,9 +906,9 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
         ``threads`` value; see the module docstring for the determinism
         contract.
     """
-    if batch_size <= 0:
+    if batch_size is not None and batch_size <= 0:
         raise ParameterError("batch_size must be > 0")
-    if batch_size >= 2**31:
+    if batch_size is not None and batch_size >= 2**31:
         raise ParameterError("batch_size must be below 2**31")
     if threads < 1:
         raise ParameterError("threads must be >= 1")
@@ -887,18 +916,21 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int = DEFAULT_BA
     horizon = config.duration + delay + config.latency + config.gate_length
     if horizon >= 2**63:
         raise ParameterError("timestamp range overflows 64-bit picoseconds; reduce n_pulses")
-    if config.dark_rate * (min(batch_size, config.n_pulses) * config.rep_period) * 1e-12 > _DARK_BUDGET:
+    checked = DEFAULT_BATCH_SIZE if batch_size is None else batch_size
+    if config.dark_rate * (min(checked, config.n_pulses) * config.rep_period) * 1e-12 > _DARK_BUDGET:
         raise ParameterError(f"dark_rate {config.dark_rate!r} gives more dark counts per batch than {_DARK_BUDGET}")
     n_max = max(1, required_n_max(config.mean_pairs_per_pulse, config.source_family))
     if n_max * (config.n_pixels + 1) * 9 > _TABLE_BUDGET:
         raise ParameterError(f"mean_pairs_per_pulse {config.mean_pairs_per_pulse!r} expects more than "
                              f"{_TABLE_BUDGET} outcomes of a pulse, with {config.n_pixels} pixels")
+    table = _outcomes(config)
+    if batch_size is None:
+        batch_size = _batch_pulses(config, table)
     # a run of zero pulses still makes one empty batch, which gives every
     # channel its dtype
     n_batches = max(1, (config.n_pulses + batch_size - 1) // batch_size)
     if n_batches >= _RAMP_STREAM_TAG:
         raise ParameterError("too many batches")
-    table = _outcomes(config)
     stream = TagStream(None, config.duration, functools.partial(_segments, config, table, threads, batch_size,
                                                                  n_batches))
     return stream, RunSummary(config, stream)

@@ -56,7 +56,7 @@ class HeraldSelection:
 
     @classmethod
     def at_least(cls, k: int, n_pixels: int) -> "HeraldSelection":
-        if n_pixels >= _MAX_ENTRIES:  # no detection matrix holds that many click counts
+        if n_pixels >= _MAX_ENTRIES:  # no table of probabilities holds that many click counts
             raise ParameterError(f"{n_pixels} pixels give more click counts than a detection matrix can hold")
         if n_pixels - k >= _MAX_LISTED:
             raise ParameterError(f"'{k}+' lists more than {_MAX_LISTED} click counts of {n_pixels} pixels")

@@ -49,7 +49,7 @@ import re
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .event_sim import CHANNEL_NAMES, CHANNELS_BY_NAME, Channel, TagStream, _falling_channels
+from .event_sim import CHANNEL_NAMES, CHANNELS_BY_NAME, EVENT_BUDGET, Channel, TagStream, _falling_channels
 
 MAGIC = b"HSIMTAGS"
 VERSION = 1
@@ -63,8 +63,9 @@ assert RECORD_DTYPE.itemsize == 12
 assert [int(ch) for ch in Channel] == list(range(len(Channel)))
 
 CSV_HEADER = "channel,timestamp_ps"
-#: Records per channel that the writers merge in one piece.
-_WRITE_CHUNK = 1 << 16
+#: Records per channel that the writers merge in one piece: with every
+#: channel full, about 2 MB of temporaries, below a batch's working set.
+_WRITE_CHUNK = EVENT_BUDGET >> 3
 #: Rows the CSV writer formats at a time: the temporaries of a block of
 #: rows, about 120 bytes per row, then stay in the CPU caches.
 _CSV_ROWS = 1 << 14

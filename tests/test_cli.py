@@ -417,42 +417,51 @@ def test_simulate_memory_does_not_grow_with_the_run(tmp_path):
 
 
 # Configs whose `simulate` outputs pin the random stream: a dense run, one
-# with the opening ramp, the ignore policy and dark counts, and the sparse
+# with the opening ramp, the ignore policy and dark counts, the sparse
 # signal arm of a thermal source behind a 10 %-efficient HBT arm under the
-# ignore policy, each over two batches.
+# ignore policy, and the paper's operating point, each over more than one
+# batch.  The paper point expects fewer than 1/8 event per pulse, so it
+# keeps batches of 2**20 pulses and its digests from before batches were
+# sized by their expected events.
 PINNED_CONFIGS = {
     "dense": "[source]\nmean_pairs_per_pulse = 0.5\n[idler]\nselection = 1\n",
     "ramp-ignore-dark": "[source]\nmean_pairs_per_pulse = 0.5\n[idler]\nselection = 1\n"
                         "[modulator]\nretrigger = ignore\ngate_rise_time = 5000\n[signal]\ndark_rate = 1e6\n",
     "thermal-ignore-sparse": "[source]\nmean_pairs_per_pulse = 1.0\nfamily = thermal\n[idler]\nselection = any\n"
                              "[modulator]\nretrigger = ignore\n[signal]\nhbt_efficiency = 0.1\n",
+    "paper": "[source]\nmean_pairs_per_pulse = 0.0075\n[idler]\nselection = 1+\n",
 }
 
 #: SHA-256 of the tag file and of the run summary, per config and tag format;
 #: the summary does not depend on the format.
-DENSE_SUMMARY = "093d83b3371c982ea3857d229298bd51c86b3c699ed2c770175683709fe53c66"
-RAMP_SUMMARY = "bb9123a028fb3b99d1911378aac6b3e4a7f9f38720b04e8e5d74a1c6421adf2b"
-SPARSE_SUMMARY = "adfba44d8eeee4099eee4d69a418da773f7e1596b115d749984d0cea00119755"
+DENSE_SUMMARY = "80ca166cd5ecbc9c1716780bae3cc9672d1584f75aecd201ef764fdceb25ad72"
+RAMP_SUMMARY = "0a520ecf4be80bcc1429d6888d478111335bbbf7bdc47b16f620de6d431babdc"
+SPARSE_SUMMARY = "d2f0bef256d83b55dd5ae71dbedea0e9b6251a6f809b5a1dbb2e847e0e256980"
+PAPER_SUMMARY = "bbffa5f624befb98016ed58a7121160780a9f93466c0f89f53322632fd2016fe"
 PINNED_DIGESTS = {
-    ("dense", ".tags"): ("df2589cdad59ede783391dfa04b8cf699df7027267d079bd850c857d9bb62732", DENSE_SUMMARY),
-    ("dense", ".csv"): ("dc96db5f3c75dc4a91291dbc6be14299f6943a83e143571d62d9850bea989c7e", DENSE_SUMMARY),
-    ("ramp-ignore-dark", ".tags"): ("172d73d52a2de3a76049f2078473647800dcd2552e09235e25895ca62ae57a83", RAMP_SUMMARY),
-    ("ramp-ignore-dark", ".csv"): ("b038b9fdd237e57126a75e6783c15407c66b3e7eae25d55b643d4d9e7439fb38", RAMP_SUMMARY),
-    ("thermal-ignore-sparse", ".tags"): ("dbb981818d8fe51b228595097da4432924e5d9fca1b16de7d3396eede78ef41e",
+    ("dense", ".tags"): ("c57b5d35657b6fa5cf2c8889bf143ed10938ec5d092c2a9d29e7b2e95996b56a", DENSE_SUMMARY),
+    ("dense", ".csv"): ("86222156f4efc0bd9b1c9a7a9da810c8a6306a715838540cea738cb96a0c1d55", DENSE_SUMMARY),
+    ("ramp-ignore-dark", ".tags"): ("abfb3b40df41b2c4c224b5aafa33af69f58e5b4717827bfaf86a091b0339d235", RAMP_SUMMARY),
+    ("ramp-ignore-dark", ".csv"): ("402ce0619a021da1ac275e96d31a9dbc5e65076d614a99a3f67e1f8e13cbbae5", RAMP_SUMMARY),
+    ("thermal-ignore-sparse", ".tags"): ("5b112c14091762d06321d2964d4eb4279c777ff50ba331c66829054e58418e7a",
                                         SPARSE_SUMMARY),
-    ("thermal-ignore-sparse", ".csv"): ("29106702574dd74ce32d4a2477f03677fe725f07ab34424aa600ca3dfc98e802",
+    ("thermal-ignore-sparse", ".csv"): ("bfc1013421fc77df6176e66463ae6afccc5b9751bee40ecf6a86ae52f7063be0",
                                        SPARSE_SUMMARY),
+    ("paper", ".tags"): ("ab0b53b2655c55e5314713e41246428a112dab45a01e6263b2e275f52326ee90", PAPER_SUMMARY),
+    ("paper", ".csv"): ("411dcd27f13e4052e3bc71c8e53e261a2e42510d7e59d961abd882e6a0cdc1cf", PAPER_SUMMARY),
 }
 
 #: SHA-256 of `analyze --pair herald_trigger,hbt_a` outputs (hist.csv, peaks.csv)
 #: for each config's tag file, read in either format with the duration it infers.
 PINNED_ANALYSIS = {
-    "dense": ("bcf0d7368dd51d2e7cf0dba4c15322e105939174c67701a90b553b53cff1abb3",
-              "aa38f75c3c599238ed2163f1311730a9ff366e33757c91672e0e78ca8e9d3af0"),
-    "ramp-ignore-dark": ("cef956b5bf5c40d7122043ea4c0b25809675126084537110be337f2c1a466a1b",
-                         "a9f1a6d731cb8d05523b3b1f1fd943189c7febdea48bea1c3fc58687feef2279"),
-    "thermal-ignore-sparse": ("0407c5f389a8b14dafbac1a299b3c2ba0421c3eabd87e81504a105904fd644f1",
-                              "c2f8337f090588636d865eb8577cf1f11347828969316e55b9cebe050a89f6ad"),
+    "dense": ("a3b2031dafe65c2c905548722073af842bb2c92479b0c83b02187595de951079",
+              "c95b1005ce431dcdcfff82e061d46b5e48efbffd106bef6272370155b7b5428e"),
+    "ramp-ignore-dark": ("1d7c8f5ef22c50c3e3673ad68a2288fc42bc162658e23846fb6a8accf19e571c",
+                         "a0bf2ecd5759b777583aa862803912a7e3f4d4072dc19a8a8ad41d11ca6746db"),
+    "thermal-ignore-sparse": ("c76f8b5f5276c6bafdf55def259c37b622f312335bd23f63daa36a08ad22dd37",
+                              "9b1e6011d51bc5917586c0323bf3e52c339ca9e8ba6a1aee70dc631ee9131035"),
+    "paper": ("ae71b86d3e4a5fb022a6a879b9bcb9787193b10522392032ee825a0de91fcd68",
+              "f169f716c1e929cbb21de33ac9ead528ff49968d06e1c3c079e45c3502a3d5bc"),
 }
 
 
@@ -595,6 +604,12 @@ class TestThresholdsCommand:
         (("thresholds", "--low-min", "0", "--low-max", "1", "--high-min", "0", "--high-max", "1",
           "--low-steps", "20000", "--high-steps", "20000"),
          "a surface of 20000 x 20000 thresholds exceeds 1048576"),
+        # a row of 2**24 entries: the build took 661 MB, and writing it
+        # ended in MemoryError with exit 1
+        (("matrix", "--pixels", "16777215", "--nmax", "0"),
+         "a detection matrix of 16777216 entries cannot be allocated (the limit is 4194304)"),
+        (("sweep", "--selection", "any", "--pixels", "16777215", "--nmax", "0"),
+         "a detection matrix of 16777216 entries cannot be allocated (the limit is 4194304)"),
     ],
 )
 def test_grid_size_checked_before_the_grid(tmp_path, args, message):
@@ -623,6 +638,9 @@ def test_grid_size_checked_before_the_grid(tmp_path, args, message):
         (("thresholds", "--low-steps", "-1"), "--low-steps must be >= 1, got -1"),
         (("thresholds", "--high-steps", "0"), "--high-steps must be >= 1, got 0"),
         (("sweep", "--selection", "1", "--mu-max", "inf"), "grid bounds must satisfy 0 < low < high, with high finite"),
+        # an infinite 2-click level made inf - inf windows, NaN rates with exit 0
+        (("thresholds", "--unit-amplitude", "1e308", "--low-steps", "3"),
+         "the 2-click level 0.0 + 2 * 1e+308 is not finite"),
     ],
 )
 def test_non_finite_argument_exit_code(tmp_path, capsys, args, message):

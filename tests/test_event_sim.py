@@ -31,6 +31,7 @@ from heraldsim.event_sim import (
     _alias,
     _arm_law,
     _Batch,
+    _batch_pulses,
     _draw_outcomes,
     _geometric,
     _occupied_pulses,
@@ -265,15 +266,16 @@ def reference_unsliced_batch(config, batch_index, start, size):
     return PhotonBatch(start + herald_occ, start + occ[keep], clicks[keep], photons, click_hist, (dark_a, dark_b))
 
 
-def reference_run(config, batch_size=event_sim.DEFAULT_BATCH_SIZE):
+def reference_run(config, batch_size=None):
     """The whole-run stitching that run() does segment by segment.
 
     Every batch is drawn first, the batches are joined, and the gates are
-    resolved once over the whole run.  Returns the channels and the
-    counters of the run summary.
+    resolved once over the whole run.  Batches are sized as run() sizes
+    them.  Returns the channels and the counters of the run summary.
     """
-    n_batches = max(1, -(-config.n_pulses // batch_size))
     table = event_sim._outcomes(config)
+    batch_size = batch_size or event_sim._batch_pulses(config, table)
+    n_batches = max(1, -(-config.n_pulses // batch_size))
     parts = [
         _simulate_batch(config, table, i, i * batch_size, min(batch_size, config.n_pulses - i * batch_size))
         for i in range(n_batches)
@@ -1194,6 +1196,28 @@ class TestBatchKernel:
         assert batch.herald_pulse.size > 200_000
         assert peak < 12e6
 
+    def test_run_sizes_a_dense_batch_by_its_events(self):
+        # run draws a dense config in batches of 2**17 expected events: 4.1 MB
+        # here, bounded with a 1 MB margin; a batch of 2**20 pulses held 10.3 MB
+        cfg = make_config(mean_pairs_per_pulse=0.5, n_pulses=1 << 21, seed=3)
+        sizes = []
+
+        def spy(config, table, index, start, size):
+            sizes.append(size)
+            return _simulate_batch(config, table, index, start, size)
+
+        with mock.patch.object(event_sim, "_simulate_batch", spy):
+            next(run(cfg)[0].segments())
+        table = _outcomes(cfg)
+        tracemalloc.start()
+        try:
+            batch = _simulate_batch(cfg, table, 0, 0, sizes[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.herald_pulse.size > 50_000
+        assert peak < 5.1e6
+
     @pytest.mark.parametrize(
         "mu, family, size", [(0.0075, "poissonian", 1 << 21), (0.5, "poissonian", 1 << 19), (1.0, "thermal", 1 << 18)]
     )
@@ -1315,6 +1339,44 @@ def assert_same_segments(got, expected):
         assert set(segment) == set(want)
         for ch in want:
             np.testing.assert_array_equal(segment[ch], want[ch])
+
+
+class TestBatchSize:
+    def batch(self, **overrides):
+        cfg = make_config(**overrides)
+        table = _outcomes(cfg)
+        return cfg, table, _batch_pulses(cfg, table)
+
+    def test_paper_point_keeps_the_largest_batch(self):
+        _, _, size = self.batch(mean_pairs_per_pulse=0.0075, herald_selection=HeraldSelection.at_least(1, 4),
+                                dark_rate=100.0)
+        assert size == event_sim.DEFAULT_BATCH_SIZE == 1 << 20
+
+    def test_dense_batch_holds_the_budget_of_occupied_pulses(self):
+        _, table, size = self.batch(mean_pairs_per_pulse=0.5)
+        assert size == (1 << 17) // table.p_occ
+        assert event_sim.EVENT_BUDGET == 1 << 17
+
+    def test_every_pulse_is_an_event_when_no_click_heralds(self):
+        _, _, size = self.batch(mean_pairs_per_pulse=0.0075, herald_selection=HeraldSelection.exactly(0))
+        assert size == 1 << 17
+
+    def test_dark_counts_are_events(self):
+        cfg, table, size = self.batch(mean_pairs_per_pulse=0.0075, dark_rate=3.1e8)
+        events = size * (table.p_occ + 2 * cfg.dark_rate * cfg.rep_period * 1e-12)
+        assert (1 << 17) - 8 < events <= 1 << 17
+
+    def test_run_and_the_reference_cut_the_same_batches(self):
+        # 7.75 dark counts per pulse give batches of 16 912 pulses
+        cfg = make_config(mean_pairs_per_pulse=0.5, n_pulses=40_000, dark_rate=3.1e8)
+        channels, counters = reference_run(cfg)
+        stream, summary = run(cfg, threads=2)
+        segments = list(stream.segments())
+        assert len(segments) == 3
+        for ch in Channel:
+            np.testing.assert_array_equal(np.concatenate([segment[ch] for segment in segments]), channels[ch])
+        assert summary.click_counts.tolist() == counters["click_counts"]
+        assert summary.heralds_emitted == counters["heralds_emitted"]
 
 
 class TestSegmentedRun:
