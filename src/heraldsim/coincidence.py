@@ -42,13 +42,14 @@ The counts behind it are taken on the pulse grid rather than from pair
 histograms.  Pulse slots sit at phase + j * rep_period, and a B tag lies in
 peak window k of slot j exactly when its slot index, counted from the start
 of the offset-0 window, is j + k and its residual falls inside that window.
-So the estimator counts in-window B tags per slot and reads those counts at
-j + k for every herald and every HBT-A tag at a heralded slot.  This holds
-only when all herald slots share one phase modulo rep_period (the
-alignment contract); a herald off that grid raises ``ParameterError``.
-A chunk of heralds spans at most ``_SLOT_SPAN`` slots, counted in reused
-per-slot buffers whose touched entries are reset after use, so neither
-memory nor time grows with the empty stretches of a run.
+This holds only when all herald slots share one phase modulo rep_period (the
+alignment contract); a herald off that grid raises ``ParameterError``.  A
+chunk spans at most ``_SLOT_SPAN`` slots, held as bit planes of 64 slots a
+word (``_planes``): the herald slots, the heralded A slots and the in-window
+B slots, one more plane for each further tag on a slot.  The counts at offset
+index i are popcounts of the herald or A planes ANDed with the B planes
+shifted down by i slots (``_shifted_counts``), at the herald words with B
+bits in reach: the work grows with the occupied words, not the tags.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyEnsembleError, ParameterError, UndefinedStatisticError
 from .event_sim import CHANNEL_NAMES, EVENT_BUDGET, Channel, ExperimentConfig, TagStream, _rank
@@ -69,7 +69,8 @@ DEFAULT_PEAK_HALFWIDTH = 1_000
 _MAX_BINS = 1 << 27  # 1 GiB of int64 counts
 _TAG_BLOCK = 1 << 16  # first-channel tags per chunk of the segment walk
 _PAIR_BUDGET = EVENT_BUDGET >> 2  # pairs gathered at once in correlate, about 1 MB of temporaries
-_SLOT_SPAN = 1 << 18  # pulse slots per chunk of the heralded estimator
+_SLOT_SPAN = 1 << 20  # pulse slots per chunk of the heralded estimator, 128 KiB a plane
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))  # the bit of each slot in its word
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,16 +280,6 @@ def isolated_times(times: np.ndarray, min_separation: int) -> np.ndarray:
     return t[gap_prev & gap_next]
 
 
-def _check_on_grid(heralds: np.ndarray, origin: int, rep: int) -> None:
-    """Raise ParameterError naming the first herald off the pulse grid through origin."""
-    off_grid = np.flatnonzero((heralds - origin) % rep)
-    if off_grid.size:
-        raise ParameterError(
-            f"herald at {int(heralds[off_grid[0]])} ps is off the pulse grid of the first herald at "
-            f"{origin} ps: heralds must share one phase modulo rep_period {rep}"
-        )
-
-
 @dataclass(frozen=True)
 class HeraldedCounts:
     """Raw counters behind the trigger-conditioned g2 estimator."""
@@ -299,25 +290,43 @@ class HeraldedCounts:
     b_counts: dict  # pulse offset -> B tags at (heralded slot + offset)
 
 
-def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a sorted array and how often each occurs."""
-    new = np.empty(values.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(values[1:], values[:-1], out=new[1:])
-    return values[new], np.diff(np.flatnonzero(new), append=values.size)
+def _planes(slots: np.ndarray, n_words: int) -> np.ndarray:
+    """Bit planes of sorted slot indices, one row of ``n_words`` words of 64 slots.
 
-
-def _summed_rows(rows: np.ndarray, index: np.ndarray, largest: int) -> np.ndarray:
-    """rows[index].sum(axis=0) in int64, for int32 rows with no entry above largest.
-
-    Rows are gathered at most _PAIR_BUDGET entries at a time, and few enough
-    at a time that their int32 sum cannot overflow.
+    Bit j of plane m is set when slot j occurs more than m times: each further
+    tag on a slot adds a plane, and no slots give one empty plane.
     """
-    step = max(1, min(_PAIR_BUDGET // max(1, rows.shape[1]), (2**31 - 1) // max(1, largest)))
-    total = np.zeros(rows.shape[1], dtype=np.int64)
-    for lo in range(0, index.size, step):
-        total += np.einsum("ij->j", rows[index[lo : lo + step]])
-    return total
+    planes = []
+    while slots.size or not planes:
+        again = slots[1:] == slots[:-1]  # a further tag on the slot before
+        if slots.size > n_words:  # many slots a word: mark each in a byte and pack the bytes
+            marks = np.zeros(n_words * 64, dtype=bool)
+            marks[slots] = True
+            planes.append(np.packbits(marks, bitorder="little").view(np.uint64))
+        else:  # adding the bits of distinct slots sets them
+            head = slots[np.concatenate(([True], ~again))] if again.any() else slots
+            planes.append(np.zeros(n_words, dtype=np.uint64))
+            np.add.at(planes[-1], head >> 6, _BIT[head & 63])
+        slots = slots[1:][again]
+    return np.stack(planes) if len(planes) > 1 else planes[0][None]
+
+
+def _shifted_counts(left: np.ndarray, b_planes: np.ndarray, n_k: int) -> np.ndarray:
+    """counts[p, i] of the slot pairs (j, j + i), i < n_k, with j set in left[p] and j + i in a B plane.
+
+    Every bit of ``left`` is in left[0].  Shifted down by i = 64 q + r slots, word w of a B plane b
+    is ``b[w + q] >> r | b[w + q + 1] << (64 - r)``, taken at the words of left[0] with B bits in reach.
+    """
+    n = left.shape[1] - (n_k - 1) // 64 - 1
+    counts = np.empty((left.shape[0], n_k), dtype=np.int64)
+    for i in range(0, n_k, 64):
+        q, r = i >> 6, np.arange(min(64, n_k - i), dtype=np.uint64)[:, None]
+        at = np.flatnonzero(np.logical_and(left[0, :n], b_planes[0, q : q + n] | b_planes[0, q + 1 : q + 1 + n]))
+        shifted = np.take(b_planes, at + q, axis=1)[:, None] >> r
+        shifted |= np.take(b_planes, at + (q + 1), axis=1)[:, None] << (np.uint64(64) - r)
+        pairs = np.bitwise_count(np.take(left, at, axis=1)[:, None, None] & shifted)
+        counts[:, i : i + r.size] = pairs.sum(axis=(1, 3))
+    return counts
 
 
 def heralded_coincidence_counts(
@@ -339,14 +348,7 @@ def heralded_coincidence_counts(
     lo, hi, offsets = _peak_window(bin_width, range_ps, rep, peak_halfwidth)
     delay = config.resolved_signal_delay
     n_k = len(offsets)
-    # Slot j of a chunk is the signal-arrival time first + delay + j * rep.
-    # in_window[j + i] counts the B tags in the window of offset
-    # offsets[i] of slot j, so rows[j] holds slot j's counts for every offset.
-    in_window = np.zeros(_SLOT_SPAN + n_k, dtype=np.int32)
-    rows = sliding_window_view(in_window, n_k)
-    heralded = np.zeros(_SLOT_SPAN, dtype=bool)
-    pair_counts = np.zeros(n_k, dtype=np.int64)
-    b_counts = np.zeros(n_k, dtype=np.int64)
+    totals = np.zeros((2, n_k), dtype=np.int64)  # B tags and (A, B) pairs at each offset
     n_a_slot = 0
     origin = None
     # a herald reaches the A tags on its slot, and the B tags from the start
@@ -356,33 +358,31 @@ def heralded_coincidence_counts(
     for chunk, near in _chunks(stream, Channel.HERALD_TRIGGER, reach, _SLOT_SPAN * rep):
         first = int(chunk[0])
         origin = first if origin is None else origin
-        _check_on_grid(chunk, origin, rep)
-        slot = (chunk - first) // rep
-        # b_slot counts whole periods from slot 0's first window, and the
-        # remainder must fall inside the window
-        since = near[Channel.HBT_B] - (first + b_start)
-        b_slot = since // rep
-        b_slot, per_slot = _runs(b_slot[since - b_slot * rep < hi - lo])
-        in_window[b_slot] = per_slot
-        largest = int(per_slot.max(initial=0))
-        b_counts += _summed_rows(rows, slot, largest)
+        # slot j of a chunk is the signal-arrival time first + delay + j * rep
+        slot, phase = np.divmod(chunk - first, rep)
+        if (first - origin) % rep or phase.any():
+            off = first if (first - origin) % rep else int(chunk[np.argmax(phase != 0)])
+            raise ParameterError(f"herald at {off} ps is off the pulse grid of the first herald at {origin} ps: "
+                                 f"heralds must share one phase modulo rep_period {rep}")
+        # a B tag counts at slot j + i when it falls in the window of offsets[i] of slot j:
+        # b_slot counts whole periods from slot 0's first window, its remainder in that window
+        n_words = (int(slot[-1]) + n_k) // 64 + 2
+        b_slot, since = np.divmod(near[Channel.HBT_B] - (first + b_start), rep)
+        b_planes = _planes(b_slot[since < hi - lo], n_words)
+        heralds = _planes(slot, n_words)
         # A tags exactly on a heralded slot of this chunk
-        heralded[slot] = True
-        since = near[Channel.HBT_A] - (first + delay)
-        a_slot = since // rep
-        a_slot = a_slot[a_slot * rep == since]
-        a_slot = a_slot[heralded[a_slot]]
-        n_a_slot += a_slot.size
-        pair_counts += _summed_rows(rows, a_slot, largest)
-        heralded[slot] = False
-        in_window[b_slot] = 0
+        a_slot, since = np.divmod(near[Channel.HBT_A] - (first + delay), rep)
+        a_planes = _planes(a_slot[since == 0], n_words) & heralds[0]
+        n_a_slot += int(np.bitwise_count(a_planes).sum())
+        counts = _shifted_counts(np.concatenate((heralds, a_planes)), b_planes, n_k)
+        totals += np.add.reduceat(counts, [0, len(heralds)])  # the herald rows, then the A rows
     if origin is None:
         raise EmptyEnsembleError("stream contains no herald tags")
     return HeraldedCounts(
         n_triggers=stream.counts()[Channel.HERALD_TRIGGER],  # of the replay just walked
         n_a_slot=n_a_slot,
-        pair_counts=dict(zip(offsets, pair_counts.tolist())),
-        b_counts=dict(zip(offsets, b_counts.tolist())),
+        pair_counts=dict(zip(offsets, totals[1].tolist())),
+        b_counts=dict(zip(offsets, totals[0].tolist())),
     )
 
 

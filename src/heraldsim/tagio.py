@@ -240,13 +240,14 @@ def read_binary(path, duration: int | None = None) -> TagStream:
         times = records["timestamp"].view(np.int64)  # 2**63 and above read as negative
         if bad_time is None and times.min() < 0:
             bad_time = lo + int(np.argmax(times < 0))
-        if bad_order is None:
-            earlier = np.flatnonzero(times < np.concatenate(([before], times[:-1])))
-            bad_order = lo + int(earlier[0]) if earlier.size else None
+        if bad_order is None and (times[0] < before or (times[1:] < times[:-1]).any()):
+            bad_order = lo + int(np.argmax(times < np.concatenate(([before], times[:-1]))))
         before = int(times[-1])
-        heralds = np.flatnonzero(words == Channel.HERALD_TRIGGER)
-        if heralds.size:
-            last_herald = int(times[heralds[-1]])
+        for start in (max(0, records.size - 64), max(0, records.size - 4096), 0):  # the block's last herald
+            heralds = np.flatnonzero(words[start:] == Channel.HERALD_TRIGGER)
+            if heralds.size:
+                last_herald = int(times[start + heralds[-1]])
+                break
     if bad_reserved is not None:
         raise FormatError(f"{path}: record {bad_reserved} has non-zero reserved bytes")
     if bad_time is not None:
@@ -321,12 +322,37 @@ def _windows(raw: np.ndarray, width: int) -> np.ndarray:
     return np.ndarray((raw.size - width + 1,), dtype=f"V{width}", buffer=raw, strides=(1,))
 
 
+def _newlines(raw: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The offsets of the ``\\n`` bytes of ``raw``, in order, found with ``mask``,
+    a bool buffer of whole words of 8 bytes that holds ``raw``.
+
+    In a word of the mask whose one ``\\n`` is byte b, the top byte of
+    word * 0x0001020304050607 is b; only the words with two or more are
+    scanned byte by byte.
+    """
+    mask[raw.size :] = False
+    np.equal(raw, ord("\n"), out=mask[: raw.size])
+    ends = np.flatnonzero(mask.view("<u8") != 0)  # the words with a line end, made offsets in place
+    words = mask.view("<u8")[ends]
+    many = np.flatnonzero(np.bitwise_count(words) > 1)
+    crowded = ends[many]
+    words *= np.uint64(0x0001020304050607)
+    words >>= np.uint64(56)
+    ends *= 8
+    ends += words.view(np.int64)
+    if many.size:
+        byte = np.flatnonzero(mask.reshape(-1, 8)[crowded])
+        ends = np.sort(np.concatenate((np.delete(ends, many), crowded[byte >> 3] * 8 + (byte & 7))))
+    return ends
+
+
 def _line_spans(raw: np.ndarray) -> tuple:
     """Start and end offsets of the lines of ``raw``, which end in ``\\n``,
     ``\\r\\n`` or ``\\r``.  A last line that is empty is left out."""
-    ends = raw == ord("\n")
-    cr = np.equal(raw, ord("\r"))
+    mask = np.empty(-(-raw.size // 8) * 8, dtype=bool)  # first of \r, then of \n
+    cr = np.equal(raw, ord("\r"), out=mask[: raw.size])
     if cr.any():
+        ends = raw == ord("\n")
         ends[1:] &= ~cr[:-1]  # the \n of a \r\n ends no line of its own
         ends |= cr
         ends = np.flatnonzero(ends)
@@ -335,7 +361,7 @@ def _line_spans(raw: np.ndarray) -> tuple:
         crlf[: inner.size] = cr[inner] & (raw[inner + 1] == ord("\n"))
         starts = ends + 1 + crlf
     else:
-        ends = np.flatnonzero(ends)
+        ends = _newlines(raw, mask)
         starts = ends + 1
     starts = np.concatenate(([0], starts))
     if starts[-1] == raw.size:

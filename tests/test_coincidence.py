@@ -515,6 +515,66 @@ class TestPulseGridEstimator:
             heralded_coincidence_counts(stream, reference_config())
 
 
+@st.composite
+def plane_cases(draw):
+    """Streams for the bit-plane counter: tags repeated on one slot, offset
+    ranges past one and two words of 64 slots, and chunk spans of 1 to 300.
+
+    Returns ``(stream, config, binning, span)``.
+    """
+    bin_width = draw(st.sampled_from([2, 4]))
+    rep_period = bin_width * draw(st.integers(1, 4))
+    peak_halfwidth = bin_width * draw(st.integers(1, rep_period // bin_width)) // 2
+    k_max = draw(st.sampled_from([0, 1, 7, 31, 32, 33, 63, 64, 65, 100]))  # 2 k_max + 1 offsets
+    range_ps = k_max * rep_period + peak_halfwidth + bin_width * draw(st.integers(0, rep_period // bin_width - 1))
+    lo, hi, offsets = coincidence._peak_window(bin_width, range_ps, rep_period, peak_halfwidth)
+    span = draw(st.integers(1, 300))
+    signal_delay = draw(st.integers(0, 3 * rep_period))
+    phase = draw(st.integers(0, rep_period - 1))
+    # herald slots count from the first; now and then one sits on the first
+    # chunk's last slot
+    slots = [0] + draw(st.lists(st.integers(0, 2 * span + 70), max_size=30))
+    slots += [span - 1] * draw(st.integers(0, 1))
+    grid = phase + signal_delay  # the signal arrival at slot 0
+    reach = (max(slots) + k_max + 2) * rep_period
+    anywhere = st.integers(max(0, grid + lo + offsets.start * rep_period), grid + reach)
+    # 1 to 4 B tags in the window of one offset of one herald's slot
+    residuals = st.lists(st.integers(0, hi - lo - 1), min_size=1, max_size=4)
+    stacks = st.builds(lambda j, k, xs: [grid + (j + k) * rep_period + lo + x for x in xs],
+                       st.sampled_from(slots), st.sampled_from(offsets), residuals)
+    hbt_b = sum(draw(st.lists(stacks, max_size=8)), []) + draw(st.lists(anywhere, max_size=10))
+    # 1 to 3 A tags on one herald's slot, on other slots and off the grid
+    on_slot = st.builds(lambda j, n: [grid + j * rep_period] * n, st.sampled_from(slots), st.integers(1, 3))
+    on_grid = st.builds(lambda j: [grid + j * rep_period], st.integers(-2, max(slots) + 2))
+    hbt_a = sum(draw(st.lists(st.one_of(on_slot, on_grid), max_size=10)), []) + draw(st.lists(anywhere, max_size=5))
+    stream = make_stream(herald=[phase + j * rep_period for j in slots], hbt_a=hbt_a, hbt_b=hbt_b)
+    config = reference_config(rep_period=rep_period, signal_delay=signal_delay)
+    return stream, config, (bin_width, range_ps, peak_halfwidth), span
+
+
+class TestBitPlanes:
+    """The bit-plane counter against the whole-channel counter it replaced (tests/whole_channel.py)."""
+
+    # 129 offsets; a herald on the last slot of a 70-slot chunk, with two A
+    # tags on it and B tags in its window and 64 slots on; the next chunks
+    # have no A tags, and the last no B tags either
+    @example(case=(make_stream(herald=[0, 69 * REP, 70 * REP, 200 * REP, 300 * REP],
+                               hbt_a=[0, 0, 69 * REP, 69 * REP],
+                               hbt_b=[69 * REP, 69 * REP + 500, 133 * REP, 134 * REP, 134 * REP, 201 * REP]),
+                   reference_config(signal_delay=0),
+                   (DEFAULT_BIN_WIDTH, 64 * REP + DEFAULT_PEAK_HALFWIDTH, DEFAULT_PEAK_HALFWIDTH), 70))
+    @example(case=(make_stream(herald=[0, REP]), reference_config(),
+                   (DEFAULT_BIN_WIDTH, DEFAULT_RANGE, DEFAULT_PEAK_HALFWIDTH), 1))
+    @given(plane_cases())
+    # a plain run takes 300 examples, the fuzz profile its own number
+    @settings(max_examples=max(300, settings().max_examples), deadline=None)
+    def test_matches_whole_channel_counter(self, case):
+        stream, config, binning, span = case
+        with mock.patch.object(coincidence, "_SLOT_SPAN", span):
+            counts = heralded_coincidence_counts(stream, config, *binning)
+        assert counts == whole_heralded_counts(stream, config, *binning)
+
+
 class TestPeakWindows:
     @given(binnings(), st.data())
     @settings(max_examples=300, deadline=None)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from heraldsim import ParameterError, detection_matrix, reference_detection_matrix
+from heraldsim import detector_model
 from heraldsim.detector_model import write_matrix_csv
 
 # Published response table of the reference 4-pixel configuration
@@ -282,6 +283,30 @@ class TestDetectionMatrix:
             freq = np.bincount(clicks, minlength=n_pixels + 1) / samples
             sigma = np.sqrt(det.entries[n] * (1 - det.entries[n]) / samples)
             assert np.all(np.abs(freq - det.entries[n]) <= 3 * sigma + 1e-9)
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 1 << 12])
+    @pytest.mark.parametrize("n_pixels, n_max", [(1, 0), (4, 10), (6, 2)])
+    def test_csv_pieces_match_whole_rows(self, tmp_path, monkeypatch, piece, n_pixels, n_max):
+        det = detection_matrix(0.7, n_pixels, 0.025, n_max)
+        monkeypatch.setattr(detector_model, "_CSV_PIECE", piece)
+        write_matrix_csv(det, tmp_path / "pieces.csv")
+        # the writer that joined each row's text whole
+        whole = "n," + ",".join(str(k) for k in range(n_pixels + 1)) + "\n"
+        whole += "".join(str(i) + "," + ",".join(format(v, ".12g") for v in row) + "\n"
+                         for i, row in enumerate(det.entries))
+        assert (tmp_path / "pieces.csv").read_bytes() == whole.encode()
+
+    def test_csv_writer_holds_a_piece_of_a_row(self, tmp_path):
+        """A row of 2**18 entries is written a piece at a time: under 2 MiB traced,
+        where joining the row's text whole took about 70 bytes an entry."""
+        det = detection_matrix(0.7, (1 << 18) - 1, 0.025, 0)
+        tracemalloc.start()
+        try:
+            write_matrix_csv(det, tmp_path / "wide.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_csv_export(self, tmp_path):
         det = reference_detection_matrix(4)

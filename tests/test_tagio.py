@@ -820,6 +820,50 @@ def test_csv_block_reader_matches_whole_file_readers(tmp_path_factory, rows, hea
         assert expected[1] == {int(ch): per_row[ch].tolist() for ch in Channel}
 
 
+def reference_line_spans(raw):
+    """The line finder that scanned the whole ``\\n`` mask byte by byte, which
+    ``tagio._line_spans`` replaces."""
+    ends = raw == ord("\n")
+    cr = np.equal(raw, ord("\r"))
+    if cr.any():
+        ends[1:] &= ~cr[:-1]  # the \n of a \r\n ends no line of its own
+        ends |= cr
+        ends = np.flatnonzero(ends)
+        crlf = np.zeros(ends.size, dtype=bool)
+        inner = ends[ends < raw.size - 1]
+        crlf[: inner.size] = cr[inner] & (raw[inner + 1] == ord("\n"))
+        starts = ends + 1 + crlf
+    else:
+        ends = np.flatnonzero(ends)
+        starts = ends + 1
+    starts = np.concatenate(([0], starts))
+    if starts[-1] == raw.size:
+        return starts[:-1], ends
+    return starts, np.concatenate((ends, [raw.size]))
+
+
+# lines of 0 to 20 bytes, so that some words of 8 bytes hold two or more line
+# ends, with every line end, and a block that starts, ends or not with one
+@given(st.lists(st.tuples(st.binary(max_size=20).map(lambda b: b.replace(b"\r", b"").replace(b"\n", b"")),
+                          st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"])), max_size=40),
+       st.booleans(), st.booleans(), st.integers(0, 7))
+@example(lines=[(b"", b"\n")] * 9, lone_newlines=True, cut_end=False, offset=3)
+@example(lines=[(b"hbt_a,12", b"\n"), (b"hbt_b,3", b"\n"), (b"", b"\n")], lone_newlines=True, cut_end=True, offset=0)
+@settings(max_examples=400, deadline=None)
+def test_line_spans_match_byte_scan(lines, lone_newlines, cut_end, offset):
+    """The word scan of ``tagio._line_spans`` finds the line ends of a byte
+    scan, at any offset of the buffer; a block with only \\n takes the word
+    path."""
+    body = b"".join(line + (b"\n" if lone_newlines else end) for line, end in lines)
+    if cut_end:
+        body = body.rstrip(b"\r\n")
+    raw = np.frombuffer(b"x" * offset + body, dtype=np.uint8)[offset:]
+    starts, ends = tagio._line_spans(raw)
+    expected = reference_line_spans(raw)
+    np.testing.assert_array_equal(starts, expected[0])
+    np.testing.assert_array_equal(ends, expected[1])
+
+
 def test_csv_block_edges_at_every_offset(tmp_path):
     """Blocks of each size from 16 to 64 bytes put block edges at every offset
     of the file, so some fall inside a \\r\\n pair and some cut a row."""

@@ -11,13 +11,44 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from heraldsim import Channel, EmptyEnsembleError, HeraldedCounts, TagStream
-from heraldsim.coincidence import _check_binning, _check_on_grid, _peak_window, _runs, _summed_rows
+from heraldsim import Channel, EmptyEnsembleError, HeraldedCounts, ParameterError, TagStream
+from heraldsim.coincidence import _check_binning, _peak_window
 from heraldsim.event_sim import _rank
 
 TAG_BLOCK = 1 << 16  # first-channel tags per binary search
 PAIR_BUDGET = 1 << 17  # pairs gathered at once
 SLOT_SPAN = 1 << 18  # pulse slots per chunk of the heralded estimator
+
+
+def _check_on_grid(heralds: np.ndarray, origin: int, rep: int) -> None:
+    """Raise ParameterError naming the first herald off the pulse grid through origin."""
+    off_grid = np.flatnonzero((heralds - origin) % rep)
+    if off_grid.size:
+        raise ParameterError(
+            f"herald at {int(heralds[off_grid[0]])} ps is off the pulse grid of the first herald at "
+            f"{origin} ps: heralds must share one phase modulo rep_period {rep}"
+        )
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted array and how often each occurs."""
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return values[new], np.diff(np.flatnonzero(new), append=values.size)
+
+
+def _summed_rows(rows: np.ndarray, index: np.ndarray, largest: int) -> np.ndarray:
+    """rows[index].sum(axis=0) in int64, for int32 rows with no entry above largest.
+
+    Rows are gathered at most PAIR_BUDGET entries at a time, and few enough
+    at a time that their int32 sum cannot overflow.
+    """
+    step = max(1, min(PAIR_BUDGET // max(1, rows.shape[1]), (2**31 - 1) // max(1, largest)))
+    total = np.zeros(rows.shape[1], dtype=np.int64)
+    for lo in range(0, index.size, step):
+        total += np.einsum("ij->j", rows[index[lo : lo + step]])
+    return total
 
 
 def correlate_times(a: np.ndarray, b: np.ndarray, bin_width: int, range_ps: int,
