@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -222,7 +223,7 @@ def _cmd_analyze(args, out: str) -> tuple[dict, dict]:
     _check_binning(args.bin, args.range)
     _peak_window(args.bin, args.range, args.rep_period, args.halfwidth)
     stream = read_tags(args.tags, duration=args.duration)
-    hist = correlate(stream, args.pair, bin_width=args.bin, range_ps=args.range)
+    hist = correlate(stream, args.pair, bin_width=args.bin, range_ps=args.range, rep_period=args.rep_period)
     peaks = integrate_peaks(hist, args.rep_period, args.halfwidth)
     g2 = g2_tau(hist, args.rep_period, args.halfwidth)
     hist_path = out + ".hist.csv"
@@ -344,9 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses for every call in a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = _utc_now()
     try:
         config, outputs = args.func(args, args.out)

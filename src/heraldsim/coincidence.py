@@ -16,6 +16,25 @@ stays bounded however wide the range or however dense the stream.
 Histograms hold at most ``_MAX_BINS`` bins; a wider binning is rejected
 before any pair is counted.
 
+Given a ``rep_period``, a chunk's tags split by the pulse grid: a tag is on
+its channel's grid when its time less the channel's phase in the chunk (the
+commonest phase of up to 64 sampled tags, ``_grid_phase``) is a whole number
+of periods, and no earlier tag of the channel has its time, so that one
+plane holds a channel's slots.  All on-grid pairs at slot offset i lie one
+time difference apart, so each offset's count, a popcount of shifted slot
+planes (the estimator's ``_planes`` and ``_shifted_counts`` below), goes
+into that difference's bin.  The walk counts the other pairs: off-grid
+first-channel tags against every partner, and off-grid partners against the
+chunk's on-grid first-channel tags, walked from the partner's side, so no
+pair counts twice.  Each walk takes at most ``_TAG_BLOCK`` leading tags at
+once, however many off-grid partners a chunk holds.  Planes cost a pass over the occupied words per slot offset,
+the walk a step per pair and its merges of the two channels; ``_grid_cost``
+puts the first in walked pairs, and a chunk goes on planes only when that is
+below the walk's cost (for tags spread evenly, times the sampled shares on
+the grid).  So a dense stream goes on planes, and a sparse one, such as the
+paper's operating point, walks.  The planes of a chunk span at most
+``_SLOT_SPAN`` slots; a wider chunk walks.
+
 Pulsed sources produce peaks at multiples of the repetition period.  The
 peak window of pulse offset k holds the bins whose centres lie within
 +-peak_halfwidth of k * rep_period; since rep_period is a multiple of the
@@ -49,12 +68,15 @@ word (``_planes``): the herald slots, the heralded A slots and the in-window
 B slots, one more plane for each further tag on a slot.  The counts at offset
 index i are popcounts of the herald or A planes ANDed with the B planes
 shifted down by i slots (``_shifted_counts``), at the herald words with B
-bits in reach: the work grows with the occupied words, not the tags.
+bits in reach: the work grows with the occupied words, not the tags.  Those
+words are shifted a piece at a time, so that no temporary exceeds
+``_PLANE_BUDGET`` words however many planes a chunk holds.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +91,12 @@ DEFAULT_PEAK_HALFWIDTH = 1_000
 _MAX_BINS = 1 << 27  # 1 GiB of int64 counts
 _TAG_BLOCK = 1 << 16  # first-channel tags per chunk of the segment walk
 _PAIR_BUDGET = EVENT_BUDGET >> 2  # pairs gathered at once in correlate, about 1 MB of temporaries
-_SLOT_SPAN = 1 << 20  # pulse slots per chunk of the heralded estimator, 128 KiB a plane
+_SLOT_SPAN = 1 << 20  # pulse slots of a chunk's bit planes, 128 KiB a plane
+_PLANE_BUDGET = EVENT_BUDGET << 1  # words of each shifted-plane temporary, 2 MiB
+_WORD_COST = 0.5  # one plane word at one slot offset, in walked pairs
+_GROUP_COST = 6_000  # the fixed cost of 64 slot offsets, in walked pairs
+_MERGE_COST = 3.0  # the walk's merges less the split on the grid, in walked pairs per tag of the sparser channel
+_CSV_ROWS = 1 << 14  # histogram rows that write_histogram_csv formats at once
 _BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))  # the bit of each slot in its word
 
 
@@ -158,13 +185,74 @@ def _chunks(stream: TagStream, lead: Channel, reach: dict, span: int | None = No
             held = {ch: held[ch][np.searchsorted(held[ch], first + lo) :] for ch, (lo, _) in reach.items()}
 
 
+def _grid_phase(times: np.ndarray, rep: int) -> tuple[int, float]:
+    """The commonest phase modulo ``rep`` of up to 64 tags spread over ``times``, and its share of them."""
+    phases, hits = np.unique(times[:: times.size // 64 + 1] % rep, return_counts=True)
+    top = int(np.argmax(hits))
+    return int(phases[top]), int(hits[top]) / int(hits.sum())
+
+
+def _grid_cost(n_a: int, n_slots: int, n_k: int) -> float:
+    """What counting pairs on bit planes costs, in walked pairs.
+
+    ``n_a`` first-channel tags over ``n_slots`` slots, and ``n_k`` slot
+    offsets: each offset takes a pass over the words of 64 slots that hold a
+    first-channel tag, and each 64 offsets a fixed cost.  Planes of more
+    than ``_SLOT_SPAN`` slots in all cost without bound.
+    """
+    if n_slots + n_k > _SLOT_SPAN:
+        return math.inf
+    words = n_slots / 64 + 1
+    occupied = -words * math.expm1(-n_a / words)  # expected words holding a tag
+    return _WORD_COST * occupied * n_k + _GROUP_COST * -(-n_k // 64)
+
+
+def _grid_phases(a: np.ndarray, b: np.ndarray, rep: int, range_ps: int):
+    """``(phase_a, phase_b)`` of a chunk's tags when bit planes cost less than the walk, else None.
+
+    The walk costs its pairs, estimated for tags spread evenly over the
+    chunk, and its merges; only the shares of ``_grid_phase``'s samples on
+    the grid count.  The times and differences that the planes take must
+    fit 64 bits.
+    """
+    lo, hi = int(a[0]) - range_ps - rep, int(a[-1]) + range_ps + rep
+    if not (b.size and -(2**63) < lo and hi < 2**63 and hi - lo < 2**63):
+        return None
+    width = int(a[-1]) - int(a[0])
+    walked = a.size * b.size * 2 * range_ps / (width + 2 * range_ps) + _MERGE_COST * min(a.size, b.size)
+    cost = _grid_cost(a.size, width // rep + 1, 2 * range_ps // rep + 1)
+    if cost >= walked:  # even with every tag on the grid
+        return None
+    (phase_a, share_a), (phase_b, share_b) = _grid_phase(a, rep), _grid_phase(b, rep)
+    return (phase_a, phase_b) if cost < walked * share_a * share_b else None
+
+
+def _on_grid(times: np.ndarray, origin: int, rep: int):
+    """``(slots, on, off)``: the tags at origin + slot * rep, their slots, and the other tags.
+
+    A further tag on a slot is among the other tags, so one plane holds the slots.
+    """
+    slot, since = np.divmod(times - origin, rep)
+    on = since == 0
+    on[1:] &= times[1:] != times[:-1]
+    if on.all():
+        return slot, times, times[:0]
+    return slot[on], times[on], times[~on]
+
+
 def correlate(
     stream: TagStream,
     pair: tuple,
     bin_width: int = DEFAULT_BIN_WIDTH,
     range_ps: int = DEFAULT_RANGE,
+    rep_period: int | None = None,
 ) -> CoincidenceHistogram:
-    """Histogram of time differences t_b - t_a for a channel pair."""
+    """Histogram of time differences t_b - t_a for a channel pair.
+
+    With ``rep_period``, pairs of tags on a pulse grid of that period are
+    counted on bit planes where that costs less than walking them; the
+    counts do not change.
+    """
     ch_a, ch_b = pair
     for ch in (ch_a, ch_b):
         if ch not in CHANNEL_NAMES:
@@ -173,6 +261,9 @@ def correlate(
         # every tag would pair with itself at zero delay
         raise ParameterError(f"a channel pair needs two different channels, got {CHANNEL_NAMES[ch_a]} twice")
     _check_binning(bin_width, range_ps)
+    rep = rep_period
+    if rep is not None and rep <= 0:
+        raise ParameterError("rep_period must be > 0")
     n_bins = (2 * range_ps) // bin_width
     try:
         counts = np.zeros(n_bins, dtype=np.int64)
@@ -181,26 +272,54 @@ def correlate(
     ramp = np.arange(0)
     for tags, near in _chunks(stream, ch_a, {ch_b: (-range_ps, range_ps)}):
         b = near[ch_b]
-        # pairs are numbered p = 0, 1, ... in tag order; pair p of tag i, with
-        # bounds[i] <= p < bounds[i + 1], is b[first[i] + p] once first is shifted
-        first = _rank(tags - range_ps, b)
-        bounds = np.zeros(tags.size + 1, dtype=np.int64)
-        np.cumsum(_rank(tags + range_ps, b) - first, out=bounds[1:])
-        first -= bounds[:-1]
-        total = int(bounds[-1])
-        for p0 in range(0, total, _PAIR_BUDGET):
-            p1 = min(p0 + _PAIR_BUDGET, total)
-            t0 = int(np.searchsorted(bounds, p0, side="right")) - 1
-            t1 = int(np.searchsorted(bounds, p1, side="left"))
-            lens = np.diff(np.clip(bounds[t0 : t1 + 1], p0, p1))
-            if ramp.size < p1 - p0:
-                ramp = np.arange(p1 - p0)
-            index = np.repeat(first[t0:t1] + p0, lens)
-            index += ramp[: p1 - p0]
-            tau = b[index]
-            tau -= np.repeat(tags[t0:t1] - range_ps, lens)
-            tau //= bin_width
-            counts += np.bincount(tau, minlength=n_bins)
+        phases = None if rep is None else _grid_phases(tags, b, rep, range_ps)
+        walks = [(tags, b)]  # (lead, partners): the pairs of each lead tag are walked
+        if phases is not None:
+            # A slot j counts periods from origin, the grid point at or before the
+            # chunk's first tag.  On-grid A at slot j and B at slot j + i lie
+            # least + i * rep apart, least being the first on-grid difference at
+            # or above -range_ps, so offset i falls in one bin
+            phase_a, phase_b = phases
+            origin = int(tags[0]) - (int(tags[0]) - phase_a) % rep
+            least = (phase_b - phase_a + range_ps) % rep - range_ps
+            n_k = (range_ps - least - 1) // rep + 1  # the offsets whose difference is below range_ps
+            # the tag whose phase was sampled is on the grid, so a_on is never empty
+            a_slot, a_on, a_off = _on_grid(tags, origin, rep)
+            b_slot, _, b_off = _on_grid(b, origin + least, rep)
+            if n_k > 0:
+                last = int(a_slot[-1])
+                b_slot = b_slot[np.searchsorted(b_slot, 0) : np.searchsorted(b_slot, last + n_k)]
+                n_words = (last + n_k) // 64 + 2
+                on_grid = _shifted_counts(_planes(a_slot, n_words), _planes(b_slot, n_words), n_k)[0]
+                np.add.at(counts, (least + range_ps + rep * np.arange(n_k)) // bin_width, on_grid)
+            walks = [(a_off, b)]
+            if b_off.size:
+                # against this chunk's on-grid A, from the B side, as t_b - t_a = (-t_a) - (-t_b)
+                walks.append((-b_off[::-1], -a_on[::-1]))
+        # at most _TAG_BLOCK lead tags at once, as the B side may hold more
+        blocks = ((lead[lo : lo + _TAG_BLOCK], partners)
+                  for lead, partners in walks for lo in range(0, lead.size, _TAG_BLOCK))
+        for lead, partners in blocks:
+            # pairs are numbered p = 0, 1, ... in tag order; pair p of tag i, with
+            # bounds[i] <= p < bounds[i + 1], is partners[first[i] + p] once first is shifted
+            first = _rank(lead - range_ps, partners)
+            bounds = np.zeros(lead.size + 1, dtype=np.int64)
+            np.cumsum(_rank(lead + range_ps, partners) - first, out=bounds[1:])
+            first -= bounds[:-1]
+            total = int(bounds[-1])
+            for p0 in range(0, total, _PAIR_BUDGET):
+                p1 = min(p0 + _PAIR_BUDGET, total)
+                t0 = int(np.searchsorted(bounds, p0, side="right")) - 1
+                t1 = int(np.searchsorted(bounds, p1, side="left"))
+                lens = np.diff(np.clip(bounds[t0 : t1 + 1], p0, p1))
+                if ramp.size < p1 - p0:
+                    ramp = np.arange(p1 - p0)
+                index = np.repeat(first[t0:t1] + p0, lens)
+                index += ramp[: p1 - p0]
+                tau = partners[index]
+                tau -= np.repeat(lead[t0:t1] - range_ps, lens)
+                tau //= bin_width
+                counts += np.bincount(tau, minlength=n_bins)
     singles = stream.counts()  # of the replay just walked
     return CoincidenceHistogram(
         bin_width=bin_width,
@@ -315,17 +434,20 @@ def _shifted_counts(left: np.ndarray, b_planes: np.ndarray, n_k: int) -> np.ndar
     """counts[p, i] of the slot pairs (j, j + i), i < n_k, with j set in left[p] and j + i in a B plane.
 
     Every bit of ``left`` is in left[0].  Shifted down by i = 64 q + r slots, word w of a B plane b
-    is ``b[w + q] >> r | b[w + q + 1] << (64 - r)``, taken at the words of left[0] with B bits in reach.
+    is ``b[w + q] >> r | b[w + q + 1] << (64 - r)``, taken at the words of left[0] with B bits in reach,
+    as many at once as keep each temporary within ``_PLANE_BUDGET`` words however many planes there are.
     """
     n = left.shape[1] - (n_k - 1) // 64 - 1
-    counts = np.empty((left.shape[0], n_k), dtype=np.int64)
+    piece = max(1, _PLANE_BUDGET // (64 * left.shape[0] * b_planes.shape[0]))
+    counts = np.zeros((left.shape[0], n_k), dtype=np.int64)
     for i in range(0, n_k, 64):
         q, r = i >> 6, np.arange(min(64, n_k - i), dtype=np.uint64)[:, None]
-        at = np.flatnonzero(np.logical_and(left[0, :n], b_planes[0, q : q + n] | b_planes[0, q + 1 : q + 1 + n]))
-        shifted = np.take(b_planes, at + q, axis=1)[:, None] >> r
-        shifted |= np.take(b_planes, at + (q + 1), axis=1)[:, None] << (np.uint64(64) - r)
-        pairs = np.bitwise_count(np.take(left, at, axis=1)[:, None, None] & shifted)
-        counts[:, i : i + r.size] = pairs.sum(axis=(1, 3))
+        reach = np.flatnonzero(np.logical_and(left[0, :n], b_planes[0, q : q + n] | b_planes[0, q + 1 : q + 1 + n]))
+        for at in np.split(reach, range(piece, reach.size, piece)):
+            shifted = np.take(b_planes, at + q, axis=1)[:, None] >> r
+            shifted |= np.take(b_planes, at + (q + 1), axis=1)[:, None] << (np.uint64(64) - r)
+            pairs = np.bitwise_count(np.take(left, at, axis=1)[:, None, None] & shifted)
+            counts[:, i : i + r.size] += pairs.sum(axis=(1, 3), dtype=np.int64)
     return counts
 
 
@@ -411,11 +533,13 @@ def heralded_g2(
 
 
 def write_histogram_csv(hist: CoincidenceHistogram, path) -> None:
-    """Emit the histogram as CSV rows (bin_center_ps, count)."""
+    """Emit the histogram as CSV rows (bin_center_ps, count), ``_CSV_ROWS`` rows at a time."""
+    centers = hist.bin_centers()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("bin_center_ps,count\n")
-        for center, count in zip(hist.bin_centers(), hist.counts):
-            fh.write(f"{center:.1f},{int(count)}\n")
+        for lo in range(0, hist.n_bins, _CSV_ROWS):
+            rows = zip(centers[lo : lo + _CSV_ROWS].tolist(), hist.counts[lo : lo + _CSV_ROWS].tolist())
+            fh.write("".join(f"{center:.1f},{count}\n" for center, count in rows))
 
 
 def write_peaks_csv(peaks, g2_values, path) -> None:

@@ -227,6 +227,7 @@ def read_binary(path, duration: int | None = None) -> TagStream:
     unknown = set()
     bad_reserved = bad_time = bad_order = last_herald = None
     before = -1  # the time of the record before the block
+    buffer = np.empty(min(n_records, _READ_BLOCK), dtype=np.int64)  # each block's times, contiguous
     for lo, records in _record_blocks(path, stamp, n_records, _READ_BLOCK):
         # the first little-endian word of a record is channel | reserved << 8,
         # so a valid record's word is its channel id
@@ -237,7 +238,8 @@ def read_binary(path, duration: int | None = None) -> TagStream:
         if top >= len(Channel):
             codes = records["channel"]
             unknown.update(np.unique(codes[codes >= len(Channel)]).tolist())
-        times = records["timestamp"].view(np.int64)  # 2**63 and above read as negative
+        times = buffer[: records.size]
+        np.copyto(times, records["timestamp"].view(np.int64))  # 2**63 and above read as negative
         if bad_time is None and times.min() < 0:
             bad_time = lo + int(np.argmax(times < 0))
         if bad_order is None and (times[0] < before or (times[1:] < times[:-1]).any()):

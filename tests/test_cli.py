@@ -380,7 +380,7 @@ def test_tag_io_goes_through_cli_names(tmp_path, monkeypatch):
         assert invoke("analyze", "--tags", out, "--pair", "herald_trigger,hbt_a", "--duration", 25_000_000,
                       "--out", analysis) == 0
     analysis_calls = [
-        ("correlate", ("TagStream", "tuple"), {"bin_width": 250, "range_ps": 100_000}),
+        ("correlate", ("TagStream", "tuple"), {"bin_width": 250, "range_ps": 100_000, "rep_period": 12_500}),
         ("integrate_peaks", ("CoincidenceHistogram", 12_500, 1_000), {}),
         ("g2_tau", ("CoincidenceHistogram", 12_500, 1_000), {}),
         ("write_histogram_csv", ("CoincidenceHistogram", analysis + ".hist.csv"), {}),

@@ -562,15 +562,18 @@ class TestBitPlanes:
                                hbt_a=[0, 0, 69 * REP, 69 * REP],
                                hbt_b=[69 * REP, 69 * REP + 500, 133 * REP, 134 * REP, 134 * REP, 201 * REP]),
                    reference_config(signal_delay=0),
-                   (DEFAULT_BIN_WIDTH, 64 * REP + DEFAULT_PEAK_HALFWIDTH, DEFAULT_PEAK_HALFWIDTH), 70))
+                   (DEFAULT_BIN_WIDTH, 64 * REP + DEFAULT_PEAK_HALFWIDTH, DEFAULT_PEAK_HALFWIDTH), 70), budget=1)
     @example(case=(make_stream(herald=[0, REP]), reference_config(),
-                   (DEFAULT_BIN_WIDTH, DEFAULT_RANGE, DEFAULT_PEAK_HALFWIDTH), 1))
-    @given(plane_cases())
+                   (DEFAULT_BIN_WIDTH, DEFAULT_RANGE, DEFAULT_PEAK_HALFWIDTH), 1), budget=coincidence._PLANE_BUDGET)
+    # budgets of one word or a few words of shifted planes at once, and the default
+    @given(case=plane_cases(), budget=st.sampled_from([1, 1 << 9, coincidence._PLANE_BUDGET]))
     # a plain run takes 300 examples, the fuzz profile its own number
     @settings(max_examples=max(300, settings().max_examples), deadline=None)
-    def test_matches_whole_channel_counter(self, case):
+    def test_matches_whole_channel_counter(self, case, budget):
         stream, config, binning, span = case
-        with mock.patch.object(coincidence, "_SLOT_SPAN", span):
+        with mock.patch.object(coincidence, "_SLOT_SPAN", span), mock.patch.object(
+            coincidence, "_PLANE_BUDGET", budget
+        ):
             counts = heralded_coincidence_counts(stream, config, *binning)
         assert counts == whole_heralded_counts(stream, config, *binning)
 
@@ -629,17 +632,49 @@ class TestPairBudget:
     def test_peak_memory_bounded_at_wide_range(self):
         # at 10 us a mu = 0.5 stream has ~160 herald-A pairs per herald; the
         # gather buffers must stay within the pair budget, whatever the pair count
-        cfg = reference_config(mean_pairs_per_pulse=0.5, n_pulses=40_000, seed=6,
-                               herald_selection=HeraldSelection.exactly(1))
-        stream, _ = run(cfg)
-        tracemalloc.start()
-        try:
-            hist = correlate(stream, (Channel.HERALD_TRIGGER, Channel.HBT_A), range_ps=10_000_000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        hist, peak = wide_range_peak(rep_period=None)
         assert hist.counts.sum() > 10 * coincidence._PAIR_BUDGET
         assert peak < 16 * 2**20
+
+
+def wide_range_peak(rep_period):
+    """correlate's histogram of a dense run at a 10 us range, and the traced peak of the call."""
+    cfg = reference_config(mean_pairs_per_pulse=0.5, n_pulses=40_000, seed=6,
+                           herald_selection=HeraldSelection.exactly(1))
+    stream, _ = run(cfg)
+    tracemalloc.start()
+    try:
+        hist = correlate(stream, (Channel.HERALD_TRIGGER, Channel.HBT_A), range_ps=10_000_000, rep_period=rep_period)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return hist, peak
+
+
+@st.composite
+def grid_correlate_cases(draw):
+    """Two channels of tags on pulse grids of their own phases, repeated on a
+    slot now and then, mixed with tags anywhere, and cuts of the stream.
+
+    The period is drawn with a bin width and a range that reaches less than
+    one period or up to 60 of them.  Returns ``(stream, pair, bin_width,
+    range_ps, rep_period, cuts)``.
+    """
+    rep = draw(st.integers(1, 40))
+    bin_width = draw(st.integers(1, 8))
+    step = bin_width // 2 if bin_width % 2 == 0 else bin_width  # 2 * range_ps must be a multiple of bin_width
+    range_ps = step * draw(st.one_of(st.integers(1, max(1, rep // step)), st.integers(1, 60 * rep // step + 1)))
+    n_slots = draw(st.integers(1, 200))
+    pair = draw(st.permutations(list(Channel)).map(lambda order: tuple(order[:2])))
+    tags = dict.fromkeys(Channel, ())
+    for ch in pair:
+        phase = draw(st.integers(0, rep - 1))
+        slots = draw(st.lists(st.integers(0, n_slots), max_size=40))
+        slots += draw(st.lists(st.sampled_from(slots), max_size=6)) if slots else []  # repeats on a slot
+        anywhere = draw(st.lists(st.integers(0, (n_slots + 1) * rep), max_size=8))
+        tags[ch] = [phase + j * rep for j in slots] + anywhere
+    stream = make_stream(*tags.values())
+    return stream, pair, bin_width, range_ps, rep, draw(cut_lists(*times_span(stream)))
 
 
 def cut_lists(lo, hi):
@@ -715,3 +750,91 @@ class TestSegmentWalk:
                                                                 DEFAULT_BIN_WIDTH, DEFAULT_RANGE))
         binning = (DEFAULT_BIN_WIDTH, DEFAULT_RANGE, DEFAULT_PEAK_HALFWIDTH)
         assert heralded_coincidence_counts(stream, cfg, *binning) == whole_heralded_counts(stream, cfg, *binning)
+
+
+class TestGridCorrelate:
+    """correlate with a pulse grid against the whole-channel walk (tests/whole_channel.py)."""
+
+    # on-grid A tags on one slot twice, B tags on and off its own grid, and
+    # one A tag off the grid; range below one period, so one offset is in reach
+    @example(case=(make_stream(hbt_a=[3, 3, 13, 17], hbt_b=[5, 8, 15, 25]), (Channel.HBT_A, Channel.HBT_B),
+                   1, 4, 10, [(14, NO_TIES)]), block=1 << 16)
+    # a period wider than the whole range: no on-grid difference falls in it
+    @example(case=(make_stream(herald=[0, 40], hbt_b=[30, 31, 70]), (Channel.HERALD_TRIGGER, Channel.HBT_B),
+                   2, 8, 40, []), block=1)
+    @given(case=grid_correlate_cases(), block=st.sampled_from([1, 2, 3, 1 << 16]))
+    # a plain run takes 300 examples, the fuzz profile its own number
+    @settings(max_examples=max(300, settings().max_examples), deadline=None)
+    @pytest.mark.parametrize("cost", [0.0, math.inf], ids=["planes", "walk"])
+    def test_matches_whole_channels(self, cost, case, block):
+        # the cost rule forced to either side: every chunk with partners on
+        # bit planes, or every chunk walked
+        stream, pair, bin_width, range_ps, rep, cuts = case
+        with mock.patch.object(coincidence, "_grid_cost", lambda *args: cost), mock.patch.object(
+            coincidence, "_TAG_BLOCK", block
+        ):
+            hist = correlate(cut_stream(stream, cuts), pair, bin_width, range_ps, rep_period=rep)
+        channels = stream.channels
+        np.testing.assert_array_equal(
+            hist.counts, whole_correlate_times(channels[pair[0]], channels[pair[1]], bin_width, range_ps)
+        )
+
+    @pytest.mark.parametrize("mu, selection, planes", [(0.5, "1", True), (0.0075, "1+", False)])
+    def test_cost_rule_on_simulated_runs(self, mu, selection, planes):
+        # the dense run's chunks go on bit planes; the paper point's are sparse
+        # enough to walk, though each spans fewer slots than a plane holds
+        cfg = reference_config(mean_pairs_per_pulse=mu, n_pulses=1_000_000, seed=4,
+                               herald_selection=HeraldSelection.parse(selection, 4))
+        stream, _ = run(cfg, batch_size=1 << 17)
+        pair = (Channel.HERALD_TRIGGER, Channel.HBT_A)
+        with mock.patch.object(coincidence, "_shifted_counts", wraps=coincidence._shifted_counts) as counter:
+            hist = correlate(stream, pair, rep_period=cfg.rep_period)
+        assert counter.called == planes
+        channels = stream.channels
+        np.testing.assert_array_equal(
+            hist.counts, whole_correlate_times(channels[pair[0]], channels[pair[1]], DEFAULT_BIN_WIDTH, DEFAULT_RANGE)
+        )
+
+    def test_peak_memory_bounded_at_wide_range(self):
+        # 1 601 slot offsets: the planes of a chunk stay within its slots
+        with mock.patch.object(coincidence, "_shifted_counts", wraps=coincidence._shifted_counts) as counter:
+            hist, peak = wide_range_peak(rep_period=REP)
+        assert counter.called
+        np.testing.assert_array_equal(hist.counts, wide_range_peak(rep_period=None)[0].counts)
+        assert peak < 16 * 2**20
+
+    def test_repeated_times_walk(self):
+        # 300 B tags at one time besides one at each A slot: the repeats are
+        # walked, so each channel keeps one plane of 960 words; a plane for
+        # each repeat, shifted at every A word in reach, traces about 77 MB
+        a = np.arange(4096) * 15 * REP
+        b = np.concatenate((a + 3 * REP, np.full(300, a[100] + 3 * REP)))
+        stream = make_stream(hbt_a=a, hbt_b=b)
+        with mock.patch.object(coincidence, "_grid_cost", lambda *args: 0.0):
+            tracemalloc.start()
+            try:
+                hist = correlate(stream, (Channel.HBT_A, Channel.HBT_B), rep_period=REP)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        whole = whole_correlate_times(a, np.sort(b), DEFAULT_BIN_WIDTH, DEFAULT_RANGE)
+        np.testing.assert_array_equal(hist.counts, whole)
+        assert peak < 2**20
+
+    def test_planes_bounded_by_the_slot_span(self):
+        span = coincidence._SLOT_SPAN
+        assert coincidence._grid_cost(1 << 16, span - 17, 17) < math.inf
+        assert coincidence._grid_cost(1 << 16, span - 16, 17) == math.inf
+        assert coincidence._grid_cost(1, 1, span) == math.inf
+
+    @pytest.mark.parametrize("times", [[-(2**63) + 10, -(2**63) + 10 + REP], [2**63 - 1 - REP, 2**63 - 1]])
+    def test_planes_keep_inside_int64(self, times):
+        tags = np.asarray(times, dtype=np.int64)
+        with mock.patch.object(coincidence, "_grid_cost", lambda *args: 0.0):
+            assert coincidence._grid_phases(tags, tags, REP, DEFAULT_RANGE) is None
+            assert coincidence._grid_phases(tags // 2, tags // 2, REP, DEFAULT_RANGE) is not None
+
+    @pytest.mark.parametrize("rep_period", [0, -REP])
+    def test_rep_period_must_be_positive(self, rep_period):
+        with pytest.raises(ParameterError, match="rep_period must be > 0"):
+            correlate(make_stream(hbt_a=[0], hbt_b=[0]), (Channel.HBT_A, Channel.HBT_B), rep_period=rep_period)
