@@ -276,7 +276,9 @@ def _add_detector_args(sub, nmax_default=None):
     sub.add_argument("--nmax", type=int, default=nmax_default, help="incident photon-number cutoff")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``main`` reuses it for every call."""
     parser = argparse.ArgumentParser(
         prog="heraldsim",
         description="Photon-number feedforward simulator and time-tag analysis toolkit",
@@ -345,14 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reuses for every call in a process."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = _utc_now()
     try:
         config, outputs = args.func(args, args.out)

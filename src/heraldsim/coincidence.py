@@ -14,7 +14,9 @@ pairs are gathered in windows of at most ``_PAIR_BUDGET``, cut along the
 cumulative pair count: a window may end inside one tag's run, so memory
 stays bounded however wide the range or however dense the stream.
 Histograms hold at most ``_MAX_BINS`` bins; a wider binning is rejected
-before any pair is counted.
+before any pair is counted.  A first-channel tag within ``range_ps`` plus
+the period of the 64-bit time limits is refused with ``ParameterError``, as
+the sums that bound its pairs would wrap.
 
 Given a ``rep_period``, a chunk's tags split by the pulse grid: a tag is on
 its channel's grid when its time less the channel's phase in the chunk (the
@@ -65,12 +67,14 @@ This holds only when all herald slots share one phase modulo rep_period (the
 alignment contract); a herald off that grid raises ``ParameterError``.  A
 chunk spans at most ``_SLOT_SPAN`` slots, held as bit planes of 64 slots a
 word (``_planes``): the herald slots, the heralded A slots and the in-window
-B slots, one more plane for each further tag on a slot.  The counts at offset
-index i are popcounts of the herald or A planes ANDed with the B planes
-shifted down by i slots (``_shifted_counts``), at the herald words with B
-bits in reach: the work grows with the occupied words, not the tags.  Those
-words are shifted a piece at a time, so that no temporary exceeds
-``_PLANE_BUDGET`` words however many planes a chunk holds.
+B slots.  Where a slot holds further tags, their number is written in binary
+digits, one weighted plane per digit, so a slot of c tags costs 1 + log2(c)
+planes.  The counts at offset index i are the weighted popcounts of the
+herald or A planes ANDed with the B planes shifted down by i slots
+(``_shifted_counts``), at the herald words with B bits in reach: the work
+grows with the occupied words, not the tags.  Those words are shifted a
+piece at a time, so that no temporary exceeds ``_PLANE_BUDGET`` words
+however many planes a chunk holds.
 """
 
 from __future__ import annotations
@@ -212,13 +216,12 @@ def _grid_phases(a: np.ndarray, b: np.ndarray, rep: int, range_ps: int):
 
     The walk costs its pairs, estimated for tags spread evenly over the
     chunk, and its merges; only the shares of ``_grid_phase``'s samples on
-    the grid count.  The times and differences that the planes take must
-    fit 64 bits.
+    the grid count.  The differences that the planes take must fit 64 bits;
+    ``correlate`` has checked the times.
     """
-    lo, hi = int(a[0]) - range_ps - rep, int(a[-1]) + range_ps + rep
-    if not (b.size and -(2**63) < lo and hi < 2**63 and hi - lo < 2**63):
-        return None
     width = int(a[-1]) - int(a[0])
+    if not b.size or width + 2 * (range_ps + rep) >= 2**63:
+        return None
     walked = a.size * b.size * 2 * range_ps / (width + 2 * range_ps) + _MERGE_COST * min(a.size, b.size)
     cost = _grid_cost(a.size, width // rep + 1, 2 * range_ps // rep + 1)
     if cost >= walked:  # even with every tag on the grid
@@ -251,7 +254,8 @@ def correlate(
 
     With ``rep_period``, pairs of tags on a pulse grid of that period are
     counted on bit planes where that costs less than walking them; the
-    counts do not change.
+    counts do not change.  A ``pair[0]`` tag closer than ``range_ps`` plus
+    ``rep_period`` to either 64-bit time limit raises ParameterError.
     """
     ch_a, ch_b = pair
     for ch in (ch_a, ch_b):
@@ -270,7 +274,12 @@ def correlate(
     except MemoryError:
         raise ParameterError(f"a histogram of {n_bins} bins cannot be allocated") from None
     ramp = np.arange(0)
+    reach = range_ps + (rep or 0)  # the furthest a first-channel tag's sums reach
     for tags, near in _chunks(stream, ch_a, {ch_b: (-range_ps, range_ps)}):
+        if int(tags[0]) - reach < -(2**63) or int(tags[-1]) + reach >= 2**63:
+            edge = tags[0] if int(tags[0]) - reach < -(2**63) else tags[np.searchsorted(tags, 2**63 - reach)]
+            raise ParameterError(f"{CHANNEL_NAMES[ch_a]} tag at {edge} ps lies within {reach} ps of the 64-bit "
+                                 f"time limits, where its differences would overflow")
         b = near[ch_b]
         phases = None if rep is None else _grid_phases(tags, b, rep, range_ps)
         walks = [(tags, b)]  # (lead, partners): the pairs of each lead tag are walked
@@ -294,8 +303,9 @@ def correlate(
                 np.add.at(counts, (least + range_ps + rep * np.arange(n_k)) // bin_width, on_grid)
             walks = [(a_off, b)]
             if b_off.size:
-                # against this chunk's on-grid A, from the B side, as t_b - t_a = (-t_a) - (-t_b)
-                walks.append((-b_off[::-1], -a_on[::-1]))
+                # against this chunk's on-grid A, from the B side, as
+                # t_b - t_a = (origin - t_a) - (origin - t_b), which stay inside 64 bits
+                walks.append((origin - b_off[::-1], origin - a_on[::-1]))
         # at most _TAG_BLOCK lead tags at once, as the B side may hold more
         blocks = ((lead[lo : lo + _TAG_BLOCK], partners)
                   for lead, partners in walks for lo in range(0, lead.size, _TAG_BLOCK))
@@ -410,36 +420,49 @@ class HeraldedCounts:
 
 
 def _planes(slots: np.ndarray, n_words: int) -> np.ndarray:
-    """Bit planes of sorted slot indices, one row of ``n_words`` words of 64 slots.
+    """Bit planes of sorted slot indices, rows of ``n_words`` words of 64 slots.
 
-    Bit j of plane m is set when slot j occurs more than m times: each further
-    tag on a slot adds a plane, and no slots give one empty plane.
+    Plane 0 marks the occupied slots, and plane m >= 1 the slots whose count
+    of further tags has bit m - 1 set; a slot's tags are the ``_weights`` of
+    its planes summed.  So a slot of c tags costs 1 + log2(c) planes, and no
+    slots give one empty plane.
     """
+    groups = [slots]
+    again = slots[1:] == slots[:-1]  # a further tag on the slot before
+    if again.any():
+        head = np.flatnonzero(np.concatenate(([True], ~again)))
+        further = np.diff(head, append=slots.size) - 1
+        groups = [slots[head]]
+        groups += [slots[head[(further >> m) & 1 == 1]] for m in range(int(further.max()).bit_length())]
     planes = []
-    while slots.size or not planes:
-        again = slots[1:] == slots[:-1]  # a further tag on the slot before
-        if slots.size > n_words:  # many slots a word: mark each in a byte and pack the bytes
+    for group in groups:
+        if group.size > n_words:  # many slots a word: mark each in a byte and pack the bytes
             marks = np.zeros(n_words * 64, dtype=bool)
-            marks[slots] = True
+            marks[group] = True
             planes.append(np.packbits(marks, bitorder="little").view(np.uint64))
         else:  # adding the bits of distinct slots sets them
-            head = slots[np.concatenate(([True], ~again))] if again.any() else slots
             planes.append(np.zeros(n_words, dtype=np.uint64))
-            np.add.at(planes[-1], head >> 6, _BIT[head & 63])
-        slots = slots[1:][again]
+            np.add.at(planes[-1], group >> 6, _BIT[group & 63])
     return np.stack(planes) if len(planes) > 1 else planes[0][None]
 
 
-def _shifted_counts(left: np.ndarray, b_planes: np.ndarray, n_k: int) -> np.ndarray:
-    """counts[p, i] of the slot pairs (j, j + i), i < n_k, with j set in left[p] and j + i in a B plane.
+def _weights(planes: np.ndarray) -> np.ndarray:
+    """The tags each plane of ``_planes`` stands for: 1, then 2**(m - 1) for plane m >= 1."""
+    return np.left_shift(1, np.arange(-1, len(planes) - 1).clip(0))
 
-    Every bit of ``left`` is in left[0].  Shifted down by i = 64 q + r slots, word w of a B plane b
-    is ``b[w + q] >> r | b[w + q + 1] << (64 - r)``, taken at the words of left[0] with B bits in reach,
-    as many at once as keep each temporary within ``_PLANE_BUDGET`` words however many planes there are.
+
+def _shifted_counts(left: np.ndarray, b_planes: np.ndarray, n_k: int) -> np.ndarray:
+    """counts[p, i] of the B tags at slot j + i, i < n_k, summed over the slots j set in left[p].
+
+    Every bit of ``left`` is in left[0], and the B planes come from ``_planes``.  Shifted down by
+    i = 64 q + r slots, word w of a B plane b is ``b[w + q] >> r | b[w + q + 1] << (64 - r)``, taken
+    at the words of left[0] with B bits in reach, as many at once as keep each temporary within
+    ``_PLANE_BUDGET`` words however many planes there are.
     """
     n = left.shape[1] - (n_k - 1) // 64 - 1
     piece = max(1, _PLANE_BUDGET // (64 * left.shape[0] * b_planes.shape[0]))
     counts = np.zeros((left.shape[0], n_k), dtype=np.int64)
+    weights = _weights(b_planes)
     for i in range(0, n_k, 64):
         q, r = i >> 6, np.arange(min(64, n_k - i), dtype=np.uint64)[:, None]
         reach = np.flatnonzero(np.logical_and(left[0, :n], b_planes[0, q : q + n] | b_planes[0, q + 1 : q + 1 + n]))
@@ -447,7 +470,7 @@ def _shifted_counts(left: np.ndarray, b_planes: np.ndarray, n_k: int) -> np.ndar
             shifted = np.take(b_planes, at + q, axis=1)[:, None] >> r
             shifted |= np.take(b_planes, at + (q + 1), axis=1)[:, None] << (np.uint64(64) - r)
             pairs = np.bitwise_count(np.take(left, at, axis=1)[:, None, None] & shifted)
-            counts[:, i : i + r.size] += pairs.sum(axis=(1, 3), dtype=np.int64)
+            counts[:, i : i + r.size] += weights @ pairs.sum(axis=3, dtype=np.int64)
     return counts
 
 
@@ -495,8 +518,9 @@ def heralded_coincidence_counts(
         # A tags exactly on a heralded slot of this chunk
         a_slot, since = np.divmod(near[Channel.HBT_A] - (first + delay), rep)
         a_planes = _planes(a_slot[since == 0], n_words) & heralds[0]
-        n_a_slot += int(np.bitwise_count(a_planes).sum())
+        n_a_slot += int(_weights(a_planes) @ np.bitwise_count(a_planes).sum(axis=1, dtype=np.int64))
         counts = _shifted_counts(np.concatenate((heralds, a_planes)), b_planes, n_k)
+        counts *= np.concatenate((_weights(heralds), _weights(a_planes)))[:, None]
         totals += np.add.reduceat(counts, [0, len(heralds)])  # the herald rows, then the A rows
     if origin is None:
         raise EmptyEnsembleError("stream contains no herald tags")

@@ -33,10 +33,10 @@ modulator-arrival time; dark counts are independent Poisson processes.
 
 Determinism: every random draw happens in per-batch streams keyed by
 (seed, batch index), and batches are contiguous pulse ranges whose size
-depends on the config alone, so identical configs produce bit-identical
-streams for any thread count.  The gate-edge thinning of ``gate_rise_time``
-draws from one stream per HBT channel, keyed (seed, _RAMP_STREAM_TAG,
-channel), in time order.
+``_batch_pulses`` takes from the config alone (no caller picks it), so
+identical configs produce bit-identical streams for any thread count.  The
+gate-edge thinning of ``gate_rise_time`` draws from one stream per HBT
+channel, keyed (seed, _RAMP_STREAM_TAG, channel), in time order.
 
 A batch holds as many pulses as expect ``EVENT_BUDGET`` events, and at most
 ``DEFAULT_BATCH_SIZE``: an event is an occupied pulse, or any pulse when an
@@ -102,10 +102,9 @@ _RETRIGGER_BLOCK = 1 << 16
 #: blocks, numpy 2.4), and the counts take 8 bytes per pulse.
 _GRID_SPAN = 6
 
-#: Most dark counts ``DEFAULT_BATCH_SIZE`` pulses, or an explicit batch, may
-#: expect at one HBT channel: their times take 32 MB, and the Poisson mean
-#: stays far inside the int64 range.  A batch sized by its events holds far
-#: fewer.
+#: Most dark counts ``DEFAULT_BATCH_SIZE`` pulses may expect at one HBT
+#: channel: their times take 32 MB, and the Poisson mean stays far inside the
+#: int64 range.  A batch sized by its events holds far fewer.
 _DARK_BUDGET = 1 << 22
 
 #: Most entries the table of pulse outcomes may hold; each costs about 30
@@ -702,6 +701,9 @@ def _outcomes(config: ExperimentConfig) -> _Outcomes:
     """The run's outcome table; the source law is cut where its tail mass falls below TAIL_MASS_TOL."""
     mu = config.mean_pairs_per_pulse
     n_max = max(1, required_n_max(mu, config.source_family))
+    if n_max * (config.n_pixels + 1) * 9 > _TABLE_BUDGET:
+        raise ParameterError(f"mean_pairs_per_pulse {mu!r} expects more than {_TABLE_BUDGET} outcomes of a pulse, "
+                             f"with {config.n_pixels} pixels")
     source = FAMILIES[config.source_family](mu, n_max).probs[1:]
     if not source.any():  # mu = 0: no pulse is occupied, so the law is never drawn
         source = np.eye(1, n_max)[0]
@@ -896,8 +898,8 @@ def _segments(config: ExperimentConfig, table: _Outcomes, threads: int, batch_si
     return _Counters(click_counts, accepted, emitted)
 
 
-def run(config: ExperimentConfig, threads: int = 1, batch_size: int | None = None):
-    """Simulate the configured run, in batches of ``batch_size`` pulses or, by default, of ``_batch_pulses``.
+def run(config: ExperimentConfig, threads: int = 1):
+    """Simulate the configured run, in batches of ``_batch_pulses`` pulses.
 
     Returns:
         (TagStream, RunSummary) at once.  The run is drawn and stitched
@@ -906,26 +908,16 @@ def run(config: ExperimentConfig, threads: int = 1, batch_size: int | None = Non
         ``threads`` value; see the module docstring for the determinism
         contract.
     """
-    if batch_size is not None and batch_size <= 0:
-        raise ParameterError("batch_size must be > 0")
-    if batch_size is not None and batch_size >= 2**31:
-        raise ParameterError("batch_size must be below 2**31")
     if threads < 1:
         raise ParameterError("threads must be >= 1")
     delay = config.resolved_signal_delay
     horizon = config.duration + delay + config.latency + config.gate_length
     if horizon >= 2**63:
         raise ParameterError("timestamp range overflows 64-bit picoseconds; reduce n_pulses")
-    checked = DEFAULT_BATCH_SIZE if batch_size is None else batch_size
-    if config.dark_rate * (min(checked, config.n_pulses) * config.rep_period) * 1e-12 > _DARK_BUDGET:
+    if config.dark_rate * (min(DEFAULT_BATCH_SIZE, config.n_pulses) * config.rep_period) * 1e-12 > _DARK_BUDGET:
         raise ParameterError(f"dark_rate {config.dark_rate!r} gives more dark counts per batch than {_DARK_BUDGET}")
-    n_max = max(1, required_n_max(config.mean_pairs_per_pulse, config.source_family))
-    if n_max * (config.n_pixels + 1) * 9 > _TABLE_BUDGET:
-        raise ParameterError(f"mean_pairs_per_pulse {config.mean_pairs_per_pulse!r} expects more than "
-                             f"{_TABLE_BUDGET} outcomes of a pulse, with {config.n_pixels} pixels")
     table = _outcomes(config)
-    if batch_size is None:
-        batch_size = _batch_pulses(config, table)
+    batch_size = _batch_pulses(config, table)
     # a run of zero pulses still makes one empty batch, which gives every
     # channel its dtype
     n_batches = max(1, (config.n_pulses + batch_size - 1) // batch_size)

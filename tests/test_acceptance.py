@@ -13,6 +13,7 @@ import math
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from heraldsim import (
     run,
     threshold_sweep,
 )
+from heraldsim import event_sim
 from heraldsim.discriminator import click_number_rates, count_plateaus
 from heraldsim.tagio import write_binary
 
@@ -312,7 +314,8 @@ class TestCriterion7DeterminismAndThroughput:
             )
             paths = []
             for threads in (1, 4):
-                stream, _ = run(config, threads=threads, batch_size=1 << 18)
+                with mock.patch.object(event_sim, "_batch_pulses", lambda config, table: 1 << 18):
+                    stream, _ = run(config, threads=threads)
                 path = tmp_path / f"run_t{threads}.bin"
                 write_binary(stream, path)
                 paths.append(path)

@@ -561,6 +561,17 @@ class TestAnalyzeCommand:
                       "--out", tmp_path / "x") == 2
         assert "no peak window fits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("a, b", [(9223372036854700000, 9223372036854750000),
+                                      (-9223372036854775800, -9223372036854770000)])
+    def test_times_at_the_int64_limits_exit_code(self, tmp_path, capsys, a, b):
+        """A pair 50 ns apart whose differences, within the range and period, would leave 64 bits."""
+        tags = tmp_path / "edge.csv"
+        tags.write_text(f"channel,timestamp_ps\nhbt_a,{a}\nhbt_b,{b}\n")
+        assert invoke("analyze", "--tags", tags, "--pair", "hbt_a,hbt_b", "--duration", 1_000_000,
+                      "--out", tmp_path / "x") == 2
+        assert f"hbt_a tag at {a} ps lies within 112500 ps of the 64-bit time limits" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["edge.csv"]
+
     def test_pair_of_one_channel_exit_code(self, small_tags, tmp_path, capsys):
         """Every tag would pair with itself at zero delay."""
         assert invoke("analyze", "--tags", small_tags, "--pair", "hbt_a,hbt_a", "--out", tmp_path / "x") == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -26,7 +27,7 @@ from heraldsim import (
     isolated_times,
     run,
 )
-from heraldsim import coincidence
+from heraldsim import coincidence, event_sim
 from heraldsim.coincidence import DEFAULT_BIN_WIDTH, DEFAULT_PEAK_HALFWIDTH, DEFAULT_RANGE
 from whole_channel import correlate_times as whole_correlate_times
 from whole_channel import cut_stream
@@ -517,8 +518,9 @@ class TestPulseGridEstimator:
 
 @st.composite
 def plane_cases(draw):
-    """Streams for the bit-plane counter: tags repeated on one slot, offset
-    ranges past one and two words of 64 slots, and chunk spans of 1 to 300.
+    """Streams for the bit-plane counter: up to 40 tags of a channel on one
+    slot, offset ranges past one and two words of 64 slots, and chunk spans
+    of 1 to 300.
 
     Returns ``(stream, config, binning, span)``.
     """
@@ -532,19 +534,20 @@ def plane_cases(draw):
     signal_delay = draw(st.integers(0, 3 * rep_period))
     phase = draw(st.integers(0, rep_period - 1))
     # herald slots count from the first; now and then one sits on the first
-    # chunk's last slot
+    # chunk's last slot, and one holds further heralds
     slots = [0] + draw(st.lists(st.integers(0, 2 * span + 70), max_size=30))
     slots += [span - 1] * draw(st.integers(0, 1))
+    slots += [draw(st.sampled_from(slots))] * draw(st.sampled_from([0, 1, 2, 40]))
     grid = phase + signal_delay  # the signal arrival at slot 0
     reach = (max(slots) + k_max + 2) * rep_period
     anywhere = st.integers(max(0, grid + lo + offsets.start * rep_period), grid + reach)
-    # 1 to 4 B tags in the window of one offset of one herald's slot
-    residuals = st.lists(st.integers(0, hi - lo - 1), min_size=1, max_size=4)
+    # 1 to 40 B tags in the window of one offset of one herald's slot
+    residuals = st.lists(st.integers(0, hi - lo - 1), min_size=1, max_size=40)
     stacks = st.builds(lambda j, k, xs: [grid + (j + k) * rep_period + lo + x for x in xs],
                        st.sampled_from(slots), st.sampled_from(offsets), residuals)
     hbt_b = sum(draw(st.lists(stacks, max_size=8)), []) + draw(st.lists(anywhere, max_size=10))
-    # 1 to 3 A tags on one herald's slot, on other slots and off the grid
-    on_slot = st.builds(lambda j, n: [grid + j * rep_period] * n, st.sampled_from(slots), st.integers(1, 3))
+    # 1 to 40 A tags on one herald's slot, on other slots and off the grid
+    on_slot = st.builds(lambda j, n: [grid + j * rep_period] * n, st.sampled_from(slots), st.integers(1, 40))
     on_grid = st.builds(lambda j: [grid + j * rep_period], st.integers(-2, max(slots) + 2))
     hbt_a = sum(draw(st.lists(st.one_of(on_slot, on_grid), max_size=10)), []) + draw(st.lists(anywhere, max_size=5))
     stream = make_stream(herald=[phase + j * rep_period for j in slots], hbt_a=hbt_a, hbt_b=hbt_b)
@@ -576,6 +579,29 @@ class TestBitPlanes:
         ):
             counts = heralded_coincidence_counts(stream, config, *binning)
         assert counts == whole_heralded_counts(stream, config, *binning)
+
+    def test_repeats_cost_a_plane_per_binary_digit(self):
+        # 65 536 heralds 16 pulses apart, HBT A at every third herald's slot and
+        # B at every fifth, plus 1 000 B tags at one slot: 11 B planes, where a
+        # plane per further tag would trace 252 MiB and take 9 s
+        config = reference_config(n_pulses=1 << 20)
+        heralds = np.arange(1 << 16, dtype=np.int64) * 16 * REP
+        slots = heralds + config.resolved_signal_delay
+        hbt_b = np.concatenate((slots[::5], np.full(1_000, slots[100])))
+        stream = make_stream(herald=heralds, hbt_a=slots[::3], hbt_b=hbt_b, duration=(1 << 20) * REP)
+        binning = (DEFAULT_BIN_WIDTH, DEFAULT_RANGE, DEFAULT_PEAK_HALFWIDTH)
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            counts = heralded_coincidence_counts(stream, config, *binning)
+            elapsed = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts == whole_heralded_counts(stream, config, *binning)
+        assert counts.b_counts[0] == 14_108
+        assert peak <= 16 * 2**20
+        assert elapsed < 1.0
 
 
 class TestPeakWindows:
@@ -742,7 +768,8 @@ class TestSegmentWalk:
         # a run's segments end at its batch edges
         cfg = reference_config(mean_pairs_per_pulse=0.5, n_pulses=60_000, seed=8, dark_rate=1e6,
                                herald_selection=HeraldSelection.exactly(1))
-        stream, _ = run(cfg, batch_size=7_000)
+        with mock.patch.object(event_sim, "_batch_pulses", lambda config, table: 7_000):
+            stream, _ = run(cfg)
         channels = stream.channels
         for pair in ((Channel.HERALD_TRIGGER, Channel.HBT_A), (Channel.HBT_B, Channel.HBT_A)):
             np.testing.assert_array_equal(correlate(stream, pair).counts,
@@ -785,7 +812,8 @@ class TestGridCorrelate:
         # enough to walk, though each spans fewer slots than a plane holds
         cfg = reference_config(mean_pairs_per_pulse=mu, n_pulses=1_000_000, seed=4,
                                herald_selection=HeraldSelection.parse(selection, 4))
-        stream, _ = run(cfg, batch_size=1 << 17)
+        with mock.patch.object(event_sim, "_batch_pulses", lambda config, table: 1 << 17):
+            stream, _ = run(cfg)
         pair = (Channel.HERALD_TRIGGER, Channel.HBT_A)
         with mock.patch.object(coincidence, "_shifted_counts", wraps=coincidence._shifted_counts) as counter:
             hist = correlate(stream, pair, rep_period=cfg.rep_period)
@@ -827,12 +855,32 @@ class TestGridCorrelate:
         assert coincidence._grid_cost(1 << 16, span - 16, 17) == math.inf
         assert coincidence._grid_cost(1, 1, span) == math.inf
 
-    @pytest.mark.parametrize("times", [[-(2**63) + 10, -(2**63) + 10 + REP], [2**63 - 1 - REP, 2**63 - 1]])
+    @pytest.mark.parametrize("times", [[-(2**63) + 10, 10], [-10, 2**63 - 1]])
     def test_planes_keep_inside_int64(self, times):
+        # a chunk whose planes would span 2**63 ps or more walks; correlate
+        # refuses the times at the limits (test_times_at_the_int64_limits)
         tags = np.asarray(times, dtype=np.int64)
         with mock.patch.object(coincidence, "_grid_cost", lambda *args: 0.0):
             assert coincidence._grid_phases(tags, tags, REP, DEFAULT_RANGE) is None
-            assert coincidence._grid_phases(tags // 2, tags // 2, REP, DEFAULT_RANGE) is not None
+            assert coincidence._grid_phases(tags // 4, tags // 4, REP, DEFAULT_RANGE) is not None
+
+    # a pair 50 ns apart past each limit, and a tag at each limit with two B
+    # tags at the edge of its range, the second of which walks from the B side
+    @pytest.mark.parametrize("a, inside, tau", [(-(2**63) + 10, -(2**63) + DEFAULT_RANGE + REP, -DEFAULT_RANGE),
+                                                (2**63 - 100_000, 2**63 - 1 - DEFAULT_RANGE - REP, DEFAULT_RANGE - 1)])
+    @pytest.mark.parametrize("rep_period", [None, REP])
+    @pytest.mark.parametrize("cost", [0.0, math.inf], ids=["planes", "walk"])
+    def test_times_at_the_int64_limits(self, a, inside, tau, rep_period, cost):
+        # a first-channel tag whose range plus period leaves int64 is refused,
+        # as its differences would wrap
+        pair = (Channel.HBT_A, Channel.HBT_B)
+        reach = DEFAULT_RANGE + (rep_period or 0)
+        with mock.patch.object(coincidence, "_grid_cost", lambda *args: cost):
+            with pytest.raises(ParameterError, match=f"hbt_a tag at {a} ps lies within {reach} ps of the 64-bit"):
+                correlate(make_stream(hbt_a=[a], hbt_b=[a + 50_000], duration=REP), pair, rep_period=rep_period)
+            stream = make_stream(hbt_a=[inside], hbt_b=[inside + tau] * 2, duration=REP)
+            hist = correlate(stream, pair, rep_period=rep_period)
+        assert hist.counts.sum() == hist.counts[(tau + DEFAULT_RANGE) // DEFAULT_BIN_WIDTH] == 2
 
     @pytest.mark.parametrize("rep_period", [0, -REP])
     def test_rep_period_must_be_positive(self, rep_period):

@@ -266,7 +266,12 @@ def reference_unsliced_batch(config, batch_index, start, size):
     return PhotonBatch(start + herald_occ, start + occ[keep], clicks[keep], photons, click_hist, (dark_a, dark_b))
 
 
-def reference_run(config, batch_size=None):
+def batches_of(size):
+    """Cut runs, and reference runs, into batches of ``size`` pulses while the patch holds."""
+    return mock.patch.object(event_sim, "_batch_pulses", lambda config, table: size)
+
+
+def reference_run(config):
     """The whole-run stitching that run() does segment by segment.
 
     Every batch is drawn first, the batches are joined, and the gates are
@@ -274,7 +279,7 @@ def reference_run(config, batch_size=None):
     them.  Returns the channels and the counters of the run summary.
     """
     table = event_sim._outcomes(config)
-    batch_size = batch_size or event_sim._batch_pulses(config, table)
+    batch_size = event_sim._batch_pulses(config, table)
     n_batches = max(1, -(-config.n_pulses // batch_size))
     parts = [
         _simulate_batch(config, table, i, i * batch_size, min(batch_size, config.n_pulses - i * batch_size))
@@ -414,8 +419,9 @@ class TestDeterminism:
 
     def test_thread_count_does_not_change_output(self):
         cfg = make_config(n_pulses=500_000, dark_rate=250.0)
-        s1, _ = run(cfg, threads=1, batch_size=1 << 16)
-        s3, _ = run(cfg, threads=3, batch_size=1 << 16)
+        with batches_of(1 << 16):
+            s1, _ = run(cfg, threads=1)
+            s3, _ = run(cfg, threads=3)
         c1, c3 = s1.channels, s3.channels
         for ch in Channel:
             np.testing.assert_array_equal(c1[ch], c3[ch])
@@ -581,7 +587,8 @@ class TestEdgeConfigurations:
         cfg = make_config(mean_pairs_per_pulse=mu, n_pulses=n_pulses, seed=seed, herald_selection=selection,
                           signal_delay=signal_delay, retrigger=retrigger, dark_rate=dark_rate,
                           extinction_db=3.0)
-        stream, _ = run(cfg, batch_size=batch_size)
+        with batches_of(batch_size):
+            stream, _ = run(cfg)
         assert stream.duration == n_pulses * cfg.rep_period
         channels = stream.channels
         heralds = channels[Channel.HERALD_TRIGGER]
@@ -758,10 +765,6 @@ class TestConfigValidation:
         # the bound is on the mean of one batch, and a run of no pulses draws nothing
         run(make_config(dark_rate=1e300, n_pulses=0))
 
-    def test_batch_size_fits_int32_offsets(self):
-        with pytest.raises(ParameterError, match="batch_size must be below 2\\*\\*31"):
-            run(make_config(n_pulses=10), batch_size=2**31)
-
     def test_mean_beyond_the_photon_budget_rejected(self):
         # the table of pulse outcomes holds every photon number up to the
         # source law's cut, times the click counts and arm states; thermal
@@ -774,7 +777,8 @@ class TestConfigValidation:
         fits = make_config(mean_pairs_per_pulse=128.0, source_family="thermal", n_pixels=16)
         assert 3e5 < _outcomes(fits).cut.size <= event_sim._TABLE_BUDGET
         # a pulse of thousands of photons costs one draw like any other
-        stream, _ = run(make_config(mean_pairs_per_pulse=4096.0, n_pulses=10), batch_size=4)
+        with batches_of(4):
+            stream, _ = run(make_config(mean_pairs_per_pulse=4096.0, n_pulses=10))
         assert stream.counts()[Channel.HBT_A] == 10
 
     def test_integer_fields_accept_numpy_integers(self):
@@ -1407,8 +1411,9 @@ class TestSegmentedRun:
                           herald_selection=HeraldSelection.parse(selection, 4), latency=latency,
                           gate_length=gate_length, signal_delay=signal_delay, retrigger=retrigger,
                           dark_rate=dark_rate, gate_rise_time=gate_rise_time, extinction_db=3.0)
-        channels, counters = reference_run(cfg, batch_size)
-        stream, summary = run(cfg, threads=threads, batch_size=batch_size)
+        with batches_of(batch_size):
+            channels, counters = reference_run(cfg)
+            stream, summary = run(cfg, threads=threads)
         # what the tag writers take on trust: every segment holds every
         # channel as sorted int64 times, over disjoint, ascending spans of time
         segments = list(stream.segments())
@@ -1432,12 +1437,14 @@ class TestSegmentedRun:
 
     def test_stream_reads_in_any_order(self, tmp_path):
         cfg = make_config(mean_pairs_per_pulse=0.5, n_pulses=5_000, dark_rate=1e6)
-        whole, _ = run(cfg, batch_size=1_000)
+        with batches_of(1_000):
+            whole, _ = run(cfg)
+            stream, summary = run(cfg)
+            held, held_summary = run(cfg)
         segments = list(whole.segments())
         assert len(segments) == 5
         joined = {ch: np.concatenate([segment[ch] for segment in segments]) for ch in Channel}
         # segments taken by a writer, then the channels, then the segments again
-        stream, summary = run(cfg, batch_size=1_000)
         tagio.write_binary(stream, tmp_path / "first.tags")
         assert summary.channel_counts == stream.counts() == whole.counts()
         for ch in Channel:
@@ -1445,7 +1452,6 @@ class TestSegmentedRun:
         tagio.write_binary(stream, tmp_path / "second.tags")
         # the summary read first: its counters come from a draw of their own,
         # and the segments from a fresh one
-        held, held_summary = run(cfg, batch_size=1_000)
         assert held_summary.heralds_emitted == summary.heralds_emitted
         assert_same_segments(held.segments(), segments)
         # the run written segment by segment is the file of its joined channels
@@ -1458,10 +1464,11 @@ class TestSegmentedRun:
 
     def test_summary_read_during_a_take(self):
         cfg = make_config(mean_pairs_per_pulse=0.5, n_pulses=5_000, dark_rate=1e6, gate_rise_time=6_000)
-        plain, plain_summary = run(cfg, batch_size=1_000)
+        with batches_of(1_000):
+            plain, plain_summary = run(cfg)
+            # one segment taken, the summary read, then the take finished
+            stream, summary = run(cfg)
         expected = list(plain.segments())
-        # one segment taken, the summary read, then the take finished
-        stream, summary = run(cfg, batch_size=1_000)
         segments = stream.segments()
         first = next(segments)
         assert summary.heralds_emitted == plain_summary.heralds_emitted

@@ -1,13 +1,13 @@
-"""Every herald x HBT A peak of a simulated run against its expected count.
+"""Every herald x HBT A and herald x HBT B peak of a simulated run against its expected count.
 
 The expectation comes from the per-pulse laws alone, not from any draw, so
 it checks the stitched histogram whatever the random stream.  Pulses are
 independent, and with ``retrigger = "extend"`` and no gate ramp, the pair
-count of peak k holds the heralds of pulse p with an A click of pulse
-p + d, d = k - signal_delay / rep_period, and the A dark counts in the
-window of the peak around each herald.  Let R be the pulse
-offsets whose arrival a herald's own gate covers.  Per pulse pair the count
-has the mean
+count of peak k holds the heralds of pulse p with a click of the arm at
+pulse p + d, d = k - signal_delay / rep_period, and the arm's dark counts
+in the window of the peak around each herald.  Let R be the pulse offsets
+whose arrival a herald's own gate covers.  Per pulse pair the count at
+HBT A has the mean
 
 * d = 0: P(herald, A | open)
 * d in R, d != 0: P(herald) P(A | open)
@@ -17,8 +17,11 @@ has the mean
 
 with P(herald, A | gate) = sum_n p(n) P_sel(n) (1 - (1 - q)**n), P_sel from
 ``detection_matrix``, and q = q_a for an open gate and q_a * leakage for a
-closed one.  The dark counts add a flat background to every peak: the
-emitted heralds times ``dark_rate`` times the width of the peak window.
+closed one.  A photon reaches HBT A with q_a = signal_transmission *
+hbt_efficiency * hbt_splitting; the law of HBT B is the same with
+1 - hbt_splitting in place of hbt_splitting.  The dark counts add a flat
+background to every peak: the emitted heralds times ``dark_rate`` times the
+width of the peak window.
 """
 
 import math
@@ -39,14 +42,17 @@ from heraldsim import (
 from heraldsim.coincidence import DEFAULT_BIN_WIDTH, DEFAULT_PEAK_HALFWIDTH, DEFAULT_RANGE, _peak_window
 
 #: Largest |observed - expected| / sqrt(expected) a peak may show.  Over
-#: seeds 1 to 20 of the three configurations below, the largest of a seed's
-#: 45 values ranged from 1.6 to 3.7 (median 2.5) with the alias kernel, and
-#: from 1.7 to 3.6 (median 2.4) with the per-photon kernel before it.
+#: seeds 1 to 20 of each of the five configurations below, the largest of
+#: a run's 30 values, 15 peaks at A and 15 at B, ranged from 1.4 to 3.7
+#: (medians 2.2 to 2.5).  Before B was checked, the largest of a seed's 45
+#: A values over the first three configurations ranged from 1.6 to 3.7
+#: (median 2.5) with the alias kernel, and from 1.7 to 3.6 (median 2.4) with
+#: the per-photon kernel before it.
 Z_LIMIT = 5.0
 
 
-def expected_peaks(config: ExperimentConfig, offsets, heralds: int) -> dict:
-    """Expected pair count of each herald x HBT A peak offset, given the number of emitted heralds."""
+def expected_peaks(config: ExperimentConfig, offsets, heralds: int, arm: Channel = Channel.HBT_A) -> dict:
+    """Expected pair count of each herald x ``arm`` peak offset, given the number of emitted heralds."""
     rep = config.rep_period
     delay = config.resolved_signal_delay
     assert delay % rep == 0
@@ -57,7 +63,8 @@ def expected_peaks(config: ExperimentConfig, offsets, heralds: int) -> dict:
     n = np.arange(source.size)
     det = detection_matrix(config.idler_transmission, config.n_pixels, config.crosstalk, source.size - 1)
     p_sel = det.entries[:, sorted(config.herald_selection.accepted_clicks)].sum(axis=1)
-    q_a = config.signal_transmission * config.hbt_efficiency * config.hbt_splitting
+    share = config.hbt_splitting if arm == Channel.HBT_A else 1.0 - config.hbt_splitting
+    q_a = config.signal_transmission * config.hbt_efficiency * share  # the arm's share of a photon
 
     def p_a(q, weight=1.0):
         return float(np.sum(source * weight * (1.0 - (1.0 - q) ** n)))
@@ -80,13 +87,14 @@ def expected_peaks(config: ExperimentConfig, offsets, heralds: int) -> dict:
 
 
 def assert_peaks_match(config: ExperimentConfig) -> None:
-    """Every herald x HBT A peak of a run of ``config`` lies within ``Z_LIMIT`` of its expected count."""
+    """Every herald x HBT A and B peak of a run of ``config`` lies within ``Z_LIMIT`` of its expected count."""
     stream, summary = run(config, threads=1)
-    peaks = integrate_peaks(correlate(stream, (Channel.HERALD_TRIGGER, Channel.HBT_A)), config.rep_period)
-    expected = expected_peaks(config, [k for k, _ in peaks], summary.heralds_emitted)
-    assert len(peaks) == 15
-    z = {k: (count - expected[k]) / math.sqrt(expected[k]) for k, count in peaks}
-    assert max(map(abs, z.values())) < Z_LIMIT, {k: round(v, 2) for k, v in z.items()}
+    for arm in (Channel.HBT_A, Channel.HBT_B):
+        peaks = integrate_peaks(correlate(stream, (Channel.HERALD_TRIGGER, arm)), config.rep_period)
+        expected = expected_peaks(config, [k for k, _ in peaks], summary.heralds_emitted, arm)
+        assert len(peaks) == 15
+        z = {k: (count - expected[k]) / math.sqrt(expected[k]) for k, count in peaks}
+        assert max(map(abs, z.values())) < Z_LIMIT, (arm.name, {k: round(v, 2) for k, v in z.items()})
 
 
 @pytest.mark.parametrize(
@@ -98,6 +106,14 @@ def assert_peaks_match(config: ExperimentConfig) -> None:
 def test_every_peak_matches_the_per_pulse_laws(mu, selection, n_pulses, seed):
     assert_peaks_match(ExperimentConfig(mean_pairs_per_pulse=mu, n_pulses=n_pulses, seed=seed,
                                         herald_selection=selection, dark_rate=0.0))
+
+
+def test_arms_take_their_own_share_of_the_photons():
+    # a 30/70 splitter: A's peaks are 3/7 of B's near zero delay, so an arm
+    # that took the other's share would miss by tens of standard deviations
+    assert_peaks_match(ExperimentConfig(mean_pairs_per_pulse=0.5, n_pulses=5_000_000, seed=55,
+                                        herald_selection=HeraldSelection.exactly(1), hbt_splitting=0.3,
+                                        dark_rate=0.0))
 
 
 def test_dark_counts_add_a_flat_background():
